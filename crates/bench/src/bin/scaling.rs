@@ -19,14 +19,11 @@
 //! `--shards S1,S2,…` overrides the swept shard counts (default 1,2,4,8);
 //! `--json PATH` writes one `fleet_record` line per trial; `--trace PATH`
 //! streams per-shard event traces with a leading `shard` field;
-//! `--timeline PATH` streams per-shard timeline windows the same way.
+//! `--timeline PATH` streams per-shard timeline windows the same way;
+//! `--quick` and `--store KIND` apply to every shard as in the other bins.
 
 use ddp_core::{ClusterConfig, DdpModel, FleetConfig, Placement};
-use ddp_harness::{
-    fleet_record_to_json, fleet_timeline_end_to_json, fleet_timeline_window_to_json,
-    fleet_trace_end_to_json, fleet_trace_event_to_json, print_rule, run_fleet_sweep_instrumented,
-    FleetRecord, FleetSweep, Harness, HarnessArgs,
-};
+use ddp_harness::{print_rule, FleetSweep, Harness};
 
 /// Default swept shard counts.
 const SHARD_COUNTS: [u16; 4] = [1, 2, 4, 8];
@@ -49,81 +46,16 @@ fn skewed_config(model: DdpModel) -> ClusterConfig {
     cfg
 }
 
-/// Applies the shared flags to a fleet trial's base config (the fleet
-/// counterpart of what [`Harness::run`] does to a [`Sweep`]): `--quick`
-/// shortens the run, `--trace` enables per-shard event tracing,
-/// `--timeline` enables the per-shard windowed timeline.
-fn apply_flags(cfg: ClusterConfig, args: &HarnessArgs) -> ClusterConfig {
-    let mut cfg = if args.quick { cfg.quick() } else { cfg };
-    if args.trace.is_some() || args.timeline.is_some() {
-        let mut trace_cfg = if args.trace.is_some() {
-            ddp_core::TraceConfig::enabled()
-        } else {
-            ddp_core::TraceConfig::default()
-        };
-        if let Some(ns) = args.trace_sample {
-            trace_cfg = trace_cfg.with_sample_interval(ddp_sim::Duration::from_nanos(ns));
-        }
-        if args.timeline.is_some() {
-            let ns = args
-                .window_ns
-                .unwrap_or(ddp_harness::exec::DEFAULT_WINDOW_NS);
-            trace_cfg = trace_cfg.with_timeline(ddp_sim::Duration::from_nanos(ns));
-        }
-        cfg = cfg.with_trace(trace_cfg);
-    }
-    cfg
-}
-
 /// Weak-scales a base config to `s` shards: the fleet totals grow with
 /// the shard count so the apportionment hands every shard the same
 /// per-shard problem size the single-shard baseline ran. Applied after
-/// `--quick` so the quick quotas scale too.
+/// the shared flags ([`Harness::configure`]) so the `--quick` quotas
+/// scale too.
 fn weak_scale(mut cfg: ClusterConfig, s: u16) -> ClusterConfig {
     cfg.clients *= u32::from(s);
     cfg.warmup_requests *= u64::from(s);
     cfg.measured_requests *= u64::from(s);
     cfg
-}
-
-/// Runs one fleet sweep and streams its records (and, under `--trace` /
-/// `--timeline`, its per-shard event and window streams) through the
-/// harness writers.
-fn run_scaling_sweep(harness: &mut Harness, sweep: FleetSweep) -> Vec<FleetRecord> {
-    let results = run_fleet_sweep_instrumented("scaling", sweep, harness.args().threads);
-    let mut records = Vec::with_capacity(results.len());
-    for (record, dumps, timelines) in results {
-        for (shard, dump) in &dumps {
-            for event in &dump.events {
-                harness.emit_trace_line(&fleet_trace_event_to_json(record.index, *shard, event));
-            }
-            harness.emit_trace_line(&fleet_trace_end_to_json(
-                record.index,
-                *shard,
-                &record.label,
-                dump,
-            ));
-        }
-        for (shard, dump) in &timelines {
-            for (k, w) in dump.windows.iter().enumerate() {
-                harness.emit_timeline_line(&fleet_timeline_window_to_json(
-                    record.index,
-                    *shard,
-                    k,
-                    w,
-                ));
-            }
-            harness.emit_timeline_line(&fleet_timeline_end_to_json(
-                record.index,
-                *shard,
-                &record.label,
-                dump,
-            ));
-        }
-        harness.emit_json_line(&fleet_record_to_json(&record));
-        records.push(record);
-    }
-    records
 }
 
 fn main() {
@@ -148,11 +80,11 @@ fn main() {
         for &s in &shard_counts {
             curve_sweep.push(
                 format!("{model} S={s}"),
-                FleetConfig::new(weak_scale(apply_flags(uniform_config(model), &args), s), s),
+                FleetConfig::new(weak_scale(harness.configure(uniform_config(model)), s), s),
             );
         }
     }
-    let curve_records = run_scaling_sweep(&mut harness, curve_sweep);
+    let curve_records = harness.run_fleet(curve_sweep);
     let stride = shard_counts.len();
 
     println!("Part 1 - uniform YCSB-A: aggregate throughput vs shard count");
@@ -199,12 +131,12 @@ fn main() {
         for placement in placements {
             imbalance_sweep.push(
                 format!("{model} S={top} {placement}"),
-                FleetConfig::new(apply_flags(skewed_config(model), &args), top)
+                FleetConfig::new(harness.configure(skewed_config(model)), top)
                     .with_placement(placement),
             );
         }
     }
-    let imbalance_records = run_scaling_sweep(&mut harness, imbalance_sweep);
+    let imbalance_records = harness.run_fleet(imbalance_sweep);
 
     println!("\nPart 2 - Zipf-skewed YCSB-A at S={top}: hash vs range placement");
     println!(

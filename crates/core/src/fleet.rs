@@ -1,4 +1,5 @@
-//! A fleet of shards: many independent replica groups on one event loop.
+//! A fleet of shards: many independent replica groups, each its own
+//! simulation.
 //!
 //! The paper evaluates one replica group — every node holds every key.
 //! Real deployments shard: the key space splits over `S` independent
@@ -11,35 +12,28 @@
 //!   placement, and the rule for deriving each shard's cluster config from
 //!   the fleet-wide template (per-shard seeds, popularity-proportional
 //!   client/request/rate splits, per-shard workload slices).
-//! * [`Fleet`] owns `S` [`Cluster`] instances and multiplexes them over
-//!   ONE simulator event loop by wrapping every protocol [`Event`] in a
-//!   [`FleetEvent`] carrying its home shard. Inner clusters run against a
-//!   buffered [`Context`] (see [`Context::buffered`]); their scheduled
-//!   events are forwarded to the shared queue in push order, so FIFO
-//!   tie-breaking at equal timestamps matches what each cluster would see
-//!   running alone. A fleet of one shard is therefore *event-for-event
-//!   identical* to a plain [`Simulation`] of the same config.
-//! * [`FleetSimulation`] drives the run and aggregates per-shard
-//!   [`RunStats`] into a fleet-level [`FleetReport`]: pooled latency
-//!   histograms, a union measured window, a shard-imbalance index, and
-//!   the count of transaction groups that would have crossed shards.
+//! * Shards never exchange an event, so each one runs as a plain
+//!   [`Simulation`] of its derived config. A fleet of one shard is that
+//!   config's solo run.
+//! * [`FleetSimulation`] runs the shards and aggregates their [`RunStats`]
+//!   into a fleet-level [`FleetReport`] ([`FleetReport::from_shards`]):
+//!   pooled latency histograms, a union measured window, a
+//!   shard-imbalance index, and the count of transaction groups that
+//!   would have crossed shards. The harness executor runs the same shards
+//!   as separate jobs and builds the same report.
 //!
 //! Cross-shard transactions are out of scope for the protocol layer (each
 //! shard's group runs its own coordination); the workload layer re-homes
 //! would-be cross-shard groups onto their anchor's shard and counts them
 //! (see [`ShardSlice`]), so the report quantifies what single-shard
 //! routing rejected.
-//!
-//! [`Simulation`]: crate::protocol::Simulation
 
 use crate::config::ClusterConfig;
 use crate::model::{Consistency, DdpModel, Persistency};
-use crate::protocol::{Cluster, Event};
+use crate::protocol::{Cluster, Simulation};
 use crate::stats::{RunStats, RunSummary};
-use ddp_net::NodeId;
-use ddp_sim::{Context, Duration, Engine, Model, SimTime};
-use ddp_trace::{TimelineDump, TraceDump};
-use ddp_workload::{ClientId, KeyChooser, Placement, ShardRouter, ShardSlice, Zipfian};
+use ddp_trace::TraceDump;
+use ddp_workload::{KeyChooser, Placement, ShardRouter, ShardSlice, Zipfian};
 
 /// Seed stride for deriving per-shard seeds from the fleet seed: shard `s`
 /// runs with `seed ^ (s * SHARD_SEED_STRIDE)`. Shard 0 keeps the fleet
@@ -262,96 +256,6 @@ fn apportion(total: u64, mass: &[f64], min: u64) -> Vec<u64> {
     out
 }
 
-/// A protocol event addressed to one shard of a fleet.
-#[derive(Debug)]
-pub struct FleetEvent {
-    /// The shard whose cluster handles the event.
-    pub shard: u16,
-    /// The wrapped single-cluster protocol event.
-    pub event: Event,
-}
-
-/// The fleet model: `S` independent [`Cluster`]s multiplexed over one
-/// engine via [`FleetEvent`] wrapping.
-///
-/// Each dispatch unwraps the event, runs the home shard's cluster against
-/// a buffered [`Context`] at the *global* dispatch time and sequence
-/// number, then forwards whatever the cluster scheduled — re-wrapped —
-/// into the shared queue in push order. Trace records therefore carry the
-/// same dispatch sequence numbers a solo run would produce, and a
-/// one-shard fleet replays the solo run exactly.
-#[derive(Debug)]
-pub struct Fleet {
-    shards: Vec<Cluster>,
-    /// Scratch buffer for one dispatch's inner pushes; drained every time.
-    buffer: Vec<(SimTime, Event)>,
-    /// Per-shard stop flags: a stopped shard's leftover events are skipped.
-    done: Vec<bool>,
-    /// Time each shard requested its stop (valid where `done`).
-    end_time: Vec<SimTime>,
-}
-
-impl Fleet {
-    /// Builds the fleet's clusters from a validated config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`FleetConfig::validate`] rejects the configuration.
-    #[must_use]
-    pub fn new(cfg: &FleetConfig) -> Self {
-        cfg.validate().expect("invalid fleet configuration");
-        let shards: Vec<Cluster> = cfg.shard_configs().into_iter().map(Cluster::new).collect();
-        let n = shards.len();
-        Fleet {
-            shards,
-            buffer: Vec::new(),
-            done: vec![false; n],
-            end_time: vec![SimTime::ZERO; n],
-        }
-    }
-
-    /// The clusters, indexed by shard.
-    #[must_use]
-    pub fn shards(&self) -> &[Cluster] {
-        &self.shards
-    }
-
-    /// Whether every shard has completed its measured window.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        self.done.iter().all(|&d| d)
-    }
-}
-
-impl Model for Fleet {
-    type Event = FleetEvent;
-
-    fn handle(&mut self, ctx: &mut Context<'_, FleetEvent>, event: FleetEvent) {
-        let FleetEvent { shard, event } = event;
-        let s = usize::from(shard);
-        if self.done[s] {
-            return;
-        }
-        let mut stop = false;
-        debug_assert!(self.buffer.is_empty());
-        {
-            let mut sub =
-                Context::buffered(ctx.now(), ctx.dispatch_seq(), &mut self.buffer, &mut stop);
-            self.shards[s].handle(&mut sub, event);
-        }
-        for (due, event) in self.buffer.drain(..) {
-            ctx.schedule_at(due, FleetEvent { shard, event });
-        }
-        if stop {
-            self.done[s] = true;
-            self.end_time[s] = ctx.now();
-            if self.done.iter().all(|&d| d) {
-                ctx.request_stop();
-            }
-        }
-    }
-}
-
 /// Fleet-level results: the aggregate summary plus per-shard breakdown.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
@@ -382,146 +286,25 @@ pub struct FleetReport {
     pub cross_shard_groups: u64,
 }
 
-/// Drives a [`Fleet`] to completion on one engine and aggregates the
-/// per-shard results; the sharded counterpart of
-/// [`Simulation`](crate::protocol::Simulation).
-#[derive(Debug)]
-pub struct FleetSimulation {
-    cfg: FleetConfig,
-    mass: Vec<f64>,
-    engine: Engine<FleetEvent>,
-    fleet: Fleet,
-    ran: bool,
-}
-
-impl FleetSimulation {
-    /// Builds the fleet; validates the config.
+impl FleetReport {
+    /// Builds the report from each shard's finished statistics, in shard
+    /// order, and the fleet's total of re-homed cross-shard groups.
+    /// `offered_mass` is [`FleetConfig::popularity_mass`].
     ///
     /// # Panics
     ///
-    /// Panics if [`FleetConfig::validate`] rejects the configuration.
+    /// Panics if `shards` is empty.
     #[must_use]
-    pub fn new(cfg: FleetConfig) -> Self {
-        let fleet = Fleet::new(&cfg);
-        let mass = cfg.popularity_mass();
-        FleetSimulation {
-            cfg,
-            mass,
-            engine: Engine::new(),
-            fleet,
-            ran: false,
-        }
-    }
+    pub fn from_shards(
+        cfg: &FleetConfig,
+        offered_mass: Vec<f64>,
+        shards: &[&RunStats],
+        cross_shard_groups: u64,
+    ) -> Self {
+        let per_shard: Vec<RunSummary> = shards.iter().map(|s| RunSummary::from_stats(s)).collect();
+        let shard_completed: Vec<u64> = shards.iter().map(|s| s.completed()).collect();
 
-    /// Runs every shard to the end of its measured window and returns the
-    /// fleet report. Calling `run` again returns the same report without
-    /// re-running.
-    pub fn run(&mut self) -> FleetReport {
-        if !self.ran {
-            // Mirror Simulation::run per shard, in shard order: the
-            // initial arrival (open loop) or staggered client issues
-            // (closed loop), then the shard's fault plan. With one shard
-            // the queue receives exactly the pushes a solo run makes, in
-            // the same order.
-            for (s, cluster) in self.fleet.shards.iter_mut().enumerate() {
-                let shard = s as u16;
-                if let Some(ol) = cluster.ol.as_mut() {
-                    let gap = ol.gen.next_interarrival();
-                    self.engine.schedule(
-                        SimTime::ZERO + gap,
-                        FleetEvent {
-                            shard,
-                            event: Event::Arrival,
-                        },
-                    );
-                } else {
-                    for i in 0..cluster.cfg.clients {
-                        let start = SimTime::ZERO + Duration::from_nanos(u64::from(i) * 10);
-                        self.engine.schedule(
-                            start,
-                            FleetEvent {
-                                shard,
-                                event: Event::Issue(ClientId(i), 0),
-                            },
-                        );
-                    }
-                }
-                for c in &cluster.cfg.faults.crashes {
-                    let down = SimTime::ZERO + c.at;
-                    self.engine.schedule(
-                        down,
-                        FleetEvent {
-                            shard,
-                            event: Event::NodeCrash(NodeId(c.node)),
-                        },
-                    );
-                    self.engine.schedule(
-                        down + c.down_for,
-                        FleetEvent {
-                            shard,
-                            event: Event::NodeRecover(NodeId(c.node)),
-                        },
-                    );
-                }
-            }
-            self.engine.run(&mut self.fleet);
-            let fallback = self.engine.now();
-            for s in 0..self.fleet.shards.len() {
-                // Close each shard's books at the time IT stopped, not at
-                // the time the last shard did: a fast shard's gauges and
-                // measured window must not stretch over time it sat idle.
-                let end = if self.fleet.done[s] {
-                    self.fleet.end_time[s]
-                } else {
-                    fallback
-                };
-                let shard = &mut self.fleet.shards[s];
-                shard.stats.causal_buffered.finish(end);
-                shard.stats.admission_queue.finish(end);
-                shard.stats.nvm_bank_queue.finish(end);
-                shard.stats.compactions_active.finish(end);
-                shard.finish_timeline(end);
-                shard.stats.measured_time = end.saturating_since(shard.stats.window_start);
-            }
-            self.ran = true;
-        }
-        self.report()
-    }
-
-    /// Fleet-wide merged statistics: counters summed, histograms pooled,
-    /// the measured window unioned (see [`RunStats::absorb`]). The three
-    /// level gauges are left default — occupancy does not pool; use the
-    /// per-shard summaries for those.
-    #[must_use]
-    pub fn merged_stats(&self) -> RunStats {
-        let mut merged = RunStats {
-            // Seed the accumulator's (empty) window at shard 0's start so
-            // the union below is exactly the union of real windows.
-            window_start: self.fleet.shards[0].stats.window_start,
-            ..RunStats::default()
-        };
-        for c in &self.fleet.shards {
-            merged.absorb(&c.stats);
-        }
-        merged
-    }
-
-    fn report(&self) -> FleetReport {
-        let per_shard: Vec<RunSummary> = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| RunSummary::from_stats(&c.stats))
-            .collect();
-        let shard_completed: Vec<u64> = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| c.stats.completed())
-            .collect();
-
-        let merged = self.merged_stats();
-        let mut aggregate = RunSummary::from_stats(&merged);
+        let mut aggregate = RunSummary::from_stats(&merge_shard_stats(shards));
         // Gauge-derived occupancies: sum the per-shard values (see
         // FleetReport::aggregate).
         aggregate.mean_buffered_writes = per_shard.iter().map(|s| s.mean_buffered_writes).sum();
@@ -541,64 +324,135 @@ impl FleetSimulation {
             let mean = total as f64 / shard_completed.len() as f64;
             *shard_completed.iter().max().expect("at least one shard") as f64 / mean
         };
-        let cross_shard_groups = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| c.clients.total_cross_shard())
-            .sum();
 
         FleetReport {
-            model: self.cfg.base.model,
-            shards: self.cfg.shards,
-            placement: self.cfg.placement,
+            model: cfg.base.model,
+            shards: cfg.shards,
+            placement: cfg.placement,
             aggregate,
             per_shard,
             shard_completed,
-            offered_mass: self.mass.clone(),
+            offered_mass,
             imbalance,
             cross_shard_groups,
         }
     }
+}
 
-    /// The fleet configuration.
+/// Fleet-wide merged statistics: counters summed, histograms pooled, the
+/// measured window unioned (see [`RunStats::absorb`]). The level gauges
+/// are left default — occupancy does not pool; use the per-shard
+/// summaries for those.
+///
+/// # Panics
+///
+/// Panics if `shards` is empty.
+#[must_use]
+pub fn merge_shard_stats(shards: &[&RunStats]) -> RunStats {
+    let mut merged = RunStats {
+        // Seed the accumulator's (empty) window at shard 0's start so
+        // the union below is exactly the union of real windows.
+        window_start: shards[0].window_start,
+        ..RunStats::default()
+    };
+    for stats in shards {
+        merged.absorb(stats);
+    }
+    merged
+}
+
+/// Numbers per-shard trace dumps fleet-wide. Each item is one shard, in
+/// shard order: the events its simulation dispatched and its drained
+/// dump, if it traced. Shard `s`'s `seq` values are offset by the events
+/// shards `0..s` dispatched, so no `seq` value appears in two shards and
+/// the highest is the fleet's dispatch total. Shard 0 keeps its numbering,
+/// so a one-shard fleet's stream is its solo run's.
+pub fn number_fleet_traces(
+    shards: impl IntoIterator<Item = (u64, Option<TraceDump>)>,
+) -> Vec<(u16, TraceDump)> {
+    let mut offset = 0;
+    let mut out = Vec::new();
+    for (s, (events, dump)) in shards.into_iter().enumerate() {
+        if let Some(mut dump) = dump {
+            for r in &mut dump.events {
+                r.seq += offset;
+            }
+            out.push((u16::try_from(s).expect("shard index fits u16"), dump));
+        }
+        offset += events;
+    }
+    out
+}
+
+/// Runs a fleet as one independent [`Simulation`] per shard and
+/// aggregates the per-shard results; the sharded counterpart of
+/// [`Simulation`].
+#[derive(Debug)]
+pub struct FleetSimulation {
+    cfg: FleetConfig,
+    mass: Vec<f64>,
+    shards: Vec<Simulation>,
+}
+
+impl FleetSimulation {
+    /// Builds every shard's simulation; validates the config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`FleetConfig::validate`] rejects the configuration.
     #[must_use]
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
+    pub fn new(cfg: FleetConfig) -> Self {
+        cfg.validate().expect("invalid fleet configuration");
+        let mass = cfg.popularity_mass();
+        let shards = cfg
+            .shard_configs()
+            .into_iter()
+            .map(Simulation::new)
+            .collect();
+        FleetSimulation { cfg, mass, shards }
+    }
+
+    /// Runs every shard to the end of its measured window, in shard
+    /// order, and returns the fleet report. Each shard closes its books at
+    /// its own stop time. Calling `run` again returns the same report
+    /// without re-running.
+    pub fn run(&mut self) -> FleetReport {
+        for sim in &mut self.shards {
+            sim.run();
+        }
+        let cross = self
+            .shards
+            .iter()
+            .map(|s| s.cluster().cross_shard_groups())
+            .sum();
+        FleetReport::from_shards(&self.cfg, self.mass.clone(), &self.stats(), cross)
+    }
+
+    fn stats(&self) -> Vec<&RunStats> {
+        self.shards.iter().map(|s| s.cluster().stats()).collect()
+    }
+
+    /// Fleet-wide merged statistics; see [`merge_shard_stats`].
+    #[must_use]
+    pub fn merged_stats(&self) -> RunStats {
+        merge_shard_stats(&self.stats())
     }
 
     /// One shard's cluster (stats, observations, stores).
     #[must_use]
     pub fn shard(&self, shard: u16) -> &Cluster {
-        &self.fleet.shards[usize::from(shard)]
-    }
-
-    /// The clusters, indexed by shard.
-    #[must_use]
-    pub fn shards(&self) -> &[Cluster] {
-        self.fleet.shards()
+        self.shards[usize::from(shard)].cluster()
     }
 
     /// Drains every shard's trace event ring: `(shard, dump)` pairs for
-    /// shards with event tracing enabled.
+    /// shards with event tracing enabled, numbered fleet-wide (see
+    /// [`number_fleet_traces`]).
     pub fn take_traces(&mut self) -> Vec<(u16, TraceDump)> {
-        self.fleet
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, c)| c.take_trace().map(|d| (s as u16, d)))
-            .collect()
-    }
-
-    /// Drains every shard's windowed timeline: `(shard, dump)` pairs for
-    /// shards with the timeline enabled.
-    pub fn take_timelines(&mut self) -> Vec<(u16, TimelineDump)> {
-        self.fleet
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, c)| c.take_timeline().map(|d| (s as u16, d)))
-            .collect()
+        number_fleet_traces(
+            self.shards
+                .iter_mut()
+                .map(|s| (s.events_dispatched(), s.take_trace())),
+        )
     }
 }
 

@@ -38,7 +38,7 @@
 //! * [`protocol`] — the parametric coordinator/follower engine and the
 //!   [`Simulation`] driver;
 //! * [`traits_table`] — the qualitative Table 4 derivation;
-//! * [`fleet`] — a sharded fleet of replica groups on one event loop;
+//! * [`fleet`] — a sharded fleet of independent replica groups;
 //! * [`failure`] — crash injection and NVM snapshots;
 //! * [`recovery`] — the recovery algorithms (simple and voting-based);
 //! * [`recovery_time`] — first-order recovery-duration estimates (§9);
@@ -72,8 +72,8 @@ pub use config::{
 };
 pub use failure::{crash_snapshot, ClusterSnapshot, NodeImage};
 pub use fleet::{
-    run_fleet, shard_seed, Fleet, FleetConfig, FleetEvent, FleetReport, FleetSimulation,
-    SHARD_SEED_STRIDE,
+    merge_shard_stats, number_fleet_traces, run_fleet, shard_seed, FleetConfig, FleetReport,
+    FleetSimulation, SHARD_SEED_STRIDE,
 };
 pub use message::{Message, ScopeId, TxnId, WriteId};
 pub use model::{Consistency, DdpModel, Persistency};

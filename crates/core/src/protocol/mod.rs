@@ -1126,6 +1126,13 @@ impl Cluster {
         &self.stats
     }
 
+    /// Transaction/scope groups the sharded workload re-homed because
+    /// their natural keys spanned shards (zero for an unsharded run).
+    #[must_use]
+    pub fn cross_shard_groups(&self) -> u64 {
+        self.clients.total_cross_shard()
+    }
+
     /// The configuration this cluster runs.
     #[must_use]
     pub fn config(&self) -> &ClusterConfig {
@@ -1336,6 +1343,14 @@ impl Simulation {
     #[must_use]
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
+    }
+
+    /// Events the engine has dispatched so far; after [`Simulation::run`],
+    /// the run's total. Trace records carry the dispatch number of the
+    /// event that emitted them, so no trace `seq` exceeds this.
+    #[must_use]
+    pub fn events_dispatched(&self) -> u64 {
+        self.engine.events_dispatched()
     }
 
     /// Drains the trace event ring (see [`Cluster::take_trace`]).

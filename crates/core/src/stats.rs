@@ -4,7 +4,7 @@ use ddp_sim::{Duration, Histogram, LevelGauge, SimTime};
 use ddp_trace::{PhaseAccum, PhaseBreakdown};
 
 /// Statistics gathered over the measured window of one simulated run.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Completed client read requests.
     pub reads_completed: u64,

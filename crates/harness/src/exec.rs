@@ -4,11 +4,13 @@
 //! perfectly — the only thing that must *not* change with the thread
 //! count is the output. The executor therefore:
 //!
-//! * pulls trials off a shared atomic work queue (no static partitioning,
+//! * flattens a sweep into one simulation per job — a solo trial is one
+//!   job, a fleet trial one job per shard ([`run_simulations`]), so a
+//!   single large fleet still fills every worker;
+//! * pulls jobs off a shared atomic work queue (no static partitioning,
 //!   so a slow model cannot strand an idle worker);
-//! * writes each finished [`RunRecord`] into the result slot keyed by the
-//!   trial's grid index, making the returned stream independent of
-//!   completion order;
+//! * writes each finished job into the result slot keyed by its position,
+//!   making the returned stream independent of completion order;
 //! * keeps host wall-clock out of the records entirely — progress and
 //!   timing go to **stderr**, so stdout tables and `--json` streams stay
 //!   byte-identical for any `--threads N`.
@@ -17,10 +19,11 @@
 //! [`crate::progress`] — the one module the determinism audit lets touch
 //! host time and threads. This file only decides *what* each worker runs.
 
-use ddp_core::{ClusterConfig, Simulation, TimelineDump, TraceDump};
+use ddp_core::{ClusterConfig, RunStats, Simulation, TimelineDump, TraceDump};
 
 use crate::args::HarnessArgs;
 use crate::csv::CsvWriter;
+use crate::fleet::{fleet_record_to_json, run_fleet_sweep_instrumented, FleetRecord, FleetSweep};
 use crate::json::JsonLinesWriter;
 use crate::progress::{run_pool, Stopwatch};
 use crate::record::RunRecord;
@@ -34,12 +37,68 @@ use crate::trace::{trace_end_to_json, trace_event_to_json};
 /// figure-scale run.
 pub const DEFAULT_WINDOW_NS: u64 = 50_000;
 
+/// What a worker keeps of one finished simulation: everything a record
+/// and the `--trace`/`--timeline` streams need. The [`Simulation`] itself
+/// is dropped inside the worker, so a sweep never holds more live
+/// simulations than it has workers.
+#[derive(Debug)]
+pub(crate) struct SimRun {
+    /// The run's statistics.
+    pub stats: RunStats,
+    /// Cross-shard groups the run's workload re-homed.
+    pub cross_shard_groups: u64,
+    /// Events the run dispatched.
+    pub events: u64,
+    /// The drained trace ring, if event tracing was on.
+    pub trace: Option<TraceDump>,
+    /// The drained timeline, if the timeline was on.
+    pub timeline: Option<TimelineDump>,
+}
+
+/// Runs every trial's simulations on `threads` workers as one flat job
+/// list and returns each trial's [`SimRun`]s in trial-then-shard order.
+/// A trial is its label plus one config per simulation (one for a solo
+/// trial, one per shard for a fleet).
+pub(crate) fn run_simulations(
+    name: &str,
+    trials: &[(String, Vec<ClusterConfig>)],
+    threads: usize,
+) -> Vec<Vec<SimRun>> {
+    let mut labels = Vec::new();
+    let mut cfgs = Vec::new();
+    for (label, shards) in trials {
+        for (s, cfg) in shards.iter().enumerate() {
+            labels.push(if shards.len() == 1 {
+                label.clone()
+            } else {
+                format!("{label} shard {s}")
+            });
+            cfgs.push(cfg);
+        }
+    }
+    let mut runs = run_pool(name, "simulations", &labels, threads, |i| {
+        let mut sim = Simulation::new(cfgs[i].clone());
+        sim.run();
+        SimRun {
+            stats: sim.cluster().stats().clone(),
+            cross_shard_groups: sim.cluster().cross_shard_groups(),
+            events: sim.events_dispatched(),
+            trace: sim.take_trace(),
+            timeline: sim.take_timeline(),
+        }
+    })
+    .into_iter();
+    trials
+        .iter()
+        .map(|(_, cfgs)| runs.by_ref().take(cfgs.len()).collect())
+        .collect()
+}
+
 /// Runs every trial of a sweep on `threads` workers and returns, in grid
 /// order, each trial's record plus its drained trace dump and timeline
-/// dump (each `None` unless the trial's config enabled it). The dumps
-/// must be drained inside the worker — the `Simulation` is dropped with
-/// the trial — so this is the executor's full-fidelity entry point;
-/// [`run_sweep_traced`] and [`run_sweep_named`] are narrower views.
+/// dump (each `None` unless the trial's config enabled it). This is the
+/// executor's full-fidelity entry point; [`run_sweep_traced`] and
+/// [`run_sweep_named`] are narrower views.
 #[must_use]
 pub fn run_sweep_instrumented(
     name: &str,
@@ -47,16 +106,21 @@ pub fn run_sweep_instrumented(
     threads: usize,
 ) -> Vec<(RunRecord, Option<TraceDump>, Option<TimelineDump>)> {
     let trials = sweep.into_trials();
-    let labels: Vec<String> = trials.iter().map(|t| t.label.clone()).collect();
-    run_pool(name, "trials", &labels, threads, |i| {
-        let trial = &trials[i];
-        let mut sim = Simulation::new(trial.cfg.clone());
-        sim.run();
-        let record = RunRecord::from_simulation(trial.index, trial.label.clone(), &mut sim);
-        let trace = sim.take_trace();
-        let timeline = sim.take_timeline();
-        (record, trace, timeline)
-    })
+    let jobs: Vec<(String, Vec<ClusterConfig>)> = trials
+        .iter()
+        .map(|t| (t.label.clone(), vec![t.cfg.clone()]))
+        .collect();
+    let runs = run_simulations(name, &jobs, threads);
+    trials
+        .into_iter()
+        .zip(runs)
+        .map(|(trial, mut runs)| {
+            let run = runs.pop().expect("one simulation per solo trial");
+            let record =
+                RunRecord::from_stats(trial.index, trial.label, trial.cfg.model, &run.stats);
+            (record, run.trace, run.timeline)
+        })
+        .collect()
 }
 
 /// [`run_sweep_instrumented`] without the timeline dumps.
@@ -171,58 +235,52 @@ impl Harness {
         &self.args
     }
 
-    /// Runs one sweep: applies `--quick` and `--store` (and, under
-    /// `--trace` / `--timeline`, enables the corresponding
-    /// instrumentation on every trial), executes on `--threads` workers, appends every record to
-    /// the `--json`/`--csv` streams, every trial's event stream to the
-    /// `--trace` stream, and every trial's window rows to the
-    /// `--timeline` stream, and returns the records in grid order.
-    pub fn run(&mut self, sweep: Sweep) -> Vec<RunRecord> {
-        let mut sweep = if self.args.quick {
-            sweep.map_cfg(ClusterConfig::quick)
-        } else {
-            sweep
-        };
-        if let Some(kind) = self.args.store {
-            sweep = sweep.map_cfg(move |cfg| cfg.with_store(kind));
+    /// Applies the shared flags to one trial config: `--quick` shortens
+    /// the run, `--store` swaps the store backend, and `--trace` /
+    /// `--timeline` (with `--trace-sample` / `--window-ns`) enable the
+    /// corresponding instrumentation. [`Harness::run`] applies it to every
+    /// trial; fleet sweeps apply it to each trial's base config (see
+    /// [`Harness::run_fleet`]).
+    #[must_use]
+    pub fn configure(&self, cfg: ClusterConfig) -> ClusterConfig {
+        let args = &self.args;
+        let mut cfg = if args.quick { cfg.quick() } else { cfg };
+        if let Some(kind) = args.store {
+            cfg = cfg.with_store(kind);
         }
-        if self.args.trace.is_some() || self.args.timeline.is_some() {
-            let mut trace_cfg = if self.args.trace.is_some() {
+        if args.trace.is_some() || args.timeline.is_some() {
+            let mut trace_cfg = if args.trace.is_some() {
                 ddp_core::TraceConfig::enabled()
             } else {
                 ddp_core::TraceConfig::default()
             };
-            if let Some(ns) = self.args.trace_sample {
+            if let Some(ns) = args.trace_sample {
                 trace_cfg = trace_cfg.with_sample_interval(ddp_sim::Duration::from_nanos(ns));
             }
-            if self.args.timeline.is_some() {
-                let ns = self.args.window_ns.unwrap_or(DEFAULT_WINDOW_NS);
+            if args.timeline.is_some() {
+                let ns = args.window_ns.unwrap_or(DEFAULT_WINDOW_NS);
                 trace_cfg = trace_cfg.with_timeline(ddp_sim::Duration::from_nanos(ns));
             }
-            sweep = sweep.map_cfg(|cfg| cfg.with_trace(trace_cfg));
+            cfg = cfg.with_trace(trace_cfg);
         }
+        cfg
+    }
+
+    /// Runs one sweep: applies [`Harness::configure`] to every trial,
+    /// executes on `--threads` workers, appends every record to the
+    /// `--json`/`--csv` streams, every trial's event stream to the
+    /// `--trace` stream, and every trial's window rows to the
+    /// `--timeline` stream, and returns the records in grid order.
+    pub fn run(&mut self, sweep: Sweep) -> Vec<RunRecord> {
+        let sweep = sweep.map_cfg(|cfg| self.configure(cfg));
         let results = run_sweep_instrumented(self.name, sweep, self.args.threads);
         let mut records = Vec::with_capacity(results.len());
-        for (record, dump, timeline) in results {
-            if let (Some(writer), Some(dump)) = (&mut self.trace_writer, dump) {
-                for event in &dump.events {
-                    writer
-                        .write_line(&trace_event_to_json(record.index, event))
-                        .expect("writing --trace event");
-                }
-                writer
-                    .write_line(&trace_end_to_json(record.index, &record.label, &dump))
-                    .expect("writing --trace trailer");
+        for (record, trace, timeline) in results {
+            if let Some(dump) = &trace {
+                self.write_trace(record.index, None, &record.label, dump);
             }
-            if let (Some(writer), Some(dump)) = (&mut self.timeline_writer, timeline) {
-                for (k, w) in dump.windows.iter().enumerate() {
-                    writer
-                        .write_line(&timeline_window_to_json(record.index, k, w))
-                        .expect("writing --timeline window");
-                }
-                writer
-                    .write_line(&timeline_end_to_json(record.index, &record.label, &dump))
-                    .expect("writing --timeline trailer");
+            if let Some(dump) = &timeline {
+                self.write_timeline(record.index, None, &record.label, dump);
             }
             records.push(record);
         }
@@ -237,6 +295,67 @@ impl Harness {
                 .expect("writing --csv records");
         }
         records
+    }
+
+    /// Runs one fleet sweep, the sharded counterpart of [`Harness::run`]:
+    /// executes on `--threads` workers, appends one `fleet_record` line
+    /// per trial to the `--json` stream, and each shard's event and window
+    /// streams (led by a `shard` column) to `--trace` / `--timeline`.
+    ///
+    /// Build each trial's base config with [`Harness::configure`]: fleet
+    /// totals may be derived from the flagged config (weak scaling
+    /// multiplies the `--quick` quotas), so the flags cannot be applied
+    /// after the fact. `--csv` does not cover fleet records.
+    pub fn run_fleet(&mut self, sweep: FleetSweep) -> Vec<FleetRecord> {
+        let results = run_fleet_sweep_instrumented(self.name, sweep, self.args.threads);
+        let mut records = Vec::with_capacity(results.len());
+        for (record, traces, timelines) in results {
+            for (shard, dump) in &traces {
+                self.write_trace(record.index, Some(*shard), &record.label, dump);
+            }
+            for (shard, dump) in &timelines {
+                self.write_timeline(record.index, Some(*shard), &record.label, dump);
+            }
+            self.emit_json_line(&fleet_record_to_json(&record));
+            records.push(record);
+        }
+        records
+    }
+
+    /// Appends one simulation's event stream and its trailer to the
+    /// `--trace` stream (a no-op without `--trace`).
+    fn write_trace(&mut self, trial: usize, shard: Option<u16>, label: &str, dump: &TraceDump) {
+        if let Some(writer) = &mut self.trace_writer {
+            for event in &dump.events {
+                writer
+                    .write_line(&trace_event_to_json(trial, shard, event))
+                    .expect("writing --trace event");
+            }
+            writer
+                .write_line(&trace_end_to_json(trial, shard, label, dump))
+                .expect("writing --trace trailer");
+        }
+    }
+
+    /// Appends one simulation's window rows and their trailer to the
+    /// `--timeline` stream (a no-op without `--timeline`).
+    fn write_timeline(
+        &mut self,
+        trial: usize,
+        shard: Option<u16>,
+        label: &str,
+        dump: &TimelineDump,
+    ) {
+        if let Some(writer) = &mut self.timeline_writer {
+            for (k, w) in dump.windows.iter().enumerate() {
+                writer
+                    .write_line(&timeline_window_to_json(trial, shard, k, w))
+                    .expect("writing --timeline window");
+            }
+            writer
+                .write_line(&timeline_end_to_json(trial, shard, label, dump))
+                .expect("writing --timeline trailer");
+        }
     }
 
     /// Runs one sweep under `--seeds N` replication: every trial runs once
@@ -265,24 +384,6 @@ impl Harness {
     pub fn emit_json_line(&mut self, json: &str) {
         if let Some(writer) = &mut self.writer {
             writer.write_line(json).expect("writing --json line");
-        }
-    }
-
-    /// Writes one pre-serialized line to the `--trace` stream (for sweeps
-    /// the facade does not run itself, such as fleet sweeps). A no-op
-    /// without `--trace`.
-    pub fn emit_trace_line(&mut self, json: &str) {
-        if let Some(writer) = &mut self.trace_writer {
-            writer.write_line(json).expect("writing --trace line");
-        }
-    }
-
-    /// Writes one pre-serialized line to the `--timeline` stream (for
-    /// sweeps the facade does not run itself, such as fleet sweeps). A
-    /// no-op without `--timeline`.
-    pub fn emit_timeline_line(&mut self, json: &str) {
-        if let Some(writer) = &mut self.timeline_writer {
-            writer.write_line(json).expect("writing --timeline line");
         }
     }
 
@@ -383,5 +484,32 @@ mod tests {
         let flagged = h.run(tiny_grid());
         let explicit = run_sweep(tiny_grid().map_cfg(|c| c.with_store(StoreKind::Lsm)), 1);
         assert_eq!(flagged, explicit);
+    }
+
+    #[test]
+    fn store_override_reaches_every_fleet_trial() {
+        use crate::fleet::run_fleet_sweep;
+        use ddp_core::{CompactionConfig, FleetConfig, StoreKind};
+        // A memtable small enough that LSM shards seal even on tiny runs.
+        let churn = CompactionConfig {
+            memtable_entries: 16,
+            ..CompactionConfig::default()
+        };
+        let fleet = |flags: &dyn Fn(ClusterConfig) -> ClusterConfig| {
+            let mut sweep = FleetSweep::new();
+            for trial in tiny_grid().into_trials().into_iter().step_by(6) {
+                let base = flags(trial.cfg.with_compaction(churn));
+                sweep.push(trial.label, FleetConfig::new(base, 2));
+            }
+            sweep
+        };
+        let mut args = HarnessArgs::sequential();
+        args.store = Some(StoreKind::Lsm);
+        let mut h = Harness::new("exec-test", args);
+        let sweep = fleet(&|c| h.configure(c));
+        let flagged = h.run_fleet(sweep);
+        let explicit = run_fleet_sweep("exec-test", fleet(&|c| c.with_store(StoreKind::Lsm)), 1);
+        assert_eq!(flagged, explicit);
+        assert!(flagged.iter().any(|r| r.summary.lsm_seals > 0));
     }
 }

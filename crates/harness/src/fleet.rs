@@ -1,20 +1,22 @@
-//! Sharded fleet sweeps: the executor and record types for
+//! Sharded fleet sweeps: the sweep and record types for
 //! [`FleetSimulation`] grids.
 //!
 //! Mirrors the single-cluster layers ([`Sweep`](crate::Sweep) /
-//! [`run_sweep_traced`](crate::run_sweep_traced) /
 //! [`RunRecord`](crate::RunRecord)) one level up: a trial is a whole
-//! [`FleetConfig`], a record carries the fleet aggregate plus the
-//! per-shard breakdown, and the same determinism contract holds — records
-//! are pure simulation output written into index-keyed slots, so sweep
-//! output is byte-identical at any `--threads N`.
+//! [`FleetConfig`], and a record carries the fleet aggregate plus the
+//! per-shard breakdown. Fleet sweeps run through the same executor as
+//! solo sweeps ([`crate::exec`]), one job per shard, so the same
+//! determinism contract holds — records are pure simulation output
+//! assembled in trial order, and sweep output is byte-identical at any
+//! `--threads N`.
 
 use ddp_core::{
-    DdpModel, FleetConfig, FleetSimulation, Placement, RunSummary, TimelineDump, TraceDump,
+    merge_shard_stats, number_fleet_traces, DdpModel, FleetConfig, FleetReport, FleetSimulation,
+    Placement, RunStats, RunSummary, TimelineDump, TraceDump,
 };
 
+use crate::exec::run_simulations;
 use crate::json::{json_f64, JsonObject};
-use crate::progress::run_pool;
 use crate::record::RunCounters;
 
 /// One independent fleet simulation in a sweep.
@@ -59,37 +61,6 @@ impl FleetSweep {
         self
     }
 
-    /// Applies a transform to every trial's base cluster config (e.g.
-    /// `ClusterConfig::quick` for smoke runs).
-    #[must_use]
-    pub fn map_base(
-        mut self,
-        mut f: impl FnMut(ddp_core::ClusterConfig) -> ddp_core::ClusterConfig,
-    ) -> Self {
-        for t in &mut self.trials {
-            t.cfg.base = f(t.cfg.base.clone());
-        }
-        self
-    }
-
-    /// Number of trials.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trials.len()
-    }
-
-    /// True if the sweep holds no trials.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trials.is_empty()
-    }
-
-    /// The declared trials, in order.
-    #[must_use]
-    pub fn trials(&self) -> &[FleetTrial] {
-        &self.trials
-    }
-
     /// Consumes the sweep into its trials.
     #[must_use]
     pub fn into_trials(self) -> Vec<FleetTrial> {
@@ -131,12 +102,15 @@ pub struct FleetRecord {
 }
 
 impl FleetRecord {
-    /// Condenses one finished fleet simulation into a record. The
-    /// simulation must already have run; calling `run` here again returns
-    /// the cached report.
+    /// Condenses a fleet report and the fleet's merged statistics into a
+    /// record.
     #[must_use]
-    pub fn from_simulation(index: usize, label: String, sim: &mut FleetSimulation) -> Self {
-        let report = sim.run();
+    pub(crate) fn from_report(
+        index: usize,
+        label: String,
+        report: FleetReport,
+        merged: &RunStats,
+    ) -> Self {
         FleetRecord {
             index,
             label,
@@ -144,13 +118,21 @@ impl FleetRecord {
             shards: report.shards,
             placement: report.placement,
             summary: report.aggregate,
-            counters: RunCounters::from_stats(&sim.merged_stats()),
+            counters: RunCounters::from_stats(merged),
             shard_throughput: report.per_shard.iter().map(|s| s.throughput).collect(),
             shard_completed: report.shard_completed,
             offered_mass: report.offered_mass,
             imbalance: report.imbalance,
             cross_shard_groups: report.cross_shard_groups,
         }
+    }
+
+    /// Condenses one fleet simulation into a record, running it first if
+    /// it has not run yet.
+    #[must_use]
+    pub fn from_simulation(index: usize, label: String, sim: &mut FleetSimulation) -> Self {
+        let report = sim.run();
+        Self::from_report(index, label, report, &sim.merged_stats())
     }
 }
 
@@ -189,12 +171,16 @@ fn f64_array(values: &[f64]) -> String {
     format!("[{}]", body.join(","))
 }
 
-/// Runs every fleet trial on `threads` workers and returns, in sweep
-/// order, each trial's record plus its drained per-shard trace and
-/// timeline dumps (empty unless the base config enabled them). The
-/// sharded counterpart of
-/// [`run_sweep_instrumented`](crate::run_sweep_instrumented), with the
-/// same determinism contract.
+/// Runs every fleet trial on `threads` workers, one job per shard, and
+/// returns, in sweep order, each trial's record plus its per-shard trace
+/// dumps (numbered fleet-wide, see [`number_fleet_traces`]) and timeline
+/// dumps (both empty unless the base config enabled them). The sharded
+/// counterpart of [`run_sweep_instrumented`](crate::run_sweep_instrumented),
+/// with the same determinism contract.
+///
+/// # Panics
+///
+/// Panics if a trial's [`FleetConfig::validate`] fails.
 #[must_use]
 #[allow(clippy::type_complexity)]
 pub fn run_fleet_sweep_instrumented(
@@ -203,37 +189,43 @@ pub fn run_fleet_sweep_instrumented(
     threads: usize,
 ) -> Vec<(FleetRecord, Vec<(u16, TraceDump)>, Vec<(u16, TimelineDump)>)> {
     let trials = sweep.into_trials();
-    let labels: Vec<String> = trials.iter().map(|t| t.label.clone()).collect();
-    run_pool(name, "fleet trials", &labels, threads, |i| {
-        let trial = &trials[i];
-        let mut sim = FleetSimulation::new(trial.cfg.clone());
-        sim.run();
-        let record = FleetRecord::from_simulation(trial.index, trial.label.clone(), &mut sim);
-        let traces = sim.take_traces();
-        let timelines = sim.take_timelines();
-        (record, traces, timelines)
-    })
-}
-
-/// [`run_fleet_sweep_instrumented`] without the timeline dumps.
-#[must_use]
-pub fn run_fleet_sweep_traced(
-    name: &str,
-    sweep: FleetSweep,
-    threads: usize,
-) -> Vec<(FleetRecord, Vec<(u16, TraceDump)>)> {
-    run_fleet_sweep_instrumented(name, sweep, threads)
+    let jobs: Vec<_> = trials
+        .iter()
+        .map(|t| {
+            t.cfg.validate().expect("invalid fleet configuration");
+            (t.label.clone(), t.cfg.shard_configs())
+        })
+        .collect();
+    let runs = run_simulations(name, &jobs, threads);
+    trials
         .into_iter()
-        .map(|(record, traces, _)| (record, traces))
+        .zip(runs)
+        .map(|(trial, runs)| {
+            let stats: Vec<&RunStats> = runs.iter().map(|r| &r.stats).collect();
+            let cross = runs.iter().map(|r| r.cross_shard_groups).sum();
+            let mass = trial.cfg.popularity_mass();
+            let report = FleetReport::from_shards(&trial.cfg, mass, &stats, cross);
+            let merged = merge_shard_stats(&stats);
+            let record = FleetRecord::from_report(trial.index, trial.label, report, &merged);
+            let mut traces = Vec::with_capacity(runs.len());
+            let mut timelines = Vec::new();
+            for (s, run) in runs.into_iter().enumerate() {
+                traces.push((run.events, run.trace));
+                if let Some(dump) = run.timeline {
+                    timelines.push((s as u16, dump));
+                }
+            }
+            (record, number_fleet_traces(traces), timelines)
+        })
         .collect()
 }
 
-/// [`run_fleet_sweep_traced`] without the trace dumps.
+/// [`run_fleet_sweep_instrumented`] without the trace and timeline dumps.
 #[must_use]
 pub fn run_fleet_sweep(name: &str, sweep: FleetSweep, threads: usize) -> Vec<FleetRecord> {
-    run_fleet_sweep_traced(name, sweep, threads)
+    run_fleet_sweep_instrumented(name, sweep, threads)
         .into_iter()
-        .map(|(record, _)| record)
+        .map(|(record, _, _)| record)
         .collect()
 }
 

@@ -174,6 +174,19 @@ impl JsonObject {
     }
 }
 
+/// Opens one line of a `--trace` or `--timeline` stream with its identity
+/// columns: `shard` (fleet trials only), then `trial`, the grid index of
+/// the run the line belongs to.
+#[must_use]
+pub(crate) fn stream_line(trial: usize, shard: Option<u16>) -> JsonObject {
+    let mut o = JsonObject::new();
+    if let Some(shard) = shard {
+        o.u64("shard", u64::from(shard));
+    }
+    o.u64("trial", trial as u64);
+    o
+}
+
 /// Serializes `(node, ns)` event traces as `[[node,ns],...]`.
 #[must_use]
 pub(crate) fn json_events(events: &[(u8, u64)]) -> String {

@@ -61,8 +61,8 @@ pub use csv::{csv_header, escape_csv, record_to_csv, CsvWriter};
 pub use exec::{run_sweep, run_sweep_instrumented, run_sweep_named, run_sweep_traced, Harness};
 pub use fields::{record_fields, FieldValue};
 pub use fleet::{
-    fleet_record_to_json, run_fleet_sweep, run_fleet_sweep_instrumented, run_fleet_sweep_traced,
-    FleetRecord, FleetSweep, FleetTrial,
+    fleet_record_to_json, run_fleet_sweep, run_fleet_sweep_instrumented, FleetRecord, FleetSweep,
+    FleetTrial,
 };
 pub use json::{escape_json, json_f64, record_to_json, unescape_json, JsonLinesWriter, JsonObject};
 pub use progress::{available_threads, run_pool, Stopwatch};
@@ -73,13 +73,8 @@ pub use seeds::{
 };
 pub use sweep::{ModelGrid, Sweep, Trial};
 pub use table::{bar, normalized, print_row, print_rule, ratio};
-pub use timeline::{
-    fleet_timeline_end_to_json, fleet_timeline_window_to_json, timeline_end_to_json,
-    timeline_fields, timeline_window_to_json,
-};
-pub use trace::{
-    fleet_trace_end_to_json, fleet_trace_event_to_json, trace_end_to_json, trace_event_to_json,
-};
+pub use timeline::{timeline_end_to_json, timeline_fields, timeline_window_to_json};
+pub use trace::{trace_end_to_json, trace_event_to_json};
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};
 

@@ -5,11 +5,13 @@
 //! `--threads N`, so host time and host threads are confined to this one
 //! module — the `ddp-audit` determinism lints (`wall-clock`,
 //! `thread-spawn`) ban them everywhere else, and the escape comments
-//! below are the workspace's only `audit:allow` sites for them. Both the
-//! single-cluster executor ([`crate::run_sweep_traced`]) and the fleet
-//! executor ([`crate::run_fleet_sweep_traced`]) run through [`run_pool`],
-//! which owns the work queue, the per-item progress lines, and the
-//! closing total; their callers never see a timestamp.
+//! below are the workspace's only `audit:allow` sites for them. The sweep
+//! executor ([`crate::exec`]), which runs solo sweeps
+//! ([`crate::run_sweep_instrumented`]) and fleet sweeps
+//! ([`crate::run_fleet_sweep_instrumented`]) as one flat list of
+//! simulations, runs through [`run_pool`], which owns the work queue, the
+//! per-item progress lines, and the closing total; its callers never see
+//! a timestamp.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -120,18 +120,28 @@ impl RunRecord {
         }
     }
 
-    /// Runs one finished simulation into a record. The simulation must
-    /// already have run (the executor guarantees this); calling `run` here
-    /// again is a no-op that returns the cached report.
+    /// Condenses one finished run of `model` into a record.
     #[must_use]
-    pub fn from_simulation(index: usize, label: String, sim: &mut Simulation) -> Self {
-        let report = sim.run();
+    pub(crate) fn from_stats(
+        index: usize,
+        label: String,
+        model: DdpModel,
+        stats: &RunStats,
+    ) -> Self {
         RunRecord {
             index,
             label,
-            model: report.model,
-            summary: report.summary,
-            counters: RunCounters::from_stats(sim.cluster().stats()),
+            model,
+            summary: RunSummary::from_stats(stats),
+            counters: RunCounters::from_stats(stats),
         }
+    }
+
+    /// Condenses one simulation into a record, running it first if it has
+    /// not run yet.
+    #[must_use]
+    pub fn from_simulation(index: usize, label: String, sim: &mut Simulation) -> Self {
+        let report = sim.run();
+        Self::from_stats(index, label, report.model, sim.cluster().stats())
     }
 }

@@ -4,14 +4,16 @@
 //! `timeline_end` line per trial. Like the run-record schema in
 //! [`crate::fields`], the window columns come from ONE ordered field list
 //! ([`timeline_fields`]) so the `timeline-schema` audit invariant can
-//! check that every public [`TimelineWindow`] field is exported. Windows
-//! are written in trial-then-window order and contain only simulation
-//! output, so the stream is byte-identical at any `--threads N`.
+//! check that every public [`TimelineWindow`] field is exported. Lines of
+//! a fleet trial lead with a `shard` column and come as one stream per
+//! shard. Windows are written in trial-then-window order and contain only
+//! simulation output, so the stream is byte-identical at any
+//! `--threads N`.
 
 use ddp_core::{TimelineDump, TimelineWindow};
 
 use crate::fields::FieldValue;
-use crate::json::JsonObject;
+use crate::json::stream_line;
 
 /// The ordered `(name, value)` column list of one timeline window — every
 /// public field of [`TimelineWindow`] plus the lag-histogram accessors.
@@ -46,12 +48,17 @@ pub fn timeline_fields(w: &TimelineWindow) -> Vec<(&'static str, FieldValue<'_>)
 }
 
 /// Serializes one timeline window as a single JSON object (one line of
-/// the `--timeline` stream). `trial` is the grid index of the run and
-/// `window` the window's position in the dump.
+/// the `--timeline` stream). `trial` is the grid index of the run,
+/// `shard` the replica group in a fleet trial (`None` for a solo trial),
+/// and `window` the window's position in the dump.
 #[must_use]
-pub fn timeline_window_to_json(trial: usize, window: usize, w: &TimelineWindow) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
+pub fn timeline_window_to_json(
+    trial: usize,
+    shard: Option<u16>,
+    window: usize,
+    w: &TimelineWindow,
+) -> String {
+    let mut o = stream_line(trial, shard);
     o.str("kind", "timeline_window");
     o.u64("window", window as u64);
     for (name, value) in timeline_fields(w) {
@@ -65,12 +72,17 @@ pub fn timeline_window_to_json(trial: usize, window: usize, w: &TimelineWindow) 
     o.finish()
 }
 
-/// The closing line of one trial's timeline stream: window geometry and
-/// how many events were folded into the final window by the cap.
+/// The closing line of one trial's (or fleet shard's) timeline stream:
+/// window geometry and how many events were folded into the final window
+/// by the cap.
 #[must_use]
-pub fn timeline_end_to_json(trial: usize, label: &str, dump: &TimelineDump) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
+pub fn timeline_end_to_json(
+    trial: usize,
+    shard: Option<u16>,
+    label: &str,
+    dump: &TimelineDump,
+) -> String {
+    let mut o = stream_line(trial, shard);
     o.str("kind", "timeline_end");
     o.str("label", label);
     o.u64("window_ns", dump.window_ns);
@@ -79,39 +91,6 @@ pub fn timeline_end_to_json(trial: usize, label: &str, dump: &TimelineDump) -> S
     o.u64("windows", dump.windows.len() as u64);
     o.u64("clipped", dump.clipped);
     o.finish()
-}
-
-/// [`timeline_window_to_json`] for a sharded fleet trial: the same line
-/// with a leading `shard` field. The single-cluster serializer is
-/// untouched, so existing timeline streams stay byte-identical.
-#[must_use]
-pub fn fleet_timeline_window_to_json(
-    trial: usize,
-    shard: u16,
-    window: usize,
-    w: &TimelineWindow,
-) -> String {
-    let line = timeline_window_to_json(trial, window, w);
-    let rest = line
-        .strip_prefix('{')
-        .expect("timeline lines are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
-/// [`timeline_end_to_json`] for a sharded fleet trial: one trailer per
-/// `(trial, shard)` stream, with a leading `shard` field.
-#[must_use]
-pub fn fleet_timeline_end_to_json(
-    trial: usize,
-    shard: u16,
-    label: &str,
-    dump: &TimelineDump,
-) -> String {
-    let line = timeline_end_to_json(trial, label, dump);
-    let rest = line
-        .strip_prefix('{')
-        .expect("timeline trailers are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
 }
 
 #[cfg(test)]
@@ -144,7 +123,7 @@ mod tests {
     #[test]
     fn window_lines_carry_identity_and_columns() {
         let dump = dump();
-        let line = timeline_window_to_json(3, 1, &dump.windows[0]);
+        let line = timeline_window_to_json(3, None, 1, &dump.windows[0]);
         assert!(line.starts_with("{\"trial\":3,\"kind\":\"timeline_window\",\"window\":1,"));
         for (name, _) in timeline_fields(&dump.windows[0]) {
             assert!(line.contains(&format!("\"{name}\":")), "{name} missing");
@@ -154,7 +133,7 @@ mod tests {
     #[test]
     fn end_lines_report_the_geometry() {
         let dump = dump();
-        let line = timeline_end_to_json(0, "<Lin,Sync>", &dump);
+        let line = timeline_end_to_json(0, None, "<Lin,Sync>", &dump);
         assert!(line.contains("\"kind\":\"timeline_end\""), "{line}");
         assert!(line.contains("\"window_ns\":50000"), "{line}");
         assert!(
@@ -166,11 +145,11 @@ mod tests {
     #[test]
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
         let dump = dump();
-        let base = timeline_window_to_json(2, 0, &dump.windows[0]);
-        let sharded = fleet_timeline_window_to_json(2, 3, 0, &dump.windows[0]);
+        let base = timeline_window_to_json(2, None, 0, &dump.windows[0]);
+        let sharded = timeline_window_to_json(2, Some(3), 0, &dump.windows[0]);
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
-        let end = fleet_timeline_end_to_json(0, 1, "<Lin,Sync>", &dump);
+        let end = timeline_end_to_json(0, Some(1), "<Lin,Sync>", &dump);
         assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
         assert!(end.contains("\"kind\":\"timeline_end\""), "{end}");
     }

@@ -3,21 +3,22 @@
 //! One line per [`TraceRecord`], with the payload words named per event
 //! kind (`key`, `version`, `lag_ns`, …) instead of the raw `a`/`b`/`c`/`d`
 //! slots, and one closing `trace_end` line per trial carrying the event
-//! and drop counts. Records contain only simulation output and trials are
-//! written in grid order, so the stream is byte-identical at any
-//! `--threads N`.
+//! and drop counts. Lines of a fleet trial lead with a `shard` column and
+//! come as one stream (events, then trailer) per shard. Records contain
+//! only simulation output and trials are written in grid order, so the
+//! stream is byte-identical at any `--threads N`.
 
 use ddp_core::{StallCause, TraceDump, TraceEventKind, TraceRecord};
 
-use crate::json::JsonObject;
+use crate::json::stream_line;
 
 /// Serializes one trace event as a single JSON object (one line of the
 /// `--trace` stream). `trial` is the grid index of the run the event
-/// belongs to.
+/// belongs to; `shard` is the event's replica group in a fleet trial and
+/// `None` for a solo trial.
 #[must_use]
-pub fn trace_event_to_json(trial: usize, r: &TraceRecord) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
+pub fn trace_event_to_json(trial: usize, shard: Option<u16>, r: &TraceRecord) -> String {
+    let mut o = stream_line(trial, shard);
     o.str("kind", r.kind.name());
     o.u64("seq", r.seq);
     o.u64("at_ns", r.at_ns);
@@ -91,42 +92,23 @@ pub fn trace_event_to_json(trial: usize, r: &TraceRecord) -> String {
     o.finish()
 }
 
-/// The closing line of one trial's trace stream: how many events survived
-/// the ring and how many were overwritten (`dropped` > 0 means the ring
-/// capacity was smaller than the run's event count).
+/// The closing line of one trial's (or fleet shard's) trace stream: how
+/// many events survived the ring and how many were overwritten
+/// (`dropped` > 0 means the ring capacity was smaller than the run's
+/// event count).
 #[must_use]
-pub fn trace_end_to_json(trial: usize, label: &str, dump: &TraceDump) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
+pub fn trace_end_to_json(
+    trial: usize,
+    shard: Option<u16>,
+    label: &str,
+    dump: &TraceDump,
+) -> String {
+    let mut o = stream_line(trial, shard);
     o.str("kind", "trace_end");
     o.str("label", label);
     o.u64("events", dump.events.len() as u64);
     o.u64("dropped", dump.dropped);
     o.finish()
-}
-
-/// [`trace_event_to_json`] for a sharded fleet trial: the same line with
-/// a leading `shard` field identifying the event's home replica group.
-/// The single-cluster serializer is untouched, so existing trace streams
-/// stay byte-identical.
-#[must_use]
-pub fn fleet_trace_event_to_json(trial: usize, shard: u16, r: &TraceRecord) -> String {
-    let line = trace_event_to_json(trial, r);
-    let rest = line
-        .strip_prefix('{')
-        .expect("trace lines are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
-/// [`trace_end_to_json`] for a sharded fleet trial: one trailer per
-/// `(trial, shard)` stream, with a leading `shard` field.
-#[must_use]
-pub fn fleet_trace_end_to_json(trial: usize, shard: u16, label: &str, dump: &TraceDump) -> String {
-    let line = trace_end_to_json(trial, label, dump);
-    let rest = line
-        .strip_prefix('{')
-        .expect("trace trailers are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
 }
 
 #[cfg(test)]
@@ -148,26 +130,26 @@ mod tests {
 
     #[test]
     fn payload_words_are_named_per_kind() {
-        let dp = trace_event_to_json(0, &rec(TraceEventKind::WriteDp));
+        let dp = trace_event_to_json(0, None, &rec(TraceEventKind::WriteDp));
         assert!(dp.contains("\"kind\":\"write_dp\""), "{dp}");
         assert!(
             dp.contains("\"key\":42") && dp.contains("\"lag_ns\":250"),
             "{dp}"
         );
 
-        let stall = trace_event_to_json(1, &rec(TraceEventKind::StallBegin));
+        let stall = trace_event_to_json(1, None, &rec(TraceEventKind::StallBegin));
         assert!(
             stall.contains("\"cause\":\"persist\"") && stall.contains("\"blocking_version\":3"),
             "{stall}"
         );
 
-        let sample = trace_event_to_json(2, &rec(TraceEventKind::Sample));
+        let sample = trace_event_to_json(2, None, &rec(TraceEventKind::Sample));
         assert!(
             sample.contains("\"inflight_ops\":42") && sample.contains("\"retransmits\":1"),
             "{sample}"
         );
 
-        let adm = trace_event_to_json(3, &rec(TraceEventKind::AdmissionSample));
+        let adm = trace_event_to_json(3, None, &rec(TraceEventKind::AdmissionSample));
         assert!(
             adm.contains("\"kind\":\"admission_sample\"")
                 && adm.contains("\"queued_arrivals\":42")
@@ -175,7 +157,7 @@ mod tests {
             "{adm}"
         );
 
-        let nvm = trace_event_to_json(4, &rec(TraceEventKind::NvmQueueSample));
+        let nvm = trace_event_to_json(4, None, &rec(TraceEventKind::NvmQueueSample));
         assert!(
             nvm.contains("\"kind\":\"nvm_queue_sample\"")
                 && nvm.contains("\"bank_queued\":42")
@@ -183,7 +165,7 @@ mod tests {
             "{nvm}"
         );
 
-        let cb = trace_event_to_json(5, &rec(TraceEventKind::CompactionBegin));
+        let cb = trace_event_to_json(5, None, &rec(TraceEventKind::CompactionBegin));
         assert!(
             cb.contains("\"kind\":\"compaction_begin\"")
                 && cb.contains("\"work\":42")
@@ -192,7 +174,7 @@ mod tests {
             "{cb}"
         );
 
-        let ce = trace_event_to_json(6, &rec(TraceEventKind::CompactionEnd));
+        let ce = trace_event_to_json(6, None, &rec(TraceEventKind::CompactionEnd));
         assert!(
             ce.contains("\"kind\":\"compaction_end\"")
                 && ce.contains("\"work\":42")
@@ -203,15 +185,15 @@ mod tests {
 
     #[test]
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
-        let base = trace_event_to_json(2, &rec(TraceEventKind::WriteDp));
-        let sharded = fleet_trace_event_to_json(2, 3, &rec(TraceEventKind::WriteDp));
+        let base = trace_event_to_json(2, None, &rec(TraceEventKind::WriteDp));
+        let sharded = trace_event_to_json(2, Some(3), &rec(TraceEventKind::WriteDp));
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
         let dump = TraceDump {
             events: Vec::new(),
             dropped: 0,
         };
-        let end = fleet_trace_end_to_json(0, 1, "<Lin,Sync>", &dump);
+        let end = trace_end_to_json(0, Some(1), "<Lin,Sync>", &dump);
         assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
         assert!(end.contains("\"kind\":\"trace_end\""), "{end}");
     }
@@ -222,7 +204,7 @@ mod tests {
             events: vec![rec(TraceEventKind::WriteVp)],
             dropped: 9,
         };
-        let line = trace_end_to_json(4, "<Lin,Sync>", &dump);
+        let line = trace_end_to_json(4, None, "<Lin,Sync>", &dump);
         assert!(line.contains("\"kind\":\"trace_end\""), "{line}");
         assert!(
             line.contains("\"events\":1") && line.contains("\"dropped\":9"),

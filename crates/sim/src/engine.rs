@@ -45,55 +45,17 @@ pub trait Model {
     fn handle(&mut self, ctx: &mut Context<'_, Self::Event>, event: Self::Event);
 }
 
-/// Where a [`Context`] sends the events a model schedules: the engine's
-/// own queue (the normal dispatch path) or a caller-provided buffer (used
-/// by composite models that re-wrap inner events before forwarding them to
-/// the outer queue — see [`Context::buffered`]).
-#[derive(Debug)]
-enum Sink<'a, E> {
-    Queue(&'a mut EventQueue<E>),
-    Buffer(&'a mut Vec<(SimTime, E)>),
-}
-
 /// Handle given to a model during event dispatch: current time plus the
 /// ability to schedule future events.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     now: SimTime,
     seq: u64,
-    sink: Sink<'a, E>,
+    queue: &'a mut EventQueue<E>,
     stop: &'a mut bool,
 }
 
-impl<'a, E> Context<'a, E> {
-    /// A context whose scheduled events land in `buffer` (in push order)
-    /// instead of an engine queue.
-    ///
-    /// This is the hook for *composite* models: an outer model handling a
-    /// wrapped event can hand the inner model a buffered context at the
-    /// outer dispatch's time and sequence number, then forward the buffered
-    /// events — re-wrapped — into the real queue in the same relative
-    /// order. Because the forwarding preserves push order, the outer
-    /// queue's FIFO tie-breaking at equal timestamps matches what the
-    /// inner model would have seen running alone.
-    ///
-    /// `stop` is set by [`Context::request_stop`], exactly as in engine
-    /// dispatch; the caller decides what an inner stop means.
-    #[must_use]
-    pub fn buffered(
-        now: SimTime,
-        seq: u64,
-        buffer: &'a mut Vec<(SimTime, E)>,
-        stop: &'a mut bool,
-    ) -> Self {
-        Context {
-            now,
-            seq,
-            sink: Sink::Buffer(buffer),
-            stop,
-        }
-    }
-
+impl<E> Context<'_, E> {
     /// The simulated time of the event being handled.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -115,17 +77,7 @@ impl<'a, E> Context<'a, E> {
     ///
     /// Panics if `due` is before [`Context::now`].
     pub fn schedule_at(&mut self, due: SimTime, event: E) {
-        match &mut self.sink {
-            Sink::Queue(queue) => queue.push(due, event),
-            Sink::Buffer(buffer) => {
-                assert!(
-                    due >= self.now,
-                    "event scheduled at {due:?}, before current time {:?}",
-                    self.now
-                );
-                buffer.push((due, event));
-            }
-        }
+        self.queue.push(due, event);
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -143,14 +95,10 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Returns the number of pending events (excluding the one being
-    /// handled). For a buffered context this counts only the events pushed
-    /// through it so far.
+    /// handled).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        match &self.sink {
-            Sink::Queue(queue) => queue.len(),
-            Sink::Buffer(buffer) => buffer.len(),
-        }
+        self.queue.len()
     }
 }
 
@@ -229,7 +177,7 @@ impl<E> Engine<E> {
             let mut ctx = Context {
                 now: t,
                 seq: self.dispatched,
-                sink: Sink::Queue(&mut self.queue),
+                queue: &mut self.queue,
                 stop: &mut stop,
             };
             model.handle(&mut ctx, event);
@@ -347,36 +295,5 @@ mod tests {
         let end = e.run(&mut m);
         assert_eq!(m.hops, 4);
         assert_eq!(end, SimTime::from_nanos(15));
-    }
-
-    #[test]
-    fn buffered_context_records_pushes_in_order() {
-        let mut buf: Vec<(SimTime, u32)> = Vec::new();
-        let mut stop = false;
-        {
-            let mut ctx = Context::buffered(SimTime::from_nanos(10), 3, &mut buf, &mut stop);
-            assert_eq!(ctx.now(), SimTime::from_nanos(10));
-            assert_eq!(ctx.dispatch_seq(), 3);
-            ctx.schedule_in(Duration::from_nanos(5), 1);
-            ctx.schedule_at(SimTime::from_nanos(10), 2);
-            assert_eq!(ctx.pending_events(), 2);
-            ctx.request_stop();
-        }
-        assert!(stop);
-        // Push order, not time order: the caller forwards in this order so
-        // outer-queue FIFO tie-breaking matches an unwrapped run.
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_nanos(15), 1), (SimTime::from_nanos(10), 2)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "before current time")]
-    fn buffered_context_rejects_past_events() {
-        let mut buf: Vec<(SimTime, u32)> = Vec::new();
-        let mut stop = false;
-        let mut ctx = Context::buffered(SimTime::from_nanos(10), 1, &mut buf, &mut stop);
-        ctx.schedule_at(SimTime::from_nanos(9), 7);
     }
 }

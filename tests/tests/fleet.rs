@@ -1,13 +1,14 @@
 //! Sharded-fleet integration tests: the degenerate single-shard case
-//! against the solo simulation over the whole 25-model grid, executor
-//! byte-identity at different thread counts, per-shard open-loop
+//! against the solo simulation over the whole 25-model grid, every shard
+//! against a solo run of its derived config, fleet-wide trace numbering,
+//! executor byte-identity at different thread counts, per-shard open-loop
 //! conservation under faults, weak-scaling sanity, and config validation.
 
 use ddp_core::{
     ClusterConfig, Consistency, DdpModel, FleetConfig, FleetSimulation, OpenLoopPlan, Persistency,
-    Placement, Simulation,
+    Placement, Simulation, TraceConfig,
 };
-use ddp_harness::{run_fleet_sweep, FleetSweep};
+use ddp_harness::{run_fleet_sweep, run_fleet_sweep_instrumented, FleetSweep};
 use ddp_sim::Duration;
 
 fn small_cfg(model: DdpModel) -> ClusterConfig {
@@ -33,6 +34,87 @@ fn one_shard_fleet_matches_solo_grid() {
         assert_eq!(fleet.shards, 1);
         assert_eq!(fleet.imbalance, 1.0);
     }
+}
+
+/// The contract a fleet rests on: shards never interact, so every shard
+/// of a fleet reports exactly what a solo [`Simulation`] of its derived
+/// config reports, field for field.
+#[test]
+fn every_shard_matches_a_solo_run_of_its_config() {
+    let models = [
+        DdpModel::baseline(),
+        DdpModel::new(Consistency::Transactional, Persistency::Synchronous),
+        DdpModel::new(Consistency::ReadEnforced, Persistency::ReadEnforced),
+        DdpModel::new(Consistency::Causal, Persistency::Scope),
+    ];
+    for shards in [3, 8] {
+        for model in models {
+            let cfg = FleetConfig::new(small_cfg(model), shards);
+            let report = FleetSimulation::new(cfg.clone()).run();
+            for (s, shard_cfg) in cfg.shard_configs().into_iter().enumerate() {
+                assert_eq!(
+                    report.per_shard[s],
+                    Simulation::new(shard_cfg).run().summary,
+                    "{model} S={shards}: shard {s} diverged from its solo run"
+                );
+            }
+        }
+    }
+}
+
+/// Fleet trace `seq` numbers are fleet-unique: shard `s`'s records sit
+/// after every dispatch of shards `0..s`, and the highest `seq` is the
+/// fleet's dispatch total. The harness executor numbers the same way, and
+/// a one-shard fleet's stream is the solo run's stream.
+#[test]
+fn fleet_trace_seq_is_numbered_shard_by_shard() {
+    let traced = small_cfg(DdpModel::baseline()).with_trace(TraceConfig::enabled());
+    let cfg = FleetConfig::new(traced.clone(), 4);
+    let mut fleet = FleetSimulation::new(cfg.clone());
+    fleet.run();
+    let traces = fleet.take_traces();
+    assert_eq!(traces.len(), 4);
+
+    let mut offset = 0;
+    for ((shard, dump), shard_cfg) in traces.iter().zip(cfg.shard_configs()) {
+        let mut solo = Simulation::new(shard_cfg);
+        solo.run();
+        let events = solo.events_dispatched();
+        let solo_dump = solo.take_trace().expect("traced shard");
+        assert_eq!(dump.events.len(), solo_dump.events.len(), "shard {shard}");
+        for (r, solo_r) in dump.events.iter().zip(&solo_dump.events) {
+            assert_eq!(r.seq, solo_r.seq + offset, "shard {shard}");
+            assert!(r.seq > offset && r.seq <= offset + events, "shard {shard}");
+        }
+        offset += events;
+    }
+    let max_seq = traces
+        .iter()
+        .flat_map(|(_, d)| d.events.iter().map(|r| r.seq))
+        .max();
+    assert_eq!(
+        max_seq,
+        Some(offset),
+        "max seq must be the fleet's dispatch total"
+    );
+
+    let sweep = FleetSweep::new().trial("S=4", cfg);
+    let (_, executor_traces, _) = run_fleet_sweep_instrumented("fleet-trace", sweep, 2)
+        .pop()
+        .expect("one trial");
+    assert_eq!(
+        executor_traces, traces,
+        "executor and FleetSimulation must agree"
+    );
+
+    let mut one = FleetSimulation::new(FleetConfig::new(traced.clone(), 1));
+    one.run();
+    let mut solo = Simulation::new(traced);
+    solo.run();
+    assert_eq!(
+        one.take_traces(),
+        vec![(0, solo.take_trace().expect("traced solo run"))]
+    );
 }
 
 /// Sharded sweeps honour the executor determinism contract: records over

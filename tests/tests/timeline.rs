@@ -134,15 +134,15 @@ fn timeline_streams_are_bit_identical_across_thread_counts() {
         // The serialized stream matches byte for byte, window by window.
         for (k, (a, b)) in seq_tl.windows.iter().zip(&par_tl.windows).enumerate() {
             assert_eq!(
-                timeline_window_to_json(seq_rec.index, k, a),
-                timeline_window_to_json(par_rec.index, k, b),
+                timeline_window_to_json(seq_rec.index, None, k, a),
+                timeline_window_to_json(par_rec.index, None, k, b),
                 "{} window {k} diverged",
                 seq_rec.model
             );
         }
         assert_eq!(
-            timeline_end_to_json(seq_rec.index, &seq_rec.label, seq_tl),
-            timeline_end_to_json(par_rec.index, &par_rec.label, par_tl)
+            timeline_end_to_json(seq_rec.index, None, &seq_rec.label, seq_tl),
+            timeline_end_to_json(par_rec.index, None, &par_rec.label, par_tl)
         );
     }
 }

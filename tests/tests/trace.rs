@@ -45,8 +45,8 @@ fn trace_streams_are_bit_identical_across_thread_counts() {
         let (seq_dump, par_dump) = (seq_dump.as_ref().unwrap(), par_dump.as_ref().unwrap());
         for (a, b) in seq_dump.events.iter().zip(&par_dump.events) {
             assert_eq!(
-                trace_event_to_json(seq_rec.index, a),
-                trace_event_to_json(par_rec.index, b)
+                trace_event_to_json(seq_rec.index, None, a),
+                trace_event_to_json(par_rec.index, None, b)
             );
         }
     }
