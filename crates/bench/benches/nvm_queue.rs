@@ -1,6 +1,6 @@
 //! Microbenchmark: the banked NVM device model under load.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddp_mem::{AccessKind, BankedDevice, MemoryController, MemoryParams};
 use ddp_sim::SimTime;
 
@@ -19,17 +19,23 @@ fn nvm_submit(c: &mut Criterion) {
 }
 
 fn cache_hierarchy(c: &mut Criterion) {
+    c.bench_function("mem/controller_new", |b| {
+        b.iter(|| MemoryController::new(MemoryParams::micro21()));
+    });
     c.bench_function("mem/volatile_access_100k", |b| {
-        b.iter(|| {
-            let mut mc = MemoryController::new(MemoryParams::micro21());
-            let mut acc = 0u64;
-            for i in 0..100_000u64 {
-                // Zipf-ish reuse: low keys hit, high keys churn.
-                let addr = (i.wrapping_mul(2654435761) % 4096) * 64;
-                acc = acc.wrapping_add(mc.volatile_access(addr).as_nanos());
-            }
-            acc
-        });
+        b.iter_batched(
+            || MemoryController::new(MemoryParams::micro21()),
+            |mut mc| {
+                let mut acc = 0u64;
+                for i in 0..100_000u64 {
+                    // Zipf-ish reuse: low keys hit, high keys churn.
+                    let addr = (i.wrapping_mul(2654435761) % 4096) * 64;
+                    acc = acc.wrapping_add(mc.volatile_access(addr).as_nanos());
+                }
+                acc
+            },
+            BatchSize::SmallInput,
+        );
     });
 }
 

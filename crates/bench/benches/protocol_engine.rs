@@ -1,15 +1,16 @@
 //! Macrobenchmark: full-cluster simulation speed for representative DDP
 //! models (how many simulated client requests the engine processes per
-//! wall-clock second).
+//! wall-clock second). Only `Simulation::run` is timed; building the
+//! cluster is set-up.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency, Simulation};
 
-fn run_model(model: DdpModel) -> f64 {
+fn build(model: DdpModel) -> Simulation {
     let mut cfg = ClusterConfig::micro21(model);
     cfg.warmup_requests = 200;
     cfg.measured_requests = 2_000;
-    Simulation::new(cfg).run().summary.throughput
+    Simulation::new(cfg)
 }
 
 fn protocol_engine(c: &mut Criterion) {
@@ -34,7 +35,13 @@ fn protocol_engine(c: &mut Criterion) {
             DdpModel::new(Consistency::Linearizable, Persistency::Scope),
         ),
     ] {
-        group.bench_function(name, |b| b.iter(|| run_model(model)));
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || build(model),
+                |mut sim| sim.run().summary.throughput,
+                BatchSize::LargeInput,
+            );
+        });
     }
     group.finish();
 }

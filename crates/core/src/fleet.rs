@@ -33,7 +33,7 @@ use crate::model::{Consistency, DdpModel, Persistency};
 use crate::protocol::{Cluster, Simulation};
 use crate::stats::{RunStats, RunSummary};
 use ddp_trace::TraceDump;
-use ddp_workload::{KeyChooser, Placement, ShardRouter, ShardSlice, Zipfian};
+use ddp_workload::{Placement, ShardRouter, ShardSlice};
 
 /// Seed stride for deriving per-shard seeds from the fleet seed: shard `s`
 /// runs with `seed ^ (s * SHARD_SEED_STRIDE)`. Shard 0 keeps the fleet
@@ -143,13 +143,8 @@ impl FleetConfig {
     /// [`ShardRouter::popularity_mass`].
     #[must_use]
     pub fn popularity_mass(&self) -> Vec<f64> {
-        let chooser = match self.base.workload.zipf_theta {
-            Some(theta) => KeyChooser::Zipfian(Zipfian::new(self.base.workload.key_space, theta)),
-            None => KeyChooser::Uniform {
-                n: self.base.workload.key_space,
-            },
-        };
-        self.router().popularity_mass(&chooser)
+        self.router()
+            .popularity_mass(&self.base.workload.key_chooser())
     }
 
     /// Requests per transaction group for cross-shard accounting:

@@ -6,8 +6,6 @@
 //! injected straight into a reserved fraction of LLC ways, as on real Xeons
 //! with DDIO (paper §4, Table 5: 10 % of the LLC).
 
-use std::collections::VecDeque;
-
 use ddp_sim::Duration;
 
 use crate::params::{CacheParams, MemoryParams, CORE_GHZ};
@@ -28,10 +26,21 @@ pub enum HitLevel {
 /// One set-associative cache level with LRU replacement.
 ///
 /// Tags are full line addresses; the structure stores no data, only presence,
-/// because the simulator is a timing model.
+/// because the simulator is a timing model. Sets are allocated on first
+/// fill: a set that is never filled costs one zeroed `u32` and one zeroed
+/// `u8`, and its `ways` tag slots are carved out of the level's shared
+/// arena the first time a line is installed. Building a node therefore
+/// writes no per-set state, and tag memory grows only with the sets a run
+/// touches (a short run touches few of a 40 MiB LLC's ~47k sets).
 #[derive(Clone, Debug)]
 struct CacheLevel {
-    sets: Vec<VecDeque<u64>>, // front = most recently used
+    /// Per set: one past the index of its first slot in `tags`, or 0 if
+    /// the set has never been filled.
+    slot: Vec<u32>,
+    /// Per set: number of valid tags (front of its slots = MRU).
+    lens: Vec<u8>,
+    /// Tag arena; each filled set owns `ways` consecutive slots.
+    tags: Vec<u64>,
     ways: usize,
     line_shift: u32,
 }
@@ -39,29 +48,45 @@ struct CacheLevel {
 impl CacheLevel {
     fn new(params: &CacheParams) -> Self {
         let sets = params.sets().max(1) as usize;
+        assert!(
+            u8::try_from(params.ways).is_ok(),
+            "{} ways overflow the per-set length",
+            params.ways
+        );
         CacheLevel {
-            sets: vec![VecDeque::new(); sets],
+            slot: vec![0; sets],
+            lens: vec![0; sets],
+            tags: Vec::new(),
             ways: params.ways as usize,
             line_shift: params.line_bytes.trailing_zeros(),
         }
     }
 
     fn set_index(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) % self.sets.len() as u64) as usize
+        ((addr >> self.line_shift) % self.slot.len() as u64) as usize
     }
 
     fn line(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
+    /// The valid tags of set `idx`, MRU first (empty if never filled).
+    fn set(&mut self, idx: usize) -> &mut [u64] {
+        match self.slot[idx] {
+            0 => &mut [],
+            s => {
+                let base = s as usize - 1;
+                &mut self.tags[base..base + usize::from(self.lens[idx])]
+            }
+        }
+    }
+
     /// Looks up the line; on hit, promotes it to MRU.
     fn access(&mut self, addr: u64) -> bool {
         let line = self.line(addr);
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
+        let set = self.set(self.set_index(addr));
         if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.push_front(line);
+            set[..=pos].rotate_right(1);
             true
         } else {
             false
@@ -71,25 +96,43 @@ impl CacheLevel {
     /// Installs the line as MRU, evicting LRU if the set is full.
     fn fill(&mut self, addr: u64) {
         let line = self.line(addr);
-        let ways = self.ways;
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-        } else if set.len() >= ways {
-            set.pop_back();
+        if self.slot[idx] == 0 {
+            self.slot[idx] = u32::try_from(self.tags.len() + 1).expect("tag arena overflow");
+            self.tags.resize(self.tags.len() + self.ways, 0);
         }
-        set.push_front(line);
+        let len = usize::from(self.lens[idx]);
+        let base = self.slot[idx] as usize - 1;
+        let set = &mut self.tags[base..base + self.ways];
+        let end = match set[..len].iter().position(|&t| t == line) {
+            Some(pos) => pos + 1,
+            None if len >= self.ways => len,
+            None => {
+                self.lens[idx] += 1;
+                len + 1
+            }
+        };
+        // The slot at `end - 1` (the hit, the LRU victim or a free slot)
+        // takes the line, then rotates to the front.
+        set[end - 1] = line;
+        set[..end].rotate_right(1);
     }
 
     /// Removes the line if present (invalidation).
     fn invalidate(&mut self, addr: u64) {
         let line = self.line(addr);
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
+        let set = self.set(idx);
         if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
+            set[pos..].rotate_left(1);
+            self.lens[idx] -= 1;
         }
+    }
+
+    /// Tag slots allocated so far.
+    #[cfg(test)]
+    fn slots(&self) -> usize {
+        self.tags.len()
     }
 }
 
@@ -198,6 +241,8 @@ impl CacheHierarchy {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     fn hierarchy() -> CacheHierarchy {
@@ -257,6 +302,168 @@ mod tests {
         c.ddio_inject(0x3000); // remote update arrives
         let (level, _) = c.access(0x3000);
         assert_eq!(level, HitLevel::Llc, "stale private copy must be dropped");
+    }
+
+    /// A hierarchy with a handful of sets per level, so random addresses
+    /// reuse, evict and invalidate constantly.
+    fn tiny_hierarchy() -> CacheHierarchy {
+        let line = |sets: u64, ways: u32, cycles: u64| CacheParams {
+            capacity_bytes: sets * u64::from(ways) * 64,
+            ways,
+            line_bytes: 64,
+            round_trip_cycles: cycles,
+        };
+        CacheHierarchy::new(&MemoryParams {
+            cores: 1,
+            l1: line(4, 2, 2),
+            l2: line(8, 4, 12),
+            llc_per_core: line(8, 10, 38),
+            ..MemoryParams::micro21()
+        })
+    }
+
+    /// The reference LRU set: the `VecDeque`-per-set model, MRU at the
+    /// front, that the shared-arena `CacheLevel` must reproduce exactly.
+    struct RefLevel {
+        sets: Vec<VecDeque<u64>>,
+        ways: usize,
+        line_shift: u32,
+    }
+
+    impl RefLevel {
+        fn like(level: &CacheLevel) -> Self {
+            RefLevel {
+                sets: vec![VecDeque::new(); level.slot.len()],
+                ways: level.ways,
+                line_shift: level.line_shift,
+            }
+        }
+
+        fn set(&mut self, addr: u64) -> (&mut VecDeque<u64>, u64) {
+            let line = addr >> self.line_shift;
+            let n = self.sets.len() as u64;
+            (&mut self.sets[(line % n) as usize], line)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let (set, line) = self.set(addr);
+            let hit = set.iter().position(|&t| t == line);
+            if let Some(pos) = hit {
+                set.remove(pos);
+                set.push_front(line);
+            }
+            hit.is_some()
+        }
+
+        fn fill(&mut self, addr: u64) {
+            let ways = self.ways;
+            let (set, line) = self.set(addr);
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                set.remove(pos);
+            } else if set.len() >= ways {
+                set.pop_back();
+            }
+            set.push_front(line);
+        }
+
+        fn invalidate(&mut self, addr: u64) {
+            let (set, line) = self.set(addr);
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                set.remove(pos);
+            }
+        }
+
+        fn tags(&mut self, addr: u64) -> Vec<u64> {
+            self.set(addr).0.iter().copied().collect()
+        }
+    }
+
+    fn tags(level: &mut CacheLevel, addr: u64) -> Vec<u64> {
+        level.set(level.set_index(addr)).to_vec()
+    }
+
+    #[test]
+    fn arena_lru_matches_vecdeque_reference() {
+        let mut c = tiny_hierarchy();
+        let mut l1 = RefLevel::like(&c.l1);
+        let mut l2 = RefLevel::like(&c.l2);
+        let mut llc = RefLevel::like(&c.llc);
+        let mut ddio = RefLevel::like(&c.ddio);
+        let mut hits = [0u64; 4];
+        let mut rng = ddp_sim::SimRng::seed_from(0xCAC4E);
+        for step in 0..200_000 {
+            // 96 distinct lines over at most 8 sets per level.
+            let addr = rng.next_below(96) * 64 + rng.next_below(64);
+            match rng.next_below(10) {
+                0..=6 => {
+                    let want = if l1.access(addr) {
+                        (HitLevel::L1, c.l1_lat)
+                    } else if l2.access(addr) {
+                        l1.fill(addr);
+                        (HitLevel::L2, c.l2_lat)
+                    } else if llc.access(addr) || ddio.access(addr) {
+                        l1.fill(addr);
+                        l2.fill(addr);
+                        (HitLevel::Llc, c.llc_lat)
+                    } else {
+                        l1.fill(addr);
+                        l2.fill(addr);
+                        llc.fill(addr);
+                        (HitLevel::Memory, c.mem_lat)
+                    };
+                    hits[want.0 as usize] += 1;
+                    assert_eq!(c.access(addr), want, "step {step}");
+                }
+                7 | 8 => {
+                    ddio.fill(addr);
+                    l1.invalidate(addr);
+                    l2.invalidate(addr);
+                    assert_eq!(c.ddio_inject(addr), c.llc_lat);
+                }
+                _ => {
+                    let (level, reference) = match rng.next_below(4) {
+                        0 => (&mut c.l1, &mut l1),
+                        1 => (&mut c.l2, &mut l2),
+                        2 => (&mut c.llc, &mut llc),
+                        _ => (&mut c.ddio, &mut ddio),
+                    };
+                    level.invalidate(addr);
+                    reference.invalidate(addr);
+                }
+            }
+            assert_eq!(c.hit_counts(), hits, "step {step}");
+            assert_eq!(tags(&mut c.l1, addr), l1.tags(addr), "L1 at step {step}");
+            assert_eq!(tags(&mut c.l2, addr), l2.tags(addr), "L2 at step {step}");
+            assert_eq!(tags(&mut c.llc, addr), llc.tags(addr), "LLC at step {step}");
+            assert_eq!(
+                tags(&mut c.ddio, addr),
+                ddio.tags(addr),
+                "DDIO at step {step}"
+            );
+        }
+        assert!(hits.iter().all(|&h| h > 1_000), "mix too narrow: {hits:?}");
+    }
+
+    #[test]
+    fn sets_are_allocated_on_first_fill() {
+        let mut c = hierarchy();
+        for level in [&c.l1, &c.l2, &c.llc, &c.ddio] {
+            assert_eq!(level.slots(), 0, "a fresh hierarchy holds no tags");
+        }
+        // L1 has 128 sets of 8 ways: lines 0..k land in k distinct sets,
+        // and refilling or re-accessing them allocates nothing more.
+        let k = 37u64;
+        for round in 0..3 {
+            for line in 0..k {
+                c.access(line * 64 + round);
+            }
+        }
+        assert_eq!(c.l1.slots(), 37 * c.l1.ways);
+        assert_eq!(c.l2.slots(), 37 * c.l2.ways);
+        assert_eq!(c.llc.slots(), 37 * c.llc.ways);
+        assert_eq!(c.ddio.slots(), 0, "CPU accesses never fill DDIO ways");
+        c.ddio_inject(0);
+        assert_eq!(c.ddio.slots(), c.ddio.ways);
     }
 
     #[test]

@@ -142,11 +142,12 @@ impl ClientPool {
     ) -> Self {
         assert!(count > 0, "need at least one client");
         assert!(nodes > 0, "need at least one node");
+        let chooser = spec.key_chooser();
         let mut root = SimRng::seed_from(seed);
         let clients = (0..count)
             .map(|i| Client {
                 id: ClientId(i),
-                stream: spec.stream(root.fork(u64::from(i)).next_u64()),
+                stream: spec.stream_with(chooser.clone(), root.fork(u64::from(i)).next_u64()),
                 home_node: (i % u32::from(nodes)) as u8,
                 think_time,
                 rng: root.fork(0x5EED_0000 + u64::from(i)),
@@ -225,6 +226,45 @@ mod tests {
             let b = p2.client_mut(ClientId(i)).next_request();
             assert_eq!(a, b);
         }
+    }
+
+    /// Every client of a pool built over `spec` replays, request for
+    /// request, the stream `spec.stream` builds alone from that client's
+    /// derived seed, although the pool builds its key chooser only once.
+    /// Returns the pool's cross-shard group total.
+    fn assert_pool_matches_solo_streams(spec: &WorkloadSpec) -> u64 {
+        let (count, seed) = (6, 0xDD9);
+        let mut pool = ClientPool::new(spec, count, 3, seed);
+        let mut root = SimRng::seed_from(seed);
+        for i in 0..count {
+            let mut solo = spec.stream(root.fork(u64::from(i)).next_u64());
+            let _think_rng = root.fork(0x5EED_0000 + u64::from(i));
+            let client = pool.client_mut(ClientId(i));
+            for n in 0..1_000 {
+                assert_eq!(
+                    client.next_request(),
+                    solo.next_request(),
+                    "client {i}, request {n}"
+                );
+            }
+            assert_eq!(client.cross_shard_groups(), solo.cross_shard_groups());
+        }
+        pool.total_cross_shard()
+    }
+
+    #[test]
+    fn pool_clients_replay_solo_streams() {
+        use crate::shard::{Placement, ShardRouter, ShardSlice};
+        let zipf = WorkloadSpec::ycsb_a();
+        assert_eq!(assert_pool_matches_solo_streams(&zipf), 0);
+        let uniform = WorkloadSpec {
+            zipf_theta: None,
+            ..WorkloadSpec::ycsb_b()
+        };
+        assert_eq!(assert_pool_matches_solo_streams(&uniform), 0);
+        let router = ShardRouter::new(Placement::Hash, 4, zipf.key_space);
+        let sharded = zipf.with_shard(ShardSlice::new(router, 2).with_group(5));
+        assert!(assert_pool_matches_solo_streams(&sharded) > 0);
     }
 
     #[test]

@@ -134,13 +134,29 @@ impl WorkloadSpec {
         self
     }
 
+    /// Builds the key chooser this workload draws from. A Zipfian chooser
+    /// costs an O(`key_space`) normaliser sum, so a client pool builds it
+    /// once and shares clones across its streams.
+    #[must_use]
+    pub fn key_chooser(&self) -> KeyChooser {
+        match self.zipf_theta {
+            Some(theta) => KeyChooser::Zipfian(Zipfian::new(self.key_space, theta)),
+            None => KeyChooser::Uniform { n: self.key_space },
+        }
+    }
+
     /// Builds an endless request stream seeded with `seed`.
     #[must_use]
     pub fn stream(&self, seed: u64) -> RequestStream {
-        let chooser = match self.zipf_theta {
-            Some(theta) => KeyChooser::Zipfian(Zipfian::new(self.key_space, theta)),
-            None => KeyChooser::Uniform { n: self.key_space },
-        };
+        self.stream_with(self.key_chooser(), seed)
+    }
+
+    /// Builds an endless request stream seeded with `seed` that draws keys
+    /// from `chooser`, which must be this workload's
+    /// [`WorkloadSpec::key_chooser`].
+    #[must_use]
+    pub(crate) fn stream_with(&self, chooser: KeyChooser, seed: u64) -> RequestStream {
+        debug_assert_eq!(chooser.key_space(), self.key_space);
         RequestStream {
             rng: SimRng::seed_from(seed),
             chooser,

@@ -5,8 +5,9 @@
 //! workspace's `harness = false` benches — `Criterion::bench_function`,
 //! `benchmark_group`, `Bencher::iter`/`iter_batched`, `BatchSize`, and the
 //! `criterion_group!`/`criterion_main!` macros — with a simple wall-clock
-//! measurement loop that prints mean ns/iter per benchmark. No statistics,
-//! plots, or baselines; results are indicative, not rigorous.
+//! measurement loop. Each benchmark takes a fixed number of samples
+//! (`SAMPLE_COUNT`, 10) and prints the median, min and max ns/iter over
+//! them. No plots or baselines.
 
 #![forbid(unsafe_code)]
 // Timing real benchmark runs is this shim's entire purpose, so the
@@ -15,8 +16,12 @@
 #![allow(clippy::disallowed_methods)]
 use std::time::{Duration, Instant};
 
-/// Target wall-clock time spent measuring each benchmark.
-const MEASURE_BUDGET: Duration = Duration::from_millis(300);
+/// Samples every benchmark takes.
+const SAMPLE_COUNT: usize = 10;
+
+/// Target wall-clock time of one sample; a routine slower than this runs
+/// once per sample.
+const SAMPLE_TARGET: Duration = Duration::from_millis(20);
 
 /// Re-export of `std::hint::black_box` under criterion's name.
 pub fn black_box<T>(x: T) -> T {
@@ -47,7 +52,7 @@ impl Criterion {
         self
     }
 
-    /// Runs `f` as a named benchmark and prints its mean time.
+    /// Runs `f` as a named benchmark and prints its timing.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         run_one(name, &mut f);
         self
@@ -69,17 +74,17 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sample-count hint; the shim's fixed time budget ignores it.
+    /// Sample-count hint; the shim always takes `SAMPLE_COUNT` samples.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
 
-    /// Measurement-time hint; the shim's fixed time budget ignores it.
+    /// Measurement-time hint; the shim's fixed sample count ignores it.
     pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
-    /// Runs `f` as `group/name` and prints its mean time.
+    /// Runs `f` as `group/name` and prints its timing.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         run_one(&format!("{}/{}", self.name, name), &mut f);
         self
@@ -89,27 +94,41 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Passed to benchmark closures; collects the timed iterations.
+/// Passed to benchmark closures; collects the timed samples.
 #[derive(Debug, Default)]
 pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
+    iters_per_sample: u64,
+    /// Mean ns/iter of each sample.
+    samples: Vec<f64>,
 }
 
 impl Bencher {
+    /// Iterations per sample so one sample takes about [`SAMPLE_TARGET`],
+    /// given one untimed warm-up call that took `once`.
+    fn size_samples(&mut self, once: Duration) {
+        let once = once.max(Duration::from_nanos(1));
+        self.iters_per_sample =
+            (SAMPLE_TARGET.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
+    }
+
+    fn record(&mut self, elapsed: Duration) {
+        self.samples
+            .push(elapsed.as_nanos() as f64 / self.iters_per_sample as f64);
+    }
+
     /// Times repeated calls of `routine`.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One untimed warmup to page code in and size the loop.
+        // One untimed warm-up to page code in and size the samples.
         let start = Instant::now();
         black_box(routine());
-        let once = start.elapsed().max(Duration::from_nanos(1));
-        let per_batch = (MEASURE_BUDGET.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
-        let start = Instant::now();
-        for _ in 0..per_batch {
-            black_box(routine());
+        self.size_samples(start.elapsed());
+        for _ in 0..SAMPLE_COUNT {
+            let start = Instant::now();
+            for _ in 0..self.iters_per_sample {
+                black_box(routine());
+            }
+            self.record(start.elapsed());
         }
-        self.elapsed += start.elapsed();
-        self.iters += per_batch;
     }
 
     /// Times `routine` over fresh inputs built by `setup` (setup untimed).
@@ -121,27 +140,35 @@ impl Bencher {
         let input = setup();
         let start = Instant::now();
         black_box(routine(input));
-        let once = start.elapsed().max(Duration::from_nanos(1));
-        let per_batch = (MEASURE_BUDGET.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
-        let inputs: Vec<I> = (0..per_batch).map(|_| setup()).collect();
-        let start = Instant::now();
-        for input in inputs {
-            black_box(routine(input));
+        self.size_samples(start.elapsed());
+        for _ in 0..SAMPLE_COUNT {
+            let inputs: Vec<I> = (0..self.iters_per_sample).map(|_| setup()).collect();
+            let start = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            self.record(start.elapsed());
         }
-        self.elapsed += start.elapsed();
-        self.iters += per_batch;
     }
 }
 
-fn run_one(name: &str, f: &mut dyn FnMut(&mut Bencher)) {
+/// Runs one benchmark, prints `median/min/max` ns/iter, and returns its
+/// per-sample ns/iter, sorted.
+fn run_one(name: &str, f: &mut dyn FnMut(&mut Bencher)) -> Vec<f64> {
     let mut b = Bencher::default();
     f(&mut b);
-    let per_iter = if b.iters == 0 {
-        0
-    } else {
-        b.elapsed.as_nanos() / u128::from(b.iters)
-    };
-    println!("{name:<40} {per_iter:>12} ns/iter ({} iters)", b.iters);
+    let mut samples = b.samples;
+    samples.sort_by(f64::total_cmp);
+    match (samples.first(), samples.last()) {
+        (Some(min), Some(max)) => println!(
+            "{name:<40} {:>12.0} ns/iter (min {min:.0}, max {max:.0}; {} samples x {} iters)",
+            samples[samples.len() / 2],
+            samples.len(),
+            b.iters_per_sample
+        ),
+        _ => println!("{name:<40} (not measured)"),
+    }
+    samples
 }
 
 /// Declares a function running each benchmark target in order.
@@ -189,5 +216,16 @@ mod tests {
             b.iter_batched(|| vec![1u8; 8], |v| v.len(), BatchSize::SmallInput);
         });
         group.finish();
+    }
+
+    #[test]
+    fn takes_exactly_sample_count_samples() {
+        let samples = run_one("shim/sample_count", &mut |b| b.iter(|| 1 + 1));
+        assert_eq!(samples.len(), SAMPLE_COUNT);
+        assert!(samples.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        let batched = run_one("shim/batched_count", &mut |b| {
+            b.iter_batched(|| 2, |x| x * 2, BatchSize::SmallInput);
+        });
+        assert_eq!(batched.len(), SAMPLE_COUNT);
     }
 }
