@@ -31,6 +31,10 @@ fn protocol_engine(c: &mut Criterion) {
             DdpModel::new(Consistency::Transactional, Persistency::Synchronous),
         ),
         (
+            "txn_strict",
+            DdpModel::new(Consistency::Transactional, Persistency::Strict),
+        ),
+        (
             "lin_scope",
             DdpModel::new(Consistency::Linearizable, Persistency::Scope),
         ),

@@ -132,7 +132,7 @@ impl Cluster {
         // Tear down transaction state: the attempt is lost, a retry draws
         // fresh requests.
         if let Some(txn) = self.cstate[client.index()].txn.take() {
-            self.active_txns.remove(&(txn.coordinator.0, txn.seq));
+            self.active_txns.remove(txn);
         }
         let next_token = {
             let cr = &mut self.cstate[client.index()];
@@ -516,7 +516,7 @@ impl Cluster {
         // sets, and their clients are wounded: the crash destroyed the
         // coordinator-side transaction state, so the attempt restarts from
         // INITX once the node rejoins.
-        self.active_txns.retain(|&(coord, _), _| coord != node.0);
+        self.active_txns.remove_coordinated_by(node);
         for cr in &mut self.cstate {
             if cr.txn.is_some_and(|t| t.coordinator == node) {
                 cr.wounded = true;

@@ -252,6 +252,9 @@ pub(crate) struct PendingWrite {
     pub client_acked: bool,
     pub val_sent: bool,
     pub val_p_sent: bool,
+    /// Eventual consistency below Strict persistency: the delayed UPD
+    /// broadcast has fired.
+    pub lazy_upd_sent: bool,
     /// The client no longer waits (squashed transaction write).
     pub abandoned: bool,
     pub txn: Option<TxnId>,
@@ -371,7 +374,9 @@ pub(crate) struct NodeState {
     pub history_vc: VectorClock,
     /// Next coordinator-local write sequence number.
     pub next_seq: u64,
-    /// Writes this node coordinates, by local sequence number.
+    /// Writes this node coordinates, by local sequence number. Fault-free
+    /// runs retire a write once it is finished (see
+    /// [`Cluster::retire_if_finished`]); fault runs keep every write.
     pub pending: BTreeMap<u64, PendingWrite>,
     /// Causal out-of-order UPD buffer.
     pub upd_buffer: Vec<BufferedUpd>,
@@ -385,7 +390,8 @@ pub(crate) struct NodeState {
     /// flight.
     pub persist_chains: Vec<VecDeque<ChainedPersist>>,
     pub chain_busy: Vec<bool>,
-    /// Follower-side transaction tracking.
+    /// Follower-side transaction tracking. Fault-free runs drop a client's
+    /// earlier attempts when its next INITX arrives; fault runs keep them.
     pub txns: BTreeMap<TxnId, FollowerTxn>,
     /// Coordinator-side INITX/ENDX rounds, by txn seq.
     pub txn_rounds: BTreeMap<u64, PendingTxnRound>,
@@ -551,7 +557,7 @@ pub struct Cluster {
     pub(crate) total_completed: u64,
     pub(crate) measured_completed: u64,
     pub(crate) observations: ObservationLog,
-    pub(crate) active_txns: BTreeMap<(u8, u64), txn::TxnSets>,
+    pub(crate) active_txns: txn::TxnRegistry,
     /// Updates whose lazy persist has not completed (buffer-gauge input).
     pub(crate) lazy_pending: u64,
     pub(crate) done: bool,
@@ -647,7 +653,7 @@ impl Cluster {
             total_completed: 0,
             measured_completed: 0,
             observations: ObservationLog::default(),
-            active_txns: BTreeMap::new(),
+            active_txns: txn::TxnRegistry::default(),
             lazy_pending: 0,
             done: false,
             ol,
@@ -740,13 +746,7 @@ impl Cluster {
         msg: &Message,
         kind: RdmaKind,
     ) {
-        let targets: Vec<NodeId> = (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter(|&n| n != from)
-            .collect();
-        for to in targets {
-            self.send(ctx, from, to, msg.clone(), kind);
-        }
+        self.broadcast_at(ctx, ctx.now(), from, msg, kind);
     }
 
     /// Allocates the next cluster-unique version number.
@@ -1384,4 +1384,51 @@ impl Simulation {
 #[must_use]
 pub fn run_experiment(cfg: ClusterConfig) -> RunReport {
     Simulation::new(cfg).run()
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// Per node: `(pending writes, finished writes still pending, follower
+    /// transaction records)`.
+    pub(crate) fn bookkeeping(&self) -> Vec<(usize, usize, usize)> {
+        self.nodes
+            .iter()
+            .map(|n| {
+                let finished = n
+                    .pending
+                    .values()
+                    .filter(|pw| self.write_finished(pw))
+                    .count();
+                (n.pending.len(), finished, n.txns.len())
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::DdpModel;
+
+    #[test]
+    fn fault_free_runs_keep_only_in_flight_bookkeeping() {
+        for model in DdpModel::all() {
+            let cfg = ClusterConfig::micro21(model).quick();
+            let clients = cfg.clients as usize;
+            let mut sim = Simulation::new(cfg);
+            sim.run();
+            let per_node = sim.cluster().bookkeeping();
+            for (node, &(pending, finished, txns)) in per_node.iter().enumerate() {
+                assert_eq!(finished, 0, "{model} node {node}: kept a finished write");
+                assert!(
+                    pending <= clients,
+                    "{model} node {node}: {pending} pending writes"
+                );
+                assert!(
+                    txns <= clients,
+                    "{model} node {node}: {txns} follower transaction records"
+                );
+            }
+        }
+    }
 }

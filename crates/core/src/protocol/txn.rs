@@ -6,8 +6,14 @@
 //! Writes inside the transaction complete immediately; the ENDX stalls
 //! until every follower has applied (and, per the persistency model,
 //! persisted) all the transaction's writes. At every access, the address is
-//! compared against the read/write sets of all active transactions; on a
-//! conflict, the accessing transaction squashes and retries after a backoff.
+//! checked against the read/write sets of all active transactions; on a
+//! conflict, wound-wait decides which side waits and which restarts.
+//!
+//! The check reads a per-key index of the transactions holding the key
+//! ([`TxnRegistry`]) instead of scanning every active transaction's sets;
+//! the conflict semantics are the same as the scan's.
+
+use std::collections::BTreeMap;
 
 use ddp_net::{NodeId, RdmaKind};
 use ddp_sim::{Context, SimTime};
@@ -28,6 +34,114 @@ pub(crate) struct TxnSets {
     /// When the transaction *group* first started (survives retries, so
     /// wound-wait ages a retried transaction toward winning).
     pub started_ns: u64,
+}
+
+/// One active transaction's access to one key.
+#[derive(Clone, Copy, Debug)]
+struct Holder {
+    txn: TxnId,
+    read: bool,
+    write: bool,
+}
+
+/// The active transactions' read/write sets, indexed by key.
+///
+/// `holders` lists, per key, the transactions whose sets contain it. The
+/// methods are the only mutations, so the index always matches the sets
+/// and emptied keys leave no entry behind.
+#[derive(Debug, Default)]
+pub(crate) struct TxnRegistry {
+    sets: BTreeMap<TxnId, TxnSets>,
+    holders: BTreeMap<Key, Vec<Holder>>,
+}
+
+impl TxnRegistry {
+    /// Registers a transaction attempt with empty sets.
+    pub(crate) fn begin(&mut self, txn: TxnId, client: u32, started_ns: u64) {
+        let prev = self.sets.insert(
+            txn,
+            TxnSets {
+                client,
+                started_ns,
+                ..TxnSets::default()
+            },
+        );
+        debug_assert!(prev.is_none(), "transaction ids are never reused");
+    }
+
+    /// Adds `key` to a registered transaction's read or write set.
+    pub(crate) fn record(&mut self, txn: TxnId, key: Key, is_write: bool) {
+        let Some(sets) = self.sets.get_mut(&txn) else {
+            return;
+        };
+        let set = if is_write {
+            &mut sets.writes
+        } else {
+            &mut sets.reads
+        };
+        if set.contains(&key) {
+            return;
+        }
+        set.push(key);
+        let holders = self.holders.entry(key).or_default();
+        match holders.iter_mut().find(|h| h.txn == txn) {
+            Some(h) if is_write => h.write = true,
+            Some(h) => h.read = true,
+            None => holders.push(Holder {
+                txn,
+                read: !is_write,
+                write: is_write,
+            }),
+        }
+    }
+
+    /// Unregisters a transaction, returning its sets.
+    pub(crate) fn remove(&mut self, txn: TxnId) -> Option<TxnSets> {
+        let sets = self.sets.remove(&txn)?;
+        for key in sets.reads.iter().chain(&sets.writes) {
+            if let Some(holders) = self.holders.get_mut(key) {
+                holders.retain(|h| h.txn != txn);
+                if holders.is_empty() {
+                    self.holders.remove(key);
+                }
+            }
+        }
+        Some(sets)
+    }
+
+    /// Unregisters every transaction coordinated by `node`.
+    pub(crate) fn remove_coordinated_by(&mut self, node: NodeId) {
+        let doomed: Vec<TxnId> = self
+            .sets
+            .keys()
+            .filter(|t| t.coordinator == node)
+            .copied()
+            .collect();
+        for txn in doomed {
+            self.remove(txn);
+        }
+    }
+
+    /// A registered transaction's sets.
+    pub(crate) fn get(&self, txn: TxnId) -> Option<&TxnSets> {
+        self.sets.get(&txn)
+    }
+
+    /// The transactions other than `me` that conflict with an access to
+    /// `key`: its writers for a read; its readers and writers for a write.
+    pub(crate) fn conflicting(
+        &self,
+        me: TxnId,
+        key: Key,
+        is_write: bool,
+    ) -> impl Iterator<Item = TxnId> + '_ {
+        self.holders
+            .get(&key)
+            .into_iter()
+            .flatten()
+            .filter(move |h| h.txn != me && (h.write || (is_write && h.read)))
+            .map(|h| h.txn)
+    }
 }
 
 /// How an access fared against the active-transaction registry.
@@ -65,7 +179,7 @@ impl Cluster {
                 cr.txn_index = 0;
                 cr.txn_buffer.clear();
                 cr.txn_writes.clear();
-                self.active_txns.remove(&(txn.coordinator.0, txn.seq));
+                self.active_txns.remove(txn);
             }
         }
         if self.cstate[client.index()].txn.is_none() {
@@ -113,7 +227,7 @@ impl Cluster {
         // oldest transaction in the system is never squashed and progress is
         // guaranteed.
         let is_write = request.op == OpKind::Write;
-        match self.resolve_conflicts(ctx, txn, request.key, is_write) {
+        match self.resolve_conflicts(txn, request.key, is_write) {
             ConflictOutcome::Clear => {}
             ConflictOutcome::Wait => {
                 self.note_group_conflict(client);
@@ -122,16 +236,7 @@ impl Cluster {
                 return;
             }
         }
-        // Record the access in our sets.
-        if let Some(sets) = self.active_txns.get_mut(&(txn.coordinator.0, txn.seq)) {
-            if is_write {
-                if !sets.writes.contains(&request.key) {
-                    sets.writes.push(request.key);
-                }
-            } else if !sets.reads.contains(&request.key) {
-                sets.reads.push(request.key);
-            }
-        }
+        self.active_txns.record(txn, request.key, is_write);
         self.cstate[client.index()].txn_index = idx + 1;
         let scope = self.current_scope(client);
         self.admit_request(ctx, client, request, issued_at, Some(txn), scope);
@@ -141,35 +246,19 @@ impl Cluster {
     ///
     /// Conflicting transactions younger than ours are wounded (squashed at
     /// their next step); if any conflicting transaction is older, ours dies
-    /// and retries with its original start time.
-    fn resolve_conflicts(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        txn: TxnId,
-        key: Key,
-        is_write: bool,
-    ) -> ConflictOutcome {
-        let my_id = (txn.coordinator.0, txn.seq);
+    /// and retries with its original start time. The outcome depends only on
+    /// the set of conflicting transactions, not on the order they are found.
+    fn resolve_conflicts(&mut self, txn: TxnId, key: Key, is_write: bool) -> ConflictOutcome {
         let my_age = self
             .active_txns
-            .get(&my_id)
+            .get(txn)
             .map(|s| (s.started_ns, s.client))
             .expect("own txn is registered");
-        let conflicting: Vec<(u8, u64)> = self
-            .active_txns
-            .iter()
-            .filter(|(&id, sets)| {
-                id != my_id
-                    && (sets.writes.contains(&key) || (is_write && sets.reads.contains(&key)))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        if conflicting.is_empty() {
-            return ConflictOutcome::Clear;
-        }
+        let mut any = false;
         // Any older (or committing) conflicting transaction wins: we wait.
-        for id in &conflicting {
-            let sets = &self.active_txns[id];
+        for id in self.active_txns.conflicting(txn, key, is_write) {
+            any = true;
+            let sets = self.active_txns.get(id).expect("holders are registered");
             let their_age = (sets.started_ns, sets.client);
             let victim_cr = &self.cstate[sets.client as usize];
             let committing = victim_cr.txn_index >= victim_cr.txn_requests.len().max(1);
@@ -177,17 +266,18 @@ impl Cluster {
                 return ConflictOutcome::Wait;
             }
         }
+        if !any {
+            return ConflictOutcome::Clear;
+        }
         // All conflicting transactions are younger: wound them; they restart
         // at their next step while we proceed.
-        for id in conflicting {
-            let Some(sets) = self.active_txns.remove(&id) else {
-                continue;
-            };
+        let victims: Vec<TxnId> = self.active_txns.conflicting(txn, key, is_write).collect();
+        for id in victims {
+            let sets = self.active_txns.remove(id).expect("collected above");
             let victim = ClientId(sets.client);
             self.note_group_conflict(victim);
             self.cstate[victim.index()].wounded = true;
         }
-        let _ = ctx;
         ConflictOutcome::Clear
     }
 
@@ -215,14 +305,7 @@ impl Cluster {
         cr.txn_buffer.clear();
         cr.txn_writes.clear();
         let started_ns = self.cstate[client.index()].txn_group_started.as_nanos();
-        self.active_txns.insert(
-            (home.0, txn.seq),
-            TxnSets {
-                client: client.0,
-                started_ns,
-                ..TxnSets::default()
-            },
-        );
+        self.active_txns.begin(txn, client.0, started_ns);
         let needs_log_persist = self.pers.persist_before_ack();
         let needed = self.followers();
         let (down_mask, down_count) = self.down_mask();
@@ -277,7 +360,7 @@ impl Cluster {
         // All the transaction's accesses are done; release its conflict
         // sets so waiters stop stalling on a transaction that is merely
         // draining its end-of-transaction round.
-        self.active_txns.remove(&(txn.coordinator.0, txn.seq));
+        self.active_txns.remove(txn);
         let writes = self.cstate[client.index()]
             .txn_requests
             .iter()
@@ -345,7 +428,22 @@ impl Cluster {
         {
             self.stats.duplicates_suppressed += 1;
         }
-        self.nodes[node.index()].txns.entry(txn).or_default();
+        let txns = &mut self.nodes[node.index()].txns;
+        if !self.faults_active {
+            // The client's earlier attempts are done with this follower:
+            // its coordinator commits only after every follower acknowledged
+            // the ENDX, and an aborted attempt never sends one. Fault runs
+            // keep them, since retransmitted rounds and the duplicate count
+            // read them. A client's sequence numbers share its high 32 bits.
+            let first = TxnId {
+                seq: txn.seq & !0xFFFF_FFFF,
+                ..txn
+            };
+            while let Some(&earlier) = txns.range(first..txn).next().map(|(t, _)| t) {
+                txns.remove(&earlier);
+            }
+        }
+        txns.entry(txn).or_default();
         if self.pers.persist_before_ack() {
             let epoch = self.node_epoch[node.index()];
             self.issue_persist(
@@ -684,7 +782,7 @@ impl Cluster {
     /// statistics flush, next transaction.
     fn commit_txn(&mut self, ctx: &mut Context<'_, Event>, client: ClientId, txn: TxnId) {
         self.broadcast(ctx, txn.coordinator, &Message::ValX { txn }, RdmaKind::Send);
-        self.active_txns.remove(&(txn.coordinator.0, txn.seq));
+        self.active_txns.remove(txn);
         if self.measuring {
             self.stats.txns_committed += 1;
         }
@@ -782,4 +880,103 @@ impl Cluster {
 /// NVM address of a transaction's log record (distinct from any key).
 fn txn_log_addr(txn: TxnId) -> u64 {
     (1 << 40) | (u64::from(txn.coordinator.0) << 32) | (txn.seq & 0xFFFF_FFFF)
+}
+
+#[cfg(test)]
+mod tests {
+    use ddp_sim::SimRng;
+
+    use super::*;
+
+    const KEYS: u64 = 6;
+    const COORDINATORS: u8 = 3;
+
+    /// The conflict filter as a scan over every registered transaction's
+    /// sets: the reference the per-key index must agree with.
+    fn scan(reg: &TxnRegistry, me: TxnId, key: Key, is_write: bool) -> Vec<TxnId> {
+        reg.sets
+            .iter()
+            .filter(|(&id, sets)| {
+                id != me && (sets.writes.contains(&key) || (is_write && sets.reads.contains(&key)))
+            })
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    fn assert_index_matches_scan(reg: &TxnRegistry, probes: &[TxnId], step: usize) {
+        for key in 0..KEYS {
+            for is_write in [false, true] {
+                for &me in probes {
+                    let mut found: Vec<TxnId> = reg.conflicting(me, key, is_write).collect();
+                    found.sort();
+                    assert_eq!(
+                        found,
+                        scan(reg, me, key, is_write),
+                        "step {step}: {me:?} {} key {key}",
+                        if is_write { "writing" } else { "reading" },
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn holder_index_matches_a_scan_of_the_sets() {
+        for seed in 0..4 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut reg = TxnRegistry::default();
+            let mut live: Vec<TxnId> = Vec::new();
+            let mut next_seq = [0u64; COORDINATORS as usize];
+            // Never registered: probes the filter from outside the sets.
+            let outsider = TxnId {
+                coordinator: NodeId(COORDINATORS),
+                seq: 0,
+            };
+            for step in 0..1_000 {
+                match rng.next_below(100) {
+                    0..=24 => {
+                        let c = rng.next_below(u64::from(COORDINATORS)) as usize;
+                        next_seq[c] += 1;
+                        let txn = TxnId {
+                            coordinator: NodeId(c as u8),
+                            seq: next_seq[c],
+                        };
+                        reg.begin(txn, rng.next_below(8) as u32, rng.next_below(1_000));
+                        live.push(txn);
+                    }
+                    25..=74 if !live.is_empty() => {
+                        let txn = *rng.choose(&live);
+                        reg.record(txn, rng.next_below(KEYS), rng.chance(0.5));
+                    }
+                    75..=89 if !live.is_empty() => {
+                        let txn = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                        assert!(reg.remove(txn).is_some());
+                        assert!(reg.remove(txn).is_none(), "removed twice");
+                    }
+                    90..=92 => {
+                        let node = NodeId(rng.next_below(u64::from(COORDINATORS)) as u8);
+                        reg.remove_coordinated_by(node);
+                        live.retain(|t| t.coordinator != node);
+                    }
+                    _ => {
+                        // An access by an unregistered transaction is ignored.
+                        reg.record(outsider, rng.next_below(KEYS), rng.chance(0.5));
+                    }
+                }
+                assert_eq!(reg.sets.len(), live.len(), "step {step}");
+                let mut probes = live.clone();
+                probes.push(outsider);
+                assert_index_matches_scan(&reg, &probes, step);
+            }
+            for txn in live {
+                reg.remove(txn);
+            }
+            assert!(reg.sets.is_empty());
+            assert!(
+                reg.holders.is_empty(),
+                "seed {seed}: stale holders {:?}",
+                reg.holders
+            );
+        }
+    }
 }

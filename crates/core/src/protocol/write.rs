@@ -134,6 +134,7 @@ impl Cluster {
             client_acked: false,
             val_sent: false,
             val_p_sent: false,
+            lazy_upd_sent: false,
             abandoned: false,
             txn,
             scope,
@@ -386,9 +387,10 @@ impl Cluster {
         home: NodeId,
         seq: u64,
     ) {
-        let Some(pw) = self.nodes[home.index()].pending.get(&seq) else {
+        let Some(pw) = self.nodes[home.index()].pending.get_mut(&seq) else {
             return;
         };
+        pw.lazy_upd_sent = true;
         let msg = Message::Upd {
             write: pw.write,
             key: pw.key,
@@ -399,6 +401,48 @@ impl Cluster {
             scope: pw.scope,
         };
         self.broadcast(ctx, home, &msg, RdmaKind::WriteVolatile);
+        self.retire_if_finished(home, seq);
+    }
+
+    /// Whether the model validates each write with its own VAL (VAL_c,
+    /// VAL_p): the INV-based models, except Transactional consistency,
+    /// which validates at ENDX unless its persistency is Read-Enforced.
+    fn per_write_vals(&self) -> bool {
+        self.cons.uses_inv_ack_val()
+            && (self.cons != Consistency::Transactional || self.pers == Persistency::ReadEnforced)
+    }
+
+    /// True once no later event can act on a pending write: the client is
+    /// acknowledged, the model's VAL (VAL_c, VAL_p) has gone out, and under
+    /// Eventual consistency below Strict persistency the delayed UPD has
+    /// fired (its handler reads the entry). Later ACKs and local-persist
+    /// completions find nothing left to do.
+    pub(crate) fn write_finished(&self, pw: &PendingWrite) -> bool {
+        let val_done = if !self.per_write_vals() {
+            true
+        } else if self.pers == Persistency::ReadEnforced {
+            pw.val_p_sent
+        } else {
+            pw.val_sent
+        };
+        let upd_done = self.cons != Consistency::Eventual
+            || self.pers == Persistency::Strict
+            || pw.lazy_upd_sent;
+        pw.client_acked && val_done && upd_done
+    }
+
+    /// Drops a finished write from its coordinator's pending map, so the
+    /// map holds only writes in flight. Fault runs keep every write:
+    /// retransmission, crash absorption and the duplicate-ACK count read
+    /// finished writes.
+    fn retire_if_finished(&mut self, home: NodeId, seq: u64) {
+        if self.faults_active {
+            return;
+        }
+        let pending = &self.nodes[home.index()].pending;
+        if pending.get(&seq).is_some_and(|pw| self.write_finished(pw)) {
+            self.nodes[home.index()].pending.remove(&seq);
+        }
     }
 
     /// Re-evaluates a pending write after any contributing event: sends VAL
@@ -424,52 +468,48 @@ impl Cluster {
         let txn = pw.txn;
 
         // --- VAL stage (INV-based consistency models only). ---
-        if cons.uses_inv_ack_val() {
-            let per_write_vals =
-                cons != Consistency::Transactional || pers == Persistency::ReadEnforced;
-            if per_write_vals {
-                match pers {
-                    Persistency::Synchronous | Persistency::Strict => {
-                        if !val_sent && acks == needed && local_persisted {
-                            self.emit_val(
-                                ctx,
-                                home,
-                                seq,
-                                Message::Val {
-                                    write,
-                                    key,
-                                    version,
-                                },
-                            );
-                        }
+        if self.per_write_vals() {
+            match pers {
+                Persistency::Synchronous | Persistency::Strict => {
+                    if !val_sent && acks == needed && local_persisted {
+                        self.emit_val(
+                            ctx,
+                            home,
+                            seq,
+                            Message::Val {
+                                write,
+                                key,
+                                version,
+                            },
+                        );
                     }
-                    Persistency::ReadEnforced => {
-                        if !val_p_sent && acks_p == needed && local_persisted {
-                            self.emit_val_p(
-                                ctx,
-                                home,
-                                seq,
-                                Message::ValP {
-                                    write,
-                                    key,
-                                    version,
-                                },
-                            );
-                        }
+                }
+                Persistency::ReadEnforced => {
+                    if !val_p_sent && acks_p == needed && local_persisted {
+                        self.emit_val_p(
+                            ctx,
+                            home,
+                            seq,
+                            Message::ValP {
+                                write,
+                                key,
+                                version,
+                            },
+                        );
                     }
-                    Persistency::Scope | Persistency::Eventual => {
-                        if !val_sent && acks == needed {
-                            self.emit_val(
-                                ctx,
-                                home,
-                                seq,
-                                Message::ValC {
-                                    write,
-                                    key,
-                                    version,
-                                },
-                            );
-                        }
+                }
+                Persistency::Scope | Persistency::Eventual => {
+                    if !val_sent && acks == needed {
+                        self.emit_val(
+                            ctx,
+                            home,
+                            seq,
+                            Message::ValC {
+                                write,
+                                key,
+                                version,
+                            },
+                        );
                     }
                 }
             }
@@ -553,6 +593,7 @@ impl Cluster {
                 }
             }
         }
+        self.retire_if_finished(home, seq);
     }
 
     /// Sends VAL/VAL_c for a write, applying the coordinator-local state
@@ -691,12 +732,8 @@ impl Cluster {
         msg: &Message,
         kind: RdmaKind,
     ) {
-        let targets: Vec<NodeId> = (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter(|&n| n != from)
-            .collect();
         let when = when.max(ctx.now());
-        for to in targets {
+        for to in (0..self.cfg.nodes).map(NodeId).filter(|&n| n != from) {
             self.send_at(ctx, when, from, to, msg.clone(), kind);
         }
     }

@@ -167,10 +167,16 @@ impl JsonObject {
         self.buf.push_str(value);
     }
 
-    /// Closes the object and returns the JSON text.
+    /// Closes the object and returns the JSON text, allocated to its exact
+    /// length (`format!` would leave up to twice that reserved in every
+    /// record a caller keeps).
     #[must_use]
     pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+        let mut out = String::with_capacity(self.buf.len() + 2);
+        out.push('{');
+        out.push_str(&self.buf);
+        out.push('}');
+        out
     }
 }
 
