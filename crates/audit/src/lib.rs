@@ -18,10 +18,11 @@
 //! 2. **Unsafe inventory** — every `unsafe` needs a `// SAFETY:`
 //!    justification; simulation crates forbid it outright, and every
 //!    crate root must carry `#![forbid(unsafe_code)]`.
-//! 3. **Cross-file invariants** — `RunSummary`/`RunCounters` fields must
-//!    all be exported by `record_fields` (no silent JSON/CSV schema
-//!    drift), `TraceEventKind` keeps explicit stable discriminants, and
-//!    every bench bin is smoke-covered in CI.
+//! 3. **Cross-file invariants** — `TraceEventKind` keeps explicit stable
+//!    discriminants, and every bench bin is smoke-covered in CI. (The
+//!    record and timeline column schemas need no audit: `record_fields`
+//!    and `TimelineWindow::columns` bind their structs with exhaustive
+//!    patterns, so a field without a column is a compile error.)
 //!
 //! Run it three ways: `cargo run -p ddp-audit` (the CI gate),
 //! `cargo test` (the tier-1 wrapper in `tests/tests/audit.rs`), or as a

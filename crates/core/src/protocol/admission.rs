@@ -153,7 +153,9 @@ impl Cluster {
         ctx.schedule_in(gap, Event::Arrival);
         if self.measuring {
             self.stats.ol_arrivals += 1;
-            self.timeline.arrival(ctx.now().as_nanos());
+            if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                w.ol_arrivals += 1;
+            }
         }
         let node = {
             let ol = self.ol.as_mut().expect("checked above");
@@ -223,7 +225,9 @@ impl Cluster {
     ) {
         if self.measuring {
             self.stats.ol_rejections += 1;
-            self.timeline.rejection(ctx.now().as_nanos());
+            if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                w.ol_rejections += 1;
+            }
         }
         let plan = self.cfg.open_loop.as_ref().expect("open loop");
         if attempt < plan.max_retries {
@@ -238,7 +242,9 @@ impl Cluster {
             ol.retry_pending += 1;
             if self.measuring {
                 self.stats.ol_retries += 1;
-                self.timeline.retry(ctx.now().as_nanos());
+                if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                    w.ol_retries += 1;
+                }
             }
             ctx.schedule_in(
                 Duration::from_nanos(backoff_ns + jitter_ns),
@@ -252,7 +258,9 @@ impl Cluster {
             self.ol.as_mut().expect("open loop").shed_total += 1;
             if self.measuring {
                 self.stats.ol_shed += 1;
-                self.timeline.shed(ctx.now().as_nanos());
+                if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                    w.ol_shed += 1;
+                }
             }
         }
     }

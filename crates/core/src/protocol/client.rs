@@ -209,7 +209,13 @@ impl Cluster {
                 self.stats.write_latency.record(latency);
             }
             self.stats.access_latency.record(latency);
-            self.timeline.completion(t_done.as_nanos(), !is_read);
+            if let Some(w) = self.timeline.window(t_done.as_nanos()) {
+                if is_read {
+                    w.reads_completed += 1;
+                } else {
+                    w.writes_completed += 1;
+                }
+            }
             self.measured_completed += 1;
         }
         if self.cfg.record_observations {

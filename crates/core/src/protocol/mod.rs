@@ -44,8 +44,8 @@ use crate::model::{Consistency, Persistency};
 use crate::replica::ReplicaStore;
 use crate::stats::{RunStats, RunSummary};
 use ddp_trace::{
-    SampleClock, Timeline, TimelineDump, TraceDump, TraceEventKind, TraceRecord, Tracer,
-    WriteLifecycles,
+    GaugeSnapshot, SampleClock, Timeline, TimelineDump, TraceDump, TraceEventKind, TraceRecord,
+    Tracer, WriteLifecycles,
 };
 
 pub use admission::OpenLoopAccounting;
@@ -584,7 +584,7 @@ pub struct Cluster {
     /// wholesale while writes straddle it.
     pub(crate) lifecycle: WriteLifecycles,
     /// Opt-in windowed metrics timeline; a disabled timeline is one
-    /// predictable branch per hook. Lives here (like `lifecycle`) because
+    /// predictable branch per update. Lives here (like `lifecycle`) because
     /// the warm-up boundary replaces `RunStats` wholesale.
     pub(crate) timeline: Timeline,
     /// Last known NVM bank-queue depth per node (input to the cluster
@@ -785,6 +785,27 @@ impl Cluster {
         self.stats.nvm_bank_queue.set(at, self.nvm_queued_total);
     }
 
+    /// The cluster's level gauges at `at`: client ops in flight,
+    /// admission-queue depth, NVM bank-queue depth and in-flight
+    /// compactions. The one read behind the timeline's close-of-window
+    /// snapshots and the tracer's gauge samples.
+    pub(crate) fn gauges(&self, at: SimTime) -> GaugeSnapshot {
+        GaugeSnapshot {
+            in_flight: self
+                .cstate
+                .iter()
+                .filter(|c| c.phase == ClientPhase::Busy)
+                .count() as u64,
+            admission_queue: self.ol.as_ref().map_or(0, |ol| ol.queued()),
+            nvm_bank_queue: self
+                .nodes
+                .iter()
+                .map(|n| n.mem.nvm_queued_at(at) as u64)
+                .sum(),
+            active_compactions: self.compactions_total,
+        }
+    }
+
     /// Closes any timeline windows whose boundary has passed, stamping
     /// their close-of-window gauge snapshots.
     ///
@@ -798,20 +819,8 @@ impl Cluster {
         }
         let now_ns = ctx.now().as_nanos();
         while let Some(at_ns) = self.timeline.boundary_due(now_ns) {
-            let boundary = SimTime::from_nanos(at_ns);
-            let busy = self
-                .cstate
-                .iter()
-                .filter(|c| c.phase == ClientPhase::Busy)
-                .count() as u64;
-            let adm = self.ol.as_ref().map_or(0, |ol| ol.queued());
-            let nvm: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.mem.nvm_queued_at(boundary) as u64)
-                .sum();
-            self.timeline
-                .snapshot(at_ns, adm, busy, nvm, self.compactions_total);
+            let gauges = self.gauges(SimTime::from_nanos(at_ns));
+            self.timeline.snapshot(at_ns, gauges);
         }
     }
 
@@ -821,19 +830,8 @@ impl Cluster {
         if !self.measuring || !self.timeline.is_enabled() {
             return;
         }
-        let busy = self
-            .cstate
-            .iter()
-            .filter(|c| c.phase == ClientPhase::Busy)
-            .count() as u64;
-        let adm = self.ol.as_ref().map_or(0, |ol| ol.queued());
-        let nvm: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.mem.nvm_queued_at(now) as u64)
-            .sum();
-        self.timeline
-            .finish(now.as_nanos(), adm, busy, nvm, self.compactions_total);
+        let gauges = self.gauges(now);
+        self.timeline.finish(now.as_nanos(), gauges);
     }
 
     /// Records one trace event stamped at `ctx.now()`.
@@ -886,30 +884,22 @@ impl Cluster {
     /// Gauges are read-only snapshots of cluster state as of the first
     /// dispatch at or after each boundary.
     pub(crate) fn maybe_sample(&mut self, ctx: &Context<'_, Event>) {
-        let Some(clock) = &mut self.sample_clock else {
-            return;
-        };
         let now_ns = ctx.now().as_nanos();
         let seq = ctx.dispatch_seq();
-        while let Some(at_ns) = clock.due(now_ns) {
-            let busy = self
-                .cstate
-                .iter()
-                .filter(|c| c.phase == ClientPhase::Busy)
-                .count() as u64;
-            let buffered = self.stats.causal_buffered.current();
-            let boundary = SimTime::from_nanos(at_ns);
-            let nvm: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.mem.nvm_pressure_at(boundary) as u64)
-                .sum();
+        while let Some(at_ns) = self.sample_clock.as_mut().and_then(|c| c.due(now_ns)) {
             if self.tracer.is_enabled() {
+                let boundary = SimTime::from_nanos(at_ns);
+                let gauges = self.gauges(boundary);
+                let nvm: u64 = self
+                    .nodes
+                    .iter()
+                    .map(|n| n.mem.nvm_pressure_at(boundary) as u64)
+                    .sum();
                 self.tracer.push(TraceRecord {
                     seq,
                     at_ns,
-                    a: busy,
-                    b: buffered,
+                    a: gauges.in_flight,
+                    b: self.stats.causal_buffered.current(),
                     c: nvm,
                     d: self.stats.retransmits,
                     kind: TraceEventKind::Sample,
@@ -919,7 +909,7 @@ impl Cluster {
                     self.tracer.push(TraceRecord {
                         seq,
                         at_ns,
-                        a: ol.queued(),
+                        a: gauges.admission_queue,
                         b: ol.shed_total,
                         c: self.stats.ol_retries,
                         d: self.stats.ol_rejections,
@@ -927,15 +917,10 @@ impl Cluster {
                         node: u8::MAX,
                     });
                 }
-                let queued: u64 = self
-                    .nodes
-                    .iter()
-                    .map(|n| n.mem.nvm_queued_at(boundary) as u64)
-                    .sum();
                 self.tracer.push(TraceRecord {
                     seq,
                     at_ns,
-                    a: queued,
+                    a: gauges.nvm_bank_queue,
                     b: nvm,
                     c: 0,
                     d: 0,
@@ -975,7 +960,10 @@ impl Cluster {
         if self.measuring && counted {
             self.stats.persists_issued += 1;
             self.stats.nvm_queue_wait += queue_wait;
-            self.timeline.persist(when.as_nanos(), queue_wait);
+            if let Some(w) = self.timeline.window(when.as_nanos()) {
+                w.persists_issued += 1;
+                w.nvm_queue_ns += queue_wait.as_nanos();
+            }
         }
         self.trace_at(
             ctx,
@@ -1042,7 +1030,9 @@ impl Cluster {
         };
         if self.measuring {
             self.stats.compaction_bytes += bytes;
-            self.timeline.compaction(now.as_nanos(), bytes);
+            if let Some(w) = self.timeline.window(now.as_nanos()) {
+                w.compaction_bytes += bytes;
+            }
         }
         self.trace(
             ctx,

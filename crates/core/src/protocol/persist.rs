@@ -35,9 +35,11 @@ impl Cluster {
             if let Some(open) = self.lifecycle.durable(pctx.version) {
                 let lag_ns = ctx.now().as_nanos().saturating_sub(open.vp_ns);
                 if self.measuring {
-                    self.stats.vp_dp_lag.record(Duration::from_nanos(lag_ns));
-                    self.timeline
-                        .lag(ctx.now().as_nanos(), Duration::from_nanos(lag_ns));
+                    let lag = Duration::from_nanos(lag_ns);
+                    self.stats.vp_dp_lag.record(lag);
+                    if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                        w.record_lag(lag);
+                    }
                 }
                 self.trace(
                     ctx,

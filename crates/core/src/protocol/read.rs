@@ -172,7 +172,9 @@ impl Cluster {
                         },
                         if waiter.blocked_persist { stall } else { zero },
                     );
-                    self.timeline.read_stall(ctx.now().as_nanos(), stall);
+                    if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
+                        w.read_stall_ns += stall.as_nanos();
+                    }
                 }
                 self.trace(
                     ctx,

@@ -575,13 +575,12 @@ impl Cluster {
                 self.stats
                     .phase
                     .record_write(service, queue, network, persist_stall);
-                self.timeline.write_phases(
-                    t_done.as_nanos(),
-                    service,
-                    queue,
-                    network,
-                    persist_stall,
-                );
+                if let Some(w) = self.timeline.window(t_done.as_nanos()) {
+                    w.service_ns += service.as_nanos();
+                    w.queue_ns += queue.as_nanos();
+                    w.network_ns += network.as_nanos();
+                    w.persist_stall_ns += persist_stall.as_nanos();
+                }
             }
             if !abandoned {
                 if txn.is_some() {

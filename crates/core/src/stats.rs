@@ -216,7 +216,11 @@ impl RunStats {
 }
 
 /// A condensed, comparable summary of one run (what the figure harnesses
-/// print and normalize).
+/// print and normalize): latency, traffic and gauge metrics, plus the
+/// fault, transaction and open-loop counters and the run length, copied
+/// out of [`RunStats`] so a record is self-contained. Every field is a
+/// column of the harness's `record_fields`, which binds this struct with
+/// an exhaustive pattern, so a field without a column does not compile.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Requests per simulated second.
@@ -265,6 +269,26 @@ pub struct RunSummary {
     /// Client operations abandoned by the operation timeout (zero on the
     /// fault-free path).
     pub client_timeouts: u64,
+    /// Duplicate protocol messages suppressed by idempotence guards.
+    pub duplicates_suppressed: u64,
+    /// Follower transient states cleared by the lease timeout.
+    pub transient_expirations: u64,
+    /// Keys a rejoining node caught up from its peers.
+    pub catchup_keys: u64,
+    /// Transactions started.
+    pub txns_started: u64,
+    /// Transactions squashed by a conflict.
+    pub txns_conflicted: u64,
+    /// Transactions committed.
+    pub txns_committed: u64,
+    /// Crash trace over the whole run: `(node, simulated ns)`.
+    pub crashes: Vec<(u8, u64)>,
+    /// Rejoin trace over the whole run: `(node, simulated ns)`.
+    pub rejoins: Vec<(u8, u64)>,
+    /// Simulated ns at which the measured window opened (warm-up end).
+    pub window_start_ns: u64,
+    /// Simulated ns the measured window covered.
+    pub measured_ns: u64,
     /// Mean VP→DP durability lag in ns (how long the average write was
     /// readable before it could survive failure).
     pub vp_dp_lag_mean_ns: f64,
@@ -279,10 +303,16 @@ pub struct RunSummary {
     pub offered_per_sec: f64,
     /// Fraction of arrivals shed.
     pub shed_rate: f64,
+    /// Open-loop arrivals dispatched inside the measured window.
+    pub ol_arrivals: u64,
+    /// Open-loop admission rejections (full queue / down node) in window.
+    pub ol_rejections: u64,
     /// Client-side retries scheduled after admission rejections.
     pub ol_retries: u64,
     /// Arrivals shed after exhausting their retry budget.
     pub ol_shed: u64,
+    /// Arrivals admitted to a session slot inside the measured window.
+    pub admissions: u64,
     /// Time-weighted mean admission-queue depth.
     pub mean_admission_queue: f64,
     /// Peak admission-queue depth.
@@ -339,6 +369,16 @@ impl RunSummary {
             messages_duplicated: stats.messages_duplicated,
             retransmits: stats.retransmits,
             client_timeouts: stats.client_timeouts,
+            duplicates_suppressed: stats.duplicates_suppressed,
+            transient_expirations: stats.transient_expirations,
+            catchup_keys: stats.catchup_keys,
+            txns_started: stats.txns_started,
+            txns_conflicted: stats.txns_conflicted,
+            txns_committed: stats.txns_committed,
+            crashes: trace_ns(&stats.crashes),
+            rejoins: trace_ns(&stats.rejoins),
+            window_start_ns: stats.window_start.as_nanos(),
+            measured_ns: stats.measured_time.as_nanos(),
             vp_dp_lag_mean_ns: stats.vp_dp_lag.mean().as_nanos() as f64,
             vp_dp_lag_p95_ns: stats.vp_dp_lag.percentile(0.95).as_nanos() as f64,
             vp_dp_lag_max_ns: stats.vp_dp_lag.max().as_nanos() as f64,
@@ -350,8 +390,11 @@ impl RunSummary {
             ),
             offered_per_sec: stats.offered_per_sec(),
             shed_rate: stats.shed_rate(),
+            ol_arrivals: stats.ol_arrivals,
+            ol_rejections: stats.ol_rejections,
             ol_retries: stats.ol_retries,
             ol_shed: stats.ol_shed,
+            admissions: stats.admissions,
             mean_admission_queue: stats.admission_queue.time_weighted_mean(),
             max_admission_queue: stats.admission_queue.max(),
             mean_admission_wait_ns: if stats.admissions == 0 {
@@ -368,6 +411,18 @@ impl RunSummary {
             max_active_compactions: stats.compactions_active.max(),
         }
     }
+
+    /// Total simulated run length (warm-up + measured window) in ns — the
+    /// anchor the fault sweep scales its crash schedules to.
+    #[must_use]
+    pub fn run_ns(&self) -> u64 {
+        self.window_start_ns + self.measured_ns
+    }
+}
+
+/// A `(node, time)` fault trace in simulated nanoseconds.
+fn trace_ns(events: &[(u8, SimTime)]) -> Vec<(u8, u64)> {
+    events.iter().map(|&(n, t)| (n, t.as_nanos())).collect()
 }
 
 #[cfg(test)]

@@ -6,11 +6,13 @@
 //! the same position; forgetting one output format is impossible by
 //! construction.
 //!
-//! The converse — adding a `RunSummary`/`RunCounters` field and
-//! forgetting to export it here — is caught statically by the
-//! `summary-schema` invariant in `ddp-audit`: every field of those
-//! structs must appear by name in this function (struct-typed fields
-//! flattened with a prefix, e.g. `phase.service_ns` → `phase_service_ns`).
+//! The converse — adding a `RunRecord`/`RunSummary`/`PhaseBreakdown`
+//! field and forgetting to export it here — is a compile error:
+//! [`record_fields`] binds every field of those structs with an
+//! exhaustive pattern (a new field is E0027) and denies unused variables
+//! (a bound field without a column fails the build).
+
+use ddp_core::{PhaseBreakdown, RunSummary};
 
 use crate::record::RunRecord;
 
@@ -30,75 +32,145 @@ pub enum FieldValue<'a> {
 /// The ordered `(name, value)` field list of one run record — the single
 /// schema both the JSON-lines and CSV writers serialize.
 #[must_use]
+#[deny(unused_variables)]
 pub fn record_fields(r: &RunRecord) -> Vec<(&'static str, FieldValue<'_>)> {
     use FieldValue::{Pairs, Str, F64, U64};
-    let s = &r.summary;
-    let c = &r.counters;
+    // No `..` in these patterns: a new field without a column fails to
+    // compile (E0027), and a bound field left out of the list below is an
+    // unused variable.
+    let RunRecord {
+        index,
+        label,
+        model,
+        summary,
+    } = r;
+    let RunSummary {
+        throughput,
+        mean_read_ns,
+        mean_write_ns,
+        mean_access_ns,
+        p50_read_ns,
+        p50_write_ns,
+        p95_read_ns,
+        p95_write_ns,
+        p99_read_ns,
+        p99_write_ns,
+        p999_read_ns,
+        p999_write_ns,
+        traffic_bytes_per_req,
+        read_persist_conflict_rate,
+        txn_conflict_rate,
+        mean_buffered_writes,
+        max_buffered_writes,
+        messages_dropped,
+        messages_duplicated,
+        retransmits,
+        client_timeouts,
+        duplicates_suppressed,
+        transient_expirations,
+        catchup_keys,
+        txns_started,
+        txns_conflicted,
+        txns_committed,
+        crashes,
+        rejoins,
+        window_start_ns,
+        measured_ns,
+        vp_dp_lag_mean_ns,
+        vp_dp_lag_p95_ns,
+        vp_dp_lag_max_ns,
+        phase,
+        offered_per_sec,
+        shed_rate,
+        ol_arrivals,
+        ol_rejections,
+        ol_retries,
+        ol_shed,
+        admissions,
+        mean_admission_queue,
+        max_admission_queue,
+        mean_admission_wait_ns,
+        mean_nvm_bank_queue,
+        max_nvm_bank_queue,
+        lsm_seals,
+        lsm_merges,
+        compaction_bytes,
+        mean_active_compactions,
+        max_active_compactions,
+    } = summary;
+    let PhaseBreakdown {
+        service_ns,
+        queue_ns,
+        network_ns,
+        persist_stall_ns,
+        nvm_queue_ns,
+        read_stall_ns,
+    } = phase;
     vec![
-        ("index", U64(r.index as u64)),
-        ("label", Str(r.label.clone())),
-        ("consistency", Str(r.model.consistency.to_string())),
-        ("persistency", Str(r.model.persistency.to_string())),
-        ("throughput", F64(s.throughput)),
-        ("mean_read_ns", F64(s.mean_read_ns)),
-        ("mean_write_ns", F64(s.mean_write_ns)),
-        ("mean_access_ns", F64(s.mean_access_ns)),
-        ("p50_read_ns", F64(s.p50_read_ns)),
-        ("p50_write_ns", F64(s.p50_write_ns)),
-        ("p95_read_ns", F64(s.p95_read_ns)),
-        ("p95_write_ns", F64(s.p95_write_ns)),
-        ("p99_read_ns", F64(s.p99_read_ns)),
-        ("p99_write_ns", F64(s.p99_write_ns)),
-        ("p999_read_ns", F64(s.p999_read_ns)),
-        ("p999_write_ns", F64(s.p999_write_ns)),
-        ("traffic_bytes_per_req", F64(s.traffic_bytes_per_req)),
+        ("index", U64(*index as u64)),
+        ("label", Str(label.clone())),
+        ("consistency", Str(model.consistency.to_string())),
+        ("persistency", Str(model.persistency.to_string())),
+        ("throughput", F64(*throughput)),
+        ("mean_read_ns", F64(*mean_read_ns)),
+        ("mean_write_ns", F64(*mean_write_ns)),
+        ("mean_access_ns", F64(*mean_access_ns)),
+        ("p50_read_ns", F64(*p50_read_ns)),
+        ("p50_write_ns", F64(*p50_write_ns)),
+        ("p95_read_ns", F64(*p95_read_ns)),
+        ("p95_write_ns", F64(*p95_write_ns)),
+        ("p99_read_ns", F64(*p99_read_ns)),
+        ("p99_write_ns", F64(*p99_write_ns)),
+        ("p999_read_ns", F64(*p999_read_ns)),
+        ("p999_write_ns", F64(*p999_write_ns)),
+        ("traffic_bytes_per_req", F64(*traffic_bytes_per_req)),
         (
             "read_persist_conflict_rate",
-            F64(s.read_persist_conflict_rate),
+            F64(*read_persist_conflict_rate),
         ),
-        ("txn_conflict_rate", F64(s.txn_conflict_rate)),
-        ("mean_buffered_writes", F64(s.mean_buffered_writes)),
-        ("max_buffered_writes", U64(s.max_buffered_writes)),
-        ("vp_dp_lag_mean_ns", F64(s.vp_dp_lag_mean_ns)),
-        ("vp_dp_lag_p95_ns", F64(s.vp_dp_lag_p95_ns)),
-        ("vp_dp_lag_max_ns", F64(s.vp_dp_lag_max_ns)),
-        ("phase_service_ns", F64(s.phase.service_ns)),
-        ("phase_queue_ns", F64(s.phase.queue_ns)),
-        ("phase_network_ns", F64(s.phase.network_ns)),
-        ("phase_persist_stall_ns", F64(s.phase.persist_stall_ns)),
-        ("phase_nvm_queue_ns", F64(s.phase.nvm_queue_ns)),
-        ("phase_read_stall_ns", F64(s.phase.read_stall_ns)),
-        ("messages_dropped", U64(c.messages_dropped)),
-        ("messages_duplicated", U64(c.messages_duplicated)),
-        ("retransmits", U64(c.retransmits)),
-        ("client_timeouts", U64(c.client_timeouts)),
-        ("duplicates_suppressed", U64(c.duplicates_suppressed)),
-        ("transient_expirations", U64(c.transient_expirations)),
-        ("catchup_keys", U64(c.catchup_keys)),
-        ("txns_started", U64(c.txns_started)),
-        ("txns_conflicted", U64(c.txns_conflicted)),
-        ("txns_committed", U64(c.txns_committed)),
-        ("crashes", Pairs(&c.crashes)),
-        ("rejoins", Pairs(&c.rejoins)),
-        ("window_start_ns", U64(c.window_start_ns)),
-        ("measured_ns", U64(c.measured_ns)),
-        ("offered_per_sec", F64(s.offered_per_sec)),
-        ("shed_rate", F64(s.shed_rate)),
-        ("ol_arrivals", U64(c.ol_arrivals)),
-        ("ol_rejections", U64(c.ol_rejections)),
-        ("ol_retries", U64(s.ol_retries)),
-        ("ol_shed", U64(s.ol_shed)),
-        ("admissions", U64(c.admissions)),
-        ("mean_admission_queue", F64(s.mean_admission_queue)),
-        ("max_admission_queue", U64(s.max_admission_queue)),
-        ("mean_admission_wait_ns", F64(s.mean_admission_wait_ns)),
-        ("mean_nvm_bank_queue", F64(s.mean_nvm_bank_queue)),
-        ("max_nvm_bank_queue", U64(s.max_nvm_bank_queue)),
-        ("lsm_seals", U64(s.lsm_seals)),
-        ("lsm_merges", U64(s.lsm_merges)),
-        ("compaction_bytes", U64(s.compaction_bytes)),
-        ("mean_active_compactions", F64(s.mean_active_compactions)),
-        ("max_active_compactions", U64(s.max_active_compactions)),
+        ("txn_conflict_rate", F64(*txn_conflict_rate)),
+        ("mean_buffered_writes", F64(*mean_buffered_writes)),
+        ("max_buffered_writes", U64(*max_buffered_writes)),
+        ("vp_dp_lag_mean_ns", F64(*vp_dp_lag_mean_ns)),
+        ("vp_dp_lag_p95_ns", F64(*vp_dp_lag_p95_ns)),
+        ("vp_dp_lag_max_ns", F64(*vp_dp_lag_max_ns)),
+        ("phase_service_ns", F64(*service_ns)),
+        ("phase_queue_ns", F64(*queue_ns)),
+        ("phase_network_ns", F64(*network_ns)),
+        ("phase_persist_stall_ns", F64(*persist_stall_ns)),
+        ("phase_nvm_queue_ns", F64(*nvm_queue_ns)),
+        ("phase_read_stall_ns", F64(*read_stall_ns)),
+        ("messages_dropped", U64(*messages_dropped)),
+        ("messages_duplicated", U64(*messages_duplicated)),
+        ("retransmits", U64(*retransmits)),
+        ("client_timeouts", U64(*client_timeouts)),
+        ("duplicates_suppressed", U64(*duplicates_suppressed)),
+        ("transient_expirations", U64(*transient_expirations)),
+        ("catchup_keys", U64(*catchup_keys)),
+        ("txns_started", U64(*txns_started)),
+        ("txns_conflicted", U64(*txns_conflicted)),
+        ("txns_committed", U64(*txns_committed)),
+        ("crashes", Pairs(crashes)),
+        ("rejoins", Pairs(rejoins)),
+        ("window_start_ns", U64(*window_start_ns)),
+        ("measured_ns", U64(*measured_ns)),
+        ("offered_per_sec", F64(*offered_per_sec)),
+        ("shed_rate", F64(*shed_rate)),
+        ("ol_arrivals", U64(*ol_arrivals)),
+        ("ol_rejections", U64(*ol_rejections)),
+        ("ol_retries", U64(*ol_retries)),
+        ("ol_shed", U64(*ol_shed)),
+        ("admissions", U64(*admissions)),
+        ("mean_admission_queue", F64(*mean_admission_queue)),
+        ("max_admission_queue", U64(*max_admission_queue)),
+        ("mean_admission_wait_ns", F64(*mean_admission_wait_ns)),
+        ("mean_nvm_bank_queue", F64(*mean_nvm_bank_queue)),
+        ("max_nvm_bank_queue", U64(*max_nvm_bank_queue)),
+        ("lsm_seals", U64(*lsm_seals)),
+        ("lsm_merges", U64(*lsm_merges)),
+        ("compaction_bytes", U64(*compaction_bytes)),
+        ("mean_active_compactions", F64(*mean_active_compactions)),
+        ("max_active_compactions", U64(*max_active_compactions)),
     ]
 }
 

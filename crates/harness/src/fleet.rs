@@ -11,13 +11,12 @@
 //! `--threads N`.
 
 use ddp_core::{
-    merge_shard_stats, number_fleet_traces, DdpModel, FleetConfig, FleetReport, FleetSimulation,
-    Placement, RunStats, RunSummary, TimelineDump, TraceDump,
+    number_fleet_traces, DdpModel, FleetConfig, FleetReport, FleetSimulation, Placement, RunStats,
+    RunSummary, TimelineDump, TraceDump,
 };
 
 use crate::exec::run_simulations;
 use crate::json::{json_f64, JsonObject};
-use crate::record::RunCounters;
 
 /// One independent fleet simulation in a sweep.
 #[derive(Clone, Debug)]
@@ -68,8 +67,8 @@ impl FleetSweep {
     }
 }
 
-/// One completed fleet trial: the aggregate summary, run-level counters
-/// over the merged statistics, and the per-shard breakdown.
+/// One completed fleet trial: the aggregate summary (counters and run
+/// length over the merged statistics) and the per-shard breakdown.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetRecord {
     /// Position of the trial in its sweep.
@@ -85,8 +84,6 @@ pub struct FleetRecord {
     /// Fleet-wide condensed metrics (see
     /// [`FleetReport::aggregate`](ddp_core::FleetReport::aggregate)).
     pub summary: RunSummary,
-    /// Fault/transaction counters over the merged per-shard statistics.
-    pub counters: RunCounters,
     /// Per-shard throughput, requests per simulated second.
     pub shard_throughput: Vec<f64>,
     /// Completed requests per shard.
@@ -102,15 +99,9 @@ pub struct FleetRecord {
 }
 
 impl FleetRecord {
-    /// Condenses a fleet report and the fleet's merged statistics into a
-    /// record.
+    /// Condenses a fleet report into a record.
     #[must_use]
-    pub(crate) fn from_report(
-        index: usize,
-        label: String,
-        report: FleetReport,
-        merged: &RunStats,
-    ) -> Self {
+    pub(crate) fn from_report(index: usize, label: String, report: FleetReport) -> Self {
         FleetRecord {
             index,
             label,
@@ -118,7 +109,6 @@ impl FleetRecord {
             shards: report.shards,
             placement: report.placement,
             summary: report.aggregate,
-            counters: RunCounters::from_stats(merged),
             shard_throughput: report.per_shard.iter().map(|s| s.throughput).collect(),
             shard_completed: report.shard_completed,
             offered_mass: report.offered_mass,
@@ -131,8 +121,7 @@ impl FleetRecord {
     /// it has not run yet.
     #[must_use]
     pub fn from_simulation(index: usize, label: String, sim: &mut FleetSimulation) -> Self {
-        let report = sim.run();
-        Self::from_report(index, label, report, &sim.merged_stats())
+        Self::from_report(index, label, sim.run())
     }
 }
 
@@ -154,7 +143,7 @@ pub fn fleet_record_to_json(r: &FleetRecord) -> String {
     o.f64("vp_dp_lag_mean_ns", r.summary.vp_dp_lag_mean_ns);
     o.f64("imbalance", r.imbalance);
     o.u64("cross_shard_groups", r.cross_shard_groups);
-    o.u64("measured_ns", r.counters.measured_ns);
+    o.u64("measured_ns", r.summary.measured_ns);
     o.raw("shard_completed", &u64_array(&r.shard_completed));
     o.raw("shard_throughput", &f64_array(&r.shard_throughput));
     o.raw("offered_mass", &f64_array(&r.offered_mass));
@@ -205,8 +194,7 @@ pub fn run_fleet_sweep_instrumented(
             let cross = runs.iter().map(|r| r.cross_shard_groups).sum();
             let mass = trial.cfg.popularity_mass();
             let report = FleetReport::from_shards(&trial.cfg, mass, &stats, cross);
-            let merged = merge_shard_stats(&stats);
-            let record = FleetRecord::from_report(trial.index, trial.label, report, &merged);
+            let record = FleetRecord::from_report(trial.index, trial.label, report);
             let mut traces = Vec::with_capacity(runs.len());
             let mut timelines = Vec::new();
             for (s, run) in runs.into_iter().enumerate() {

@@ -66,14 +66,14 @@ pub use fleet::{
 };
 pub use json::{escape_json, json_f64, record_to_json, unescape_json, JsonLinesWriter, JsonObject};
 pub use progress::{available_threads, run_pool, Stopwatch};
-pub use record::{RunCounters, RunRecord};
+pub use record::RunRecord;
 pub use seeds::{
     aggregate_records, aggregate_to_json, replicate, reseed, run_sweep_seeded, SeedAggregate,
     SeedStat,
 };
 pub use sweep::{ModelGrid, Sweep, Trial};
 pub use table::{bar, normalized, print_row, print_rule, ratio};
-pub use timeline::{timeline_end_to_json, timeline_fields, timeline_window_to_json};
+pub use timeline::{timeline_end_to_json, timeline_window_to_json};
 pub use trace::{trace_end_to_json, trace_event_to_json};
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};

@@ -42,7 +42,7 @@ pub use lifecycle::{OpenWrite, WriteLifecycles};
 pub use phase::{PhaseAccum, PhaseBreakdown};
 pub use record::{StallCause, TraceEventKind, TraceRecord};
 pub use ring::{TraceDump, Tracer};
-pub use timeline::{Timeline, TimelineDump, TimelineWindow};
+pub use timeline::{GaugeSnapshot, Timeline, TimelineDump, TimelineWindow};
 
 use ddp_sim::Duration;
 

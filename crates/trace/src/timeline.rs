@@ -14,15 +14,18 @@
 //!   stall) in total nanoseconds attributed to ops completing in the
 //!   window;
 //! * a VP→DP durability-lag histogram (per-window percentiles);
-//! * level-gauge snapshots at each window close (admission queue depth,
-//!   client ops in flight, NVM bank queue depth).
+//! * level-gauge snapshots at each window close ([`GaugeSnapshot`]:
+//!   client ops in flight, admission queue depth, NVM bank queue depth,
+//!   in-flight compactions).
 //!
 //! Like the [`Tracer`], the timeline is strictly read-only with respect
 //! to the simulation: window boundaries are evaluated *lazily* at event
-//! dispatch (never via scheduled events), every hook is gated on the same
-//! `measuring` flag as `RunStats` (so per-window sums equal the run
-//! totals by construction), and a disabled timeline costs one predictable
-//! branch per hook. Memory is bounded: at most `max_windows` windows are
+//! dispatch (never via scheduled events), every window update sits next
+//! to its `RunStats` update under the same `measuring` check (so
+//! per-window sums equal the run totals), and a disabled timeline costs
+//! one predictable branch per update ([`Timeline::window`] returns
+//! `None`). The window's columns are declared once, next to the struct,
+//! by [`TimelineWindow::columns`]. Memory is bounded: at most `max_windows` windows are
 //! ever allocated; events past the cap fold into the final window and are
 //! counted in [`TimelineDump::clipped`].
 //!
@@ -33,11 +36,11 @@ use ddp_sim::{Duration, Histogram};
 /// One fixed-duration window of the timeline.
 ///
 /// All counters cover events whose timestamp falls inside
-/// `[start_ns, start_ns + window_ns)`; the three gauge fields are
+/// `[start_ns, start_ns + window_ns)`; the four gauge fields are
 /// snapshots taken at the window's close (or at run end for the final
 /// partial window). The VP→DP lag histogram is kept private (it is not a
 /// scalar column); read it through the `lag_*` accessors.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TimelineWindow {
     /// Window start in simulated nanoseconds (absolute, not
     /// origin-relative).
@@ -88,26 +91,70 @@ impl TimelineWindow {
     fn new(start_ns: u64) -> Self {
         TimelineWindow {
             start_ns,
-            reads_completed: 0,
-            writes_completed: 0,
-            ol_arrivals: 0,
-            ol_rejections: 0,
-            ol_retries: 0,
-            ol_shed: 0,
-            persists_issued: 0,
-            service_ns: 0,
-            queue_ns: 0,
-            network_ns: 0,
-            persist_stall_ns: 0,
-            nvm_queue_ns: 0,
-            read_stall_ns: 0,
-            admission_queue: 0,
-            in_flight: 0,
-            nvm_bank_queue: 0,
-            compaction_bytes: 0,
-            active_compactions: 0,
-            lag: Histogram::new(),
+            ..TimelineWindow::default()
         }
+    }
+
+    /// Records a write reaching its DP in this window with the given
+    /// VP→DP lag.
+    pub fn record_lag(&mut self, lag: Duration) {
+        self.lag.record(lag);
+    }
+
+    /// The ordered `(name, value)` columns of this window — the one
+    /// schema the `--timeline` stream serializes.
+    #[must_use]
+    #[deny(unused_variables)]
+    pub fn columns(&self) -> [(&'static str, u64); 23] {
+        // No `..`: a new field without a column fails to compile (E0027),
+        // and a bound field left out of the array is an unused variable.
+        let TimelineWindow {
+            start_ns,
+            reads_completed,
+            writes_completed,
+            ol_arrivals,
+            ol_rejections,
+            ol_retries,
+            ol_shed,
+            persists_issued,
+            service_ns,
+            queue_ns,
+            network_ns,
+            persist_stall_ns,
+            nvm_queue_ns,
+            read_stall_ns,
+            admission_queue,
+            in_flight,
+            nvm_bank_queue,
+            compaction_bytes,
+            active_compactions,
+            lag,
+        } = self;
+        [
+            ("start_ns", *start_ns),
+            ("reads_completed", *reads_completed),
+            ("writes_completed", *writes_completed),
+            ("ol_arrivals", *ol_arrivals),
+            ("ol_rejections", *ol_rejections),
+            ("ol_retries", *ol_retries),
+            ("ol_shed", *ol_shed),
+            ("persists_issued", *persists_issued),
+            ("service_ns", *service_ns),
+            ("queue_ns", *queue_ns),
+            ("network_ns", *network_ns),
+            ("persist_stall_ns", *persist_stall_ns),
+            ("nvm_queue_ns", *nvm_queue_ns),
+            ("read_stall_ns", *read_stall_ns),
+            ("admission_queue", *admission_queue),
+            ("in_flight", *in_flight),
+            ("nvm_bank_queue", *nvm_bank_queue),
+            ("lag_count", lag.count()),
+            ("lag_p50_ns", lag.percentile(0.50).as_nanos()),
+            ("lag_p99_ns", lag.percentile(0.99).as_nanos()),
+            ("lag_max_ns", lag.max().as_nanos()),
+            ("compaction_bytes", *compaction_bytes),
+            ("active_compactions", *active_compactions),
+        ]
     }
 
     /// Number of VP→DP lag samples recorded in this window.
@@ -146,6 +193,21 @@ impl TimelineWindow {
     }
 }
 
+/// The cluster's level gauges at one instant: what a close-of-window
+/// snapshot stamps and what the tracer's gauge samples report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GaugeSnapshot {
+    /// Client ops in flight.
+    pub in_flight: u64,
+    /// Admission queue depth, all nodes.
+    pub admission_queue: u64,
+    /// NVM bank queue depth (requests queued behind busy banks), all
+    /// nodes.
+    pub nvm_bank_queue: u64,
+    /// In-flight background compactions, all nodes.
+    pub active_compactions: u64,
+}
+
 /// The drained contents of a timeline after a run.
 #[derive(Clone, Debug, Default)]
 pub struct TimelineDump {
@@ -164,7 +226,7 @@ pub struct TimelineDump {
 }
 
 /// Windowed metrics aggregator. Disabled by default; every recording
-/// method is a single branch when off.
+/// call is a single branch when off.
 #[derive(Clone, Debug)]
 pub struct Timeline {
     enabled: bool,
@@ -178,7 +240,7 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// A disabled timeline: every hook is one predictable branch.
+    /// A disabled timeline: every update is one predictable branch.
     #[must_use]
     pub fn disabled() -> Self {
         Timeline {
@@ -216,8 +278,8 @@ impl Timeline {
         }
     }
 
-    /// Whether the timeline records anything. Call sites gate hook
-    /// argument computation on this.
+    /// Whether the timeline records anything. Call sites gate gauge
+    /// snapshots on this.
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -276,160 +338,39 @@ impl Timeline {
         self.window_mut(at_ns.saturating_sub(self.origin_ns).saturating_sub(1) + self.origin_ns)
     }
 
-    /// Records a client op completion at `at_ns`.
+    /// The window covering `at_ns`, for a counter update at that instant,
+    /// or `None` when the timeline is disabled.
     #[inline]
-    pub fn completion(&mut self, at_ns: u64, is_write: bool) {
+    pub fn window(&mut self, at_ns: u64) -> Option<&mut TimelineWindow> {
         if !self.enabled {
-            return;
+            return None;
         }
-        let w = self.window_mut(at_ns);
-        if is_write {
-            w.writes_completed += 1;
-        } else {
-            w.reads_completed += 1;
-        }
-    }
-
-    /// Records the phase breakdown of a write completing at `at_ns`.
-    #[inline]
-    pub fn write_phases(
-        &mut self,
-        at_ns: u64,
-        service: Duration,
-        queue: Duration,
-        network: Duration,
-        persist_stall: Duration,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let w = self.window_mut(at_ns);
-        w.service_ns += service.as_nanos();
-        w.queue_ns += queue.as_nanos();
-        w.network_ns += network.as_nanos();
-        w.persist_stall_ns += persist_stall.as_nanos();
-    }
-
-    /// Records a read stall of `stall` ns ending at `at_ns`.
-    #[inline]
-    pub fn read_stall(&mut self, at_ns: u64, stall: Duration) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).read_stall_ns += stall.as_nanos();
-    }
-
-    /// Records a persist submitted at `at_ns` that waited `queue_wait`
-    /// behind busy NVM banks.
-    #[inline]
-    pub fn persist(&mut self, at_ns: u64, queue_wait: Duration) {
-        if !self.enabled {
-            return;
-        }
-        let w = self.window_mut(at_ns);
-        w.persists_issued += 1;
-        w.nvm_queue_ns += queue_wait.as_nanos();
-    }
-
-    /// Records an LSM background compaction scheduled at `at_ns` that
-    /// will write `bytes` to NVM.
-    #[inline]
-    pub fn compaction(&mut self, at_ns: u64, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).compaction_bytes += bytes;
-    }
-
-    /// Records a write reaching its DP at `at_ns` with the given VP→DP
-    /// lag.
-    #[inline]
-    pub fn lag(&mut self, at_ns: u64, lag: Duration) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).lag.record(lag);
-    }
-
-    /// Records an open-loop arrival at `at_ns`.
-    #[inline]
-    pub fn arrival(&mut self, at_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).ol_arrivals += 1;
-    }
-
-    /// Records an arrival bouncing off a full admission queue at `at_ns`.
-    #[inline]
-    pub fn rejection(&mut self, at_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).ol_rejections += 1;
-    }
-
-    /// Records a retry scheduled at `at_ns`.
-    #[inline]
-    pub fn retry(&mut self, at_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).ol_retries += 1;
-    }
-
-    /// Records an arrival shed at `at_ns`.
-    #[inline]
-    pub fn shed(&mut self, at_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.window_mut(at_ns).ol_shed += 1;
+        Some(self.window_mut(at_ns))
     }
 
     /// Stamps the close-of-window gauge levels for the window ending at
     /// `at_ns` (a boundary returned by [`Timeline::boundary_due`], or the
     /// final run time from [`Timeline::finish`]).
-    pub fn snapshot(
-        &mut self,
-        at_ns: u64,
-        admission_queue: u64,
-        in_flight: u64,
-        nvm_queue: u64,
-        active_compactions: u64,
-    ) {
+    pub fn snapshot(&mut self, at_ns: u64, gauges: GaugeSnapshot) {
         if !self.enabled {
             return;
         }
         let w = self.closing_window_mut(at_ns);
-        w.admission_queue = admission_queue;
-        w.in_flight = in_flight;
-        w.nvm_bank_queue = nvm_queue;
-        w.active_compactions = active_compactions;
+        w.admission_queue = gauges.admission_queue;
+        w.in_flight = gauges.in_flight;
+        w.nvm_bank_queue = gauges.nvm_bank_queue;
+        w.active_compactions = gauges.active_compactions;
     }
 
     /// Closes the timeline at run end: stamps the final (possibly
     /// partial) window's gauge levels and records the end time.
-    pub fn finish(
-        &mut self,
-        now_ns: u64,
-        admission_queue: u64,
-        in_flight: u64,
-        nvm_queue: u64,
-        active_compactions: u64,
-    ) {
+    pub fn finish(&mut self, now_ns: u64, gauges: GaugeSnapshot) {
         if !self.enabled {
             return;
         }
         self.end_ns = now_ns;
         if now_ns > self.origin_ns {
-            self.snapshot(
-                now_ns,
-                admission_queue,
-                in_flight,
-                nvm_queue,
-                active_compactions,
-            );
+            self.snapshot(now_ns, gauges);
         }
     }
 
@@ -462,14 +403,20 @@ mod tests {
         t
     }
 
+    /// Counts one completed write at `at_ns`, if the timeline is on.
+    fn write_done(t: &mut Timeline, at_ns: u64) {
+        if let Some(w) = t.window(at_ns) {
+            w.writes_completed += 1;
+        }
+    }
+
     #[test]
     fn disabled_timeline_records_nothing() {
         let mut t = Timeline::disabled();
         assert!(!t.is_enabled());
-        t.completion(10, true);
-        t.arrival(10);
-        t.lag(10, Duration::from_nanos(5));
+        assert!(t.window(10).is_none());
         assert!(t.boundary_due(1_000_000).is_none());
+        t.finish(1_000_000, GaugeSnapshot::default());
         let dump = t.take();
         assert!(dump.windows.is_empty());
         assert_eq!(dump.window_ns, 0);
@@ -478,10 +425,10 @@ mod tests {
     #[test]
     fn events_land_in_their_windows() {
         let mut t = timeline();
-        t.completion(1_000, false); // window 0 start
-        t.completion(1_099, true); // window 0 end
-        t.completion(1_100, true); // window 1 start
-        t.read_stall(1_250, Duration::from_nanos(40)); // window 2
+        t.window(1_000).unwrap().reads_completed += 1; // window 0 start
+        write_done(&mut t, 1_099); // window 0 end
+        write_done(&mut t, 1_100); // window 1 start
+        t.window(1_250).unwrap().read_stall_ns += 40; // window 2
         let dump = t.take();
         assert_eq!(dump.windows.len(), 3);
         assert_eq!(dump.windows[0].reads_completed, 1);
@@ -495,7 +442,7 @@ mod tests {
     #[test]
     fn windows_are_gap_free() {
         let mut t = timeline();
-        t.completion(1_550, false); // window 5; 0..=4 must exist too
+        t.window(1_550).unwrap().reads_completed += 1; // window 5; 0..=4 must exist too
         let dump = t.take();
         assert_eq!(dump.windows.len(), 6);
         for (i, w) in dump.windows.iter().enumerate() {
@@ -506,8 +453,8 @@ mod tests {
     #[test]
     fn events_past_the_cap_fold_into_the_last_window() {
         let mut t = timeline();
-        t.completion(999_999, true); // far past 8 windows
-        t.completion(999_999, true);
+        write_done(&mut t, 999_999); // far past 8 windows
+        write_done(&mut t, 999_999);
         let dump = t.take();
         assert_eq!(dump.windows.len(), 8);
         assert_eq!(dump.windows[7].writes_completed, 2);
@@ -528,9 +475,17 @@ mod tests {
     #[test]
     fn snapshot_lands_in_the_closing_window() {
         let mut t = timeline();
-        t.completion(1_050, true);
+        write_done(&mut t, 1_050);
         // The boundary at 1_100 closes window 0.
-        t.snapshot(1_100, 3, 7, 11, 2);
+        t.snapshot(
+            1_100,
+            GaugeSnapshot {
+                in_flight: 7,
+                admission_queue: 3,
+                nvm_bank_queue: 11,
+                active_compactions: 2,
+            },
+        );
         let dump = t.take();
         assert_eq!(dump.windows[0].admission_queue, 3);
         assert_eq!(dump.windows[0].in_flight, 7);
@@ -541,8 +496,16 @@ mod tests {
     #[test]
     fn finish_stamps_the_partial_window_and_end_time() {
         let mut t = timeline();
-        t.completion(1_120, true);
-        t.finish(1_150, 1, 2, 3, 0);
+        write_done(&mut t, 1_120);
+        t.finish(
+            1_150,
+            GaugeSnapshot {
+                in_flight: 2,
+                admission_queue: 1,
+                nvm_bank_queue: 3,
+                active_compactions: 0,
+            },
+        );
         let dump = t.take();
         assert_eq!(dump.end_ns, 1_150);
         assert_eq!(dump.windows.len(), 2);
@@ -553,11 +516,11 @@ mod tests {
     #[test]
     fn anchor_resets_and_realigns() {
         let mut t = timeline();
-        t.completion(1_050, true);
+        write_done(&mut t, 1_050);
         t.anchor(5_000);
         assert_eq!(t.boundary_due(5_099), None);
         assert_eq!(t.boundary_due(5_100), Some(5_100));
-        t.completion(5_010, false);
+        t.window(5_010).unwrap().reads_completed += 1;
         let dump = t.take();
         assert_eq!(dump.origin_ns, 5_000);
         assert_eq!(dump.windows.len(), 1);
@@ -572,9 +535,11 @@ mod tests {
     fn lag_percentiles_are_per_window() {
         let mut t = timeline();
         for n in 1..=100u64 {
-            t.lag(1_010, Duration::from_nanos(n));
+            t.window(1_010).unwrap().record_lag(Duration::from_nanos(n));
         }
-        t.lag(1_150, Duration::from_nanos(1_000));
+        t.window(1_150)
+            .unwrap()
+            .record_lag(Duration::from_nanos(1_000));
         let dump = t.take();
         assert_eq!(dump.windows[0].lag_count(), 100);
         assert_eq!(dump.windows[0].lag_p50_ns(), 50);
@@ -586,26 +551,23 @@ mod tests {
     #[test]
     fn phase_total_sums_the_six_phases() {
         let mut t = timeline();
-        t.write_phases(
-            1_010,
-            Duration::from_nanos(1),
-            Duration::from_nanos(2),
-            Duration::from_nanos(3),
-            Duration::from_nanos(4),
-        );
-        t.persist(1_020, Duration::from_nanos(5));
-        t.read_stall(1_030, Duration::from_nanos(6));
+        let w = t.window(1_010).unwrap();
+        w.service_ns += 1;
+        w.queue_ns += 2;
+        w.network_ns += 3;
+        w.persist_stall_ns += 4;
+        w.nvm_queue_ns += 5;
+        w.read_stall_ns += 6;
         let dump = t.take();
         assert_eq!(dump.windows[0].phase_total_ns(), 21);
-        assert_eq!(dump.windows[0].persists_issued, 1);
     }
 
     #[test]
     fn compaction_bytes_accumulate_per_window() {
         let mut t = timeline();
-        t.compaction(1_010, 4_096);
-        t.compaction(1_020, 1_024);
-        t.compaction(1_150, 64);
+        t.window(1_010).unwrap().compaction_bytes += 4_096;
+        t.window(1_020).unwrap().compaction_bytes += 1_024;
+        t.window(1_150).unwrap().compaction_bytes += 64;
         let dump = t.take();
         assert_eq!(dump.windows[0].compaction_bytes, 5_120);
         assert_eq!(dump.windows[1].compaction_bytes, 64);

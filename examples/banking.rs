@@ -52,8 +52,8 @@ fn main() {
             "{:<36} {:>9.2} {:>10} {:>10} {:>12.1}",
             r.model.to_string(),
             r.summary.throughput / 1e6,
-            r.counters.txns_committed,
-            r.counters.txns_conflicted,
+            r.summary.txns_committed,
+            r.summary.txns_conflicted,
             r.summary.p95_write_ns / 1e3,
         );
     }

@@ -35,7 +35,7 @@ fn all_models_complete_under_loss_and_mid_run_crash() {
 
     let mut crash_sweep = Sweep::new();
     for model in DdpModel::all() {
-        let run_ns = probes[model.grid_index()].counters.run_ns() as f64;
+        let run_ns = probes[model.grid_index()].summary.run_ns() as f64;
         let at = Duration::from_nanos((run_ns * 0.40) as u64);
         let down_for = Duration::from_nanos((run_ns * 0.25) as u64);
         crash_sweep.push(
@@ -51,7 +51,7 @@ fn all_models_complete_under_loss_and_mid_run_crash() {
             r.summary.throughput > 0.0,
             "{model} stalled under loss + crash"
         );
-        let c = &r.counters;
+        let c = &r.summary;
         assert_eq!(c.crashes.len(), 1, "{model}: crash did not fire");
         assert_eq!(c.rejoins.len(), 1, "{model}: node never rejoined");
         assert_eq!(c.crashes[0].0, 2);

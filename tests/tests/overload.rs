@@ -33,11 +33,6 @@ fn open_loop_grid_is_bit_identical_across_thread_counts() {
             "model {} diverged across thread counts",
             a.label
         );
-        assert_eq!(
-            a.counters, b.counters,
-            "model {} counters diverged",
-            a.label
-        );
     }
 }
 

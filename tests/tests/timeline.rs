@@ -5,7 +5,8 @@
 //! and the timeline must be read-only with respect to the simulation.
 
 use ddp_core::{
-    ClusterConfig, DdpModel, OpenLoopPlan, Simulation, TimelineDump, TimelineWindow, TraceConfig,
+    ClusterConfig, CompactionConfig, DdpModel, OpenLoopPlan, Simulation, StoreKind, TimelineDump,
+    TimelineWindow, TraceConfig,
 };
 use ddp_harness::{run_sweep_instrumented, timeline_end_to_json, timeline_window_to_json, Sweep};
 use ddp_sim::Duration;
@@ -119,6 +120,24 @@ fn open_loop_flow_counters_sum_to_run_totals() {
     assert_eq!(sum(&dump, |w| w.ol_rejections), stats.ol_rejections);
     assert_eq!(sum(&dump, |w| w.ol_retries), stats.ol_retries);
     assert_eq!(sum(&dump, |w| w.ol_shed), stats.ol_shed);
+}
+
+#[test]
+fn compaction_bytes_sum_to_the_run_total() {
+    // The LSM store at a storm tuning (seal every 16 entries, fanout 2)
+    // compacts throughout a quick run; no other store ever compacts.
+    let storm = CompactionConfig {
+        memtable_entries: 16,
+        fanout: 2,
+        ..CompactionConfig::default()
+    };
+    let cfg = quick_cfg(DdpModel::baseline())
+        .with_store(StoreKind::Lsm)
+        .with_compaction(storm);
+    let (dump, sim) = run_timed(cfg);
+    let stats = sim.cluster().stats();
+    assert!(stats.compaction_bytes > 0, "the storm tuning must compact");
+    assert_eq!(sum(&dump, |w| w.compaction_bytes), stats.compaction_bytes);
 }
 
 #[test]
