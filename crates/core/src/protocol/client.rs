@@ -2,7 +2,7 @@
 //! warm-up handling, and run termination.
 
 use ddp_net::NodeId;
-use ddp_sim::{Context, SimTime};
+use ddp_sim::{Context, LevelGauge, SimTime};
 use ddp_store::Key;
 use ddp_trace::TraceEventKind;
 use ddp_workload::{ClientId, OpKind, Request};
@@ -242,22 +242,20 @@ impl Cluster {
     /// Starts the measured window: statistics reset, clock noted.
     fn begin_measurement(&mut self, now: SimTime) {
         self.measuring = true;
-        let mut fresh = RunStats {
+        self.stats = RunStats {
             window_start: now,
+            // Carry the gauges' current levels across the reset, each
+            // opening its window at `now` so the warm-up is not averaged
+            // in as level 0.
+            causal_buffered: LevelGauge::starting_at(now, self.stats.causal_buffered.current()),
+            admission_queue: LevelGauge::starting_at(now, self.stats.admission_queue.current()),
+            nvm_bank_queue: LevelGauge::starting_at(now, self.nvm_queued_total),
+            compactions_active: LevelGauge::starting_at(now, self.compactions_total),
+            // The fault trace describes the whole run, not the window.
+            crashes: std::mem::take(&mut self.stats.crashes),
+            rejoins: std::mem::take(&mut self.stats.rejoins),
             ..RunStats::default()
         };
-        // Carry the gauges' current levels across the reset.
-        fresh
-            .causal_buffered
-            .set(now, self.stats.causal_buffered.current());
-        fresh
-            .admission_queue
-            .set(now, self.stats.admission_queue.current());
-        fresh.nvm_bank_queue.set(now, self.nvm_queued_total);
-        // The fault trace describes the whole run, not the window.
-        fresh.crashes = std::mem::take(&mut self.stats.crashes);
-        fresh.rejoins = std::mem::take(&mut self.stats.rejoins);
-        self.stats = fresh;
         // Window 0 of the timeline starts at the measurement boundary so
         // per-window sums match the measured totals by construction.
         self.timeline.anchor(now.as_nanos());

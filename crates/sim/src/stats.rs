@@ -259,6 +259,19 @@ impl LevelGauge {
         LevelGauge::default()
     }
 
+    /// Creates a gauge whose observed window opens at `now` with `level`:
+    /// the mean covers `[now, finish]` only, so a gauge carried across a
+    /// measurement boundary does not average in the time before it.
+    #[must_use]
+    pub fn starting_at(now: crate::time::SimTime, level: u64) -> Self {
+        LevelGauge {
+            current: level,
+            max: level,
+            last_change: now,
+            ..LevelGauge::default()
+        }
+    }
+
     /// Records the level changing to `level` at time `now`.
     pub fn set(&mut self, now: crate::time::SimTime, level: u64) {
         let span = now.saturating_since(self.last_change).as_nanos();
@@ -311,6 +324,18 @@ impl LevelGauge {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+
+    #[test]
+    fn gauge_started_at_t0_averages_over_its_own_window() {
+        let mut g = LevelGauge::starting_at(SimTime::from_nanos(1_000), 4);
+        g.set(SimTime::from_nanos(1_500), 8);
+        g.finish(SimTime::from_nanos(2_000));
+        // 4 for 500ns, 8 for 500ns; the 1000ns before t0 is not level 0.
+        assert_eq!(g.time_weighted_mean(), 6.0);
+        assert_eq!(g.max(), 8);
+        let idle = LevelGauge::starting_at(SimTime::from_nanos(1_000), 3);
+        assert_eq!(idle.max(), 3, "the opening level counts toward the max");
+    }
 
     #[test]
     fn empty_histogram_reports_zeros() {

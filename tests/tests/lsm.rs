@@ -5,6 +5,7 @@
 
 use ddp_core::{
     ClusterConfig, CompactionConfig, Consistency, DdpModel, Persistency, Simulation, StoreKind,
+    TraceConfig, TraceEventKind,
 };
 use ddp_harness::{record_to_json, run_sweep, Sweep};
 
@@ -90,6 +91,61 @@ fn lsm_compaction_generates_background_nvm_traffic() {
     // byte counter is a multiple of entry_bytes.
     assert_eq!(s.compaction_bytes % storm().entry_bytes, 0);
     assert!(s.throughput > 0.0);
+}
+
+/// The `compactions_active` gauge must describe the measured window
+/// only, starting from the level carried in from the warm-up: its mean
+/// and max equal the level integrated from the run's own
+/// `compaction_begin`/`compaction_end` trace events over
+/// `[window_start, window_start + measured_time]`, on every model.
+#[test]
+fn active_compaction_gauge_matches_the_trace_on_every_model() {
+    for model in DdpModel::all() {
+        let mut cfg = ClusterConfig::micro21(model)
+            .quick()
+            .with_store(StoreKind::Lsm)
+            .with_compaction(storm())
+            .with_trace(TraceConfig::enabled());
+        cfg.warmup_requests = 300;
+        cfg.measured_requests = 400;
+        let mut sim = Simulation::new(cfg);
+        let summary = sim.run().summary;
+        let trace = sim.take_trace().expect("event tracing enabled");
+        assert_eq!(trace.dropped, 0, "{model}: the trace must be complete");
+
+        // Compaction events are stamped at dispatch, so they are in time
+        // order.
+        let steps: Vec<(u64, bool)> = trace
+            .events
+            .iter()
+            .filter_map(|r| match r.kind {
+                TraceEventKind::CompactionBegin => Some((r.at_ns, true)),
+                TraceEventKind::CompactionEnd => Some((r.at_ns, false)),
+                _ => None,
+            })
+            .collect();
+        let step = |level: u64, begin: bool| if begin { level + 1 } else { level - 1 };
+        let (start, end) = (summary.window_start_ns, summary.run_ns());
+        let split = steps.partition_point(|&(at, _)| at < start);
+        let mut level = steps[..split].iter().fold(0, |l, &(_, b)| step(l, b));
+        let (mut max, mut area, mut last) = (level, 0u128, start);
+        for &(at, begin) in &steps[split..] {
+            area += u128::from(level) * u128::from(at - last);
+            last = at;
+            level = step(level, begin);
+            max = max.max(level);
+        }
+        area += u128::from(level) * u128::from(end - last);
+        let mean = area as f64 / (end - start) as f64;
+
+        assert!(split < steps.len(), "{model}: no compaction in the window");
+        assert_eq!(summary.max_active_compactions, max, "{model}: max");
+        assert!(
+            (summary.mean_active_compactions - mean).abs() <= 1e-9 * mean,
+            "{model}: mean {} against the trace's {mean}",
+            summary.mean_active_compactions
+        );
+    }
 }
 
 /// Crashes interleaved with active compactions: stale completions are
