@@ -271,10 +271,6 @@ pub(crate) struct WaitingRead {
     pub issued_at: SimTime,
     /// When the read blocked (stall attribution).
     pub stalled_at: SimTime,
-    /// Blocked on a transient (not yet validated) key.
-    pub blocked_consistency: bool,
-    /// Blocked on a visible but not yet durable write.
-    pub blocked_persist: bool,
 }
 
 /// A write queued behind an in-flight write to the same key (Linearizable

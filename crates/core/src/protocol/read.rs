@@ -7,7 +7,7 @@
 //! under strong consistency, locally under Causal/Eventual (paper §5.3).
 
 use ddp_net::NodeId;
-use ddp_sim::{Context, Duration, SimTime};
+use ddp_sim::{Context, SimTime};
 use ddp_store::Key;
 use ddp_trace::{StallCause, TraceEventKind};
 use ddp_workload::{ClientId, Request};
@@ -95,8 +95,6 @@ impl Cluster {
                     client,
                     issued_at,
                     stalled_at: ctx.now(),
-                    blocked_consistency: block.transient,
-                    blocked_persist: block.persist,
                 });
             return;
         }
@@ -163,15 +161,7 @@ impl Cluster {
             } else {
                 let stall = ctx.now().saturating_since(waiter.stalled_at);
                 if self.measuring {
-                    let zero = Duration::ZERO;
-                    self.stats.phase.record_read_stall(
-                        if waiter.blocked_consistency {
-                            stall
-                        } else {
-                            zero
-                        },
-                        if waiter.blocked_persist { stall } else { zero },
-                    );
+                    self.stats.phase.record_read_stall(stall);
                     if let Some(w) = self.timeline.window(ctx.now().as_nanos()) {
                         w.read_stall_ns += stall.as_nanos();
                     }

@@ -15,7 +15,7 @@
 //!   cluster, yielding the VP→DP durability-lag histogram.
 //! * [`PhaseAccum`] / [`PhaseBreakdown`] — per-op latency attribution:
 //!   service, same-key queueing, invalidation round-trip, durability
-//!   stall, NVM bank queueing, and read stalls by cause.
+//!   stall, NVM bank queueing, and read stalls.
 //! * [`SampleClock`] — fixed-interval gauge sampling evaluated *lazily*
 //!   at event-dispatch boundaries, so sampling never injects events into
 //!   the simulation (timestamps and results stay bit-identical).

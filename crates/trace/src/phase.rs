@@ -1,7 +1,8 @@
 //! Per-phase latency attribution: where a request's nanoseconds went.
 //!
 //! Every completed write decomposes into non-overlapping intervals along
-//! its critical path; reads contribute their stall time split by cause.
+//! its critical path; reads contribute their wall-clock stall time once,
+//! whatever blocked them (the cause is in the `stall_begin` trace record).
 //! The raw accumulator ([`PhaseAccum`]) lives in `RunStats` and sums
 //! simulated durations; the condensed per-op means ([`PhaseBreakdown`])
 //! live in `RunSummary` next to the throughput/latency fields.
@@ -25,12 +26,9 @@ pub struct PhaseAccum {
     pub write_persist_stall: Duration,
     /// Completed writes folded into the write phases above.
     pub writes: u64,
-    /// Read time stalled on a transient (consistency) key.
-    pub read_stall_consistency: Duration,
-    /// Read time stalled on a visible-but-unpersisted write.
-    pub read_stall_persist: Duration,
-    /// Reads that stalled at least once.
-    pub reads_stalled: u64,
+    /// Time reads spent stalled on a transient (consistency) key, a
+    /// visible-but-unpersisted write, or both at once.
+    pub read_stall: Duration,
 }
 
 impl PhaseAccum {
@@ -49,11 +47,9 @@ impl PhaseAccum {
         self.writes += 1;
     }
 
-    /// Folds one resumed read stall in, split by cause.
-    pub fn record_read_stall(&mut self, consistency: Duration, persist: Duration) {
-        self.read_stall_consistency += consistency;
-        self.read_stall_persist += persist;
-        self.reads_stalled += 1;
+    /// Folds one resumed read's stall in.
+    pub fn record_read_stall(&mut self, stall: Duration) {
+        self.read_stall += stall;
     }
 
     /// Folds another accumulator in, field by field. Used when aggregating
@@ -64,9 +60,7 @@ impl PhaseAccum {
         self.write_network += other.write_network;
         self.write_persist_stall += other.write_persist_stall;
         self.writes += other.writes;
-        self.read_stall_consistency += other.read_stall_consistency;
-        self.read_stall_persist += other.read_stall_persist;
-        self.reads_stalled += other.reads_stalled;
+        self.read_stall += other.read_stall;
     }
 }
 
@@ -84,7 +78,7 @@ pub struct PhaseBreakdown {
     pub persist_stall_ns: f64,
     /// Mean NVM bank queue wait ns per issued persist.
     pub nvm_queue_ns: f64,
-    /// Mean stall ns per completed read (consistency + persist causes).
+    /// Mean stall ns per completed read (wall-clock, whatever the cause).
     pub read_stall_ns: f64,
 }
 
@@ -112,10 +106,7 @@ impl PhaseBreakdown {
             network_ns: per(accum.write_network, accum.writes),
             persist_stall_ns: per(accum.write_persist_stall, accum.writes),
             nvm_queue_ns: per(nvm_queue_wait, persists),
-            read_stall_ns: per(
-                accum.read_stall_consistency + accum.read_stall_persist,
-                reads,
-            ),
+            read_stall_ns: per(accum.read_stall, reads),
         }
     }
 }
@@ -140,14 +131,13 @@ mod tests {
             Duration::from_nanos(500),
             Duration::ZERO,
         );
-        b.record_read_stall(Duration::from_nanos(40), Duration::from_nanos(80));
+        b.record_read_stall(Duration::from_nanos(120));
         let mut merged = a;
         merged.merge(&b);
         assert_eq!(merged.writes, 2);
         assert_eq!(merged.write_service, Duration::from_nanos(400));
         assert_eq!(merged.write_network, Duration::from_nanos(800));
-        assert_eq!(merged.reads_stalled, 1);
-        assert_eq!(merged.read_stall_persist, Duration::from_nanos(80));
+        assert_eq!(merged.read_stall, Duration::from_nanos(120));
     }
 
     #[test]
@@ -171,7 +161,7 @@ mod tests {
             Duration::from_nanos(500),
             Duration::ZERO,
         );
-        a.record_read_stall(Duration::from_nanos(40), Duration::from_nanos(80));
+        a.record_read_stall(Duration::from_nanos(120));
         let b = PhaseBreakdown::from_accum(&a, Duration::from_nanos(900), 3, 4);
         assert!((b.service_ns - 200.0).abs() < 1e-12);
         assert!((b.queue_ns - 10.0).abs() < 1e-12);

@@ -88,6 +88,11 @@ fn window_counters_sum_to_run_totals_on_every_model() {
             stats.phase.write_persist_stall.as_nanos(),
             "{model}: persist-stall time diverged"
         );
+        assert_eq!(
+            sum(&dump, |w| w.read_stall_ns),
+            stats.phase.read_stall.as_nanos(),
+            "{model}: read-stall time diverged"
+        );
 
         // Windows tile the measured interval gap-free from the origin,
         // which is exactly the RunStats measurement start.
