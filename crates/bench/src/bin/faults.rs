@@ -99,8 +99,7 @@ fn main() {
     );
     print_rule(6);
     for model in DdpModel::all() {
-        let record = &crash_records[model.grid_index()];
-        let c = &record.summary;
+        let c = &crash_records[model.grid_index()].summary;
         // One scheduled crash -> exactly one (node, time) pair each.
         let downtime_ns: u64 = c
             .crashes
@@ -114,7 +113,7 @@ fn main() {
         println!(
             "{:<28} {:>8.2e} {:>8} {:>8} {:>8} {:>8} {:>8.1}",
             model.to_string(),
-            record.summary.throughput,
+            c.throughput,
             c.retransmits,
             c.client_timeouts,
             c.transient_expirations,

@@ -35,9 +35,7 @@ pub enum FieldValue<'a> {
 #[deny(unused_variables)]
 pub fn record_fields(r: &RunRecord) -> Vec<(&'static str, FieldValue<'_>)> {
     use FieldValue::{Pairs, Str, F64, U64};
-    // No `..` in these patterns: a new field without a column fails to
-    // compile (E0027), and a bound field left out of the list below is an
-    // unused variable.
+    // No `..`: a field without a column is E0027 or an unused variable.
     let RunRecord {
         index,
         label,

@@ -25,9 +25,9 @@
 //! per-window sums equal the run totals), and a disabled timeline costs
 //! one predictable branch per update ([`Timeline::window`] returns
 //! `None`). The window's columns are declared once, next to the struct,
-//! by [`TimelineWindow::columns`]. Memory is bounded: at most `max_windows` windows are
-//! ever allocated; events past the cap fold into the final window and are
-//! counted in [`TimelineDump::clipped`].
+//! by [`TimelineWindow::columns`]. Memory is bounded: at most
+//! `max_windows` windows are ever allocated; events past the cap fold
+//! into the final window and are counted in [`TimelineDump::clipped`].
 //!
 //! [`Tracer`]: crate::Tracer
 
@@ -106,8 +106,7 @@ impl TimelineWindow {
     #[must_use]
     #[deny(unused_variables)]
     pub fn columns(&self) -> [(&'static str, u64); 23] {
-        // No `..`: a new field without a column fails to compile (E0027),
-        // and a bound field left out of the array is an unused variable.
+        // No `..`: a field without a column is E0027 or an unused variable.
         let TimelineWindow {
             start_ns,
             reads_completed,
