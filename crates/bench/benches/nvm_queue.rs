@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ddp_mem::{AccessKind, BankedDevice, MemoryController, MemoryParams};
-use ddp_sim::SimTime;
+use ddp_sim::{SimRng, SimTime};
 
 fn nvm_submit(c: &mut Criterion) {
     c.bench_function("nvm/submit_10k_persists", |b| {
@@ -15,6 +15,42 @@ fn nvm_submit(c: &mut Criterion) {
             }
             last
         });
+    });
+}
+
+/// Persists in bursts of 8 at one instant, paced at the banks' aggregate
+/// service rate, behind 1,024 persists queued at time zero: the bank
+/// queues stand near 1k, as under an overloaded write-heavy run.
+fn nvm_submit_bursty(c: &mut Criterion) {
+    const QUEUED: usize = 1_024;
+    let params = MemoryParams::micro21().nvm;
+    let mut rng = SimRng::seed_from(9);
+    let addrs: Vec<u64> = (0..QUEUED + 10_000)
+        .map(|_| rng.next_below(1 << 20) << 6)
+        .collect();
+    let service = params.write_latency + params.transfer_time(256);
+    let period = service * 8 / u64::from(params.total_banks());
+    c.bench_function("nvm/submit_bursty_10k_at_1k_queued", |b| {
+        b.iter_batched(
+            || {
+                let mut dev = BankedDevice::new(params);
+                for &a in &addrs[..QUEUED] {
+                    dev.submit(SimTime::ZERO, a, 256, AccessKind::Write);
+                }
+                dev
+            },
+            |mut dev| {
+                let mut last = SimTime::ZERO;
+                for (i, burst) in addrs[QUEUED..].chunks(8).enumerate() {
+                    let at = SimTime::ZERO + period * i as u64;
+                    for &a in burst {
+                        last = dev.submit(at, a, 256, AccessKind::Write);
+                    }
+                }
+                last
+            },
+            BatchSize::SmallInput,
+        );
     });
 }
 
@@ -39,5 +75,5 @@ fn cache_hierarchy(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, nvm_submit, cache_hierarchy);
+criterion_group!(benches, nvm_submit, nvm_submit_bursty, cache_hierarchy);
 criterion_main!(benches);

@@ -1,8 +1,10 @@
 //! Microbenchmark: the five KV store backends under a YCSB-A-like mix.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use ddp_core::ReplicaStore;
 use ddp_sim::SimRng;
-use ddp_store::{AvlMap, BPlusTree, BTree, HashTable, KvStore, LsmStore, SlabCache};
+use ddp_store::{AvlMap, BPlusTree, BTree, HashTable, KvStore, LsmStore, SlabCache, StoreKind};
+use ddp_workload::{Zipfian, YCSB_THETA};
 
 const OPS: usize = 10_000;
 const KEYS: u64 = 10_000;
@@ -49,5 +51,41 @@ fn stores(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, stores);
+/// A node's LSM replica store on the protocol's write path: one
+/// `state_mut` per write over a YCSB Zipf key stream (the default 100k
+/// keys), compaction work drained after each as the cluster does. The
+/// store is warmed with 10k writes first, so upserts hit the memtable,
+/// promote batch values and seal.
+fn replica_state_mut_lsm(c: &mut Criterion) {
+    const WARM: usize = 10_000;
+    let zipf = Zipfian::new(100_000, YCSB_THETA);
+    let mut rng = SimRng::seed_from(3);
+    let keys: Vec<u64> = (0..WARM + 10_000).map(|_| zipf.sample(&mut rng)).collect();
+    let write = |store: &mut ReplicaStore, key: u64| {
+        store.state_mut(key).visible += 1;
+        if store.has_compaction_work() {
+            black_box(store.take_compaction_work());
+        }
+    };
+    c.bench_function("stores/replica_state_mut_lsm_zipf_10k", |b| {
+        b.iter_batched(
+            || {
+                let mut store = ReplicaStore::with_compaction(StoreKind::Lsm, 256, 4);
+                for &k in &keys[..WARM] {
+                    write(&mut store, k);
+                }
+                store
+            },
+            |mut store| {
+                for &k in &keys[WARM..] {
+                    write(&mut store, k);
+                }
+                store
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
+criterion_group!(benches, stores, replica_state_mut_lsm);
 criterion_main!(benches);

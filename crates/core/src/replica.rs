@@ -161,8 +161,12 @@ impl ReplicaStore {
         self.as_store().get(key).cloned().unwrap_or_default()
     }
 
-    /// Mutable state of `key`, inserting the default on first touch.
+    /// Mutable state of `key`, inserting the default on first touch. The
+    /// LSM backend resolves the key in one pass over its runs.
     pub fn state_mut(&mut self, key: Key) -> &mut KeyState {
+        if let ReplicaStore::Lsm(s) = self {
+            return s.get_or_insert_with(key, KeyState::default);
+        }
         let store = self.as_store_mut();
         if !store.contains(key) {
             store.put(key, KeyState::default());

@@ -6,6 +6,9 @@
 //! models that allow many outstanding persists (e.g. Read-Enforced) build up
 //! bank queues, and reads that must wait for those persists stall longer.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use ddp_sim::{Duration, LevelGauge, SimTime};
 
 use crate::params::DeviceParams;
@@ -49,9 +52,9 @@ pub struct BankedDevice {
     /// Bank-queue statistics: requests waiting behind a busy bank (in
     /// flight but not yet in service).
     queue: LevelGauge,
-    /// Completion `(time, bank)` of in-flight requests, kept sorted-ish
-    /// for pruning.
-    completions: Vec<(SimTime, u32)>,
+    /// Completion `(time, bank)` of in-flight requests, earliest on top,
+    /// so a prune pops only the requests that have finished.
+    completions: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// In-flight request count per bank (as of the last prune).
     bank_inflight: Vec<u32>,
     /// Number of banks with at least one request in flight.
@@ -75,7 +78,7 @@ impl BankedDevice {
             bank_free: vec![SimTime::ZERO; params.total_banks() as usize],
             in_flight: LevelGauge::new(),
             queue: LevelGauge::new(),
-            completions: Vec::new(),
+            completions: BinaryHeap::new(),
             bank_inflight: vec![0; params.total_banks() as usize],
             busy_banks: 0,
             reads: 0,
@@ -126,7 +129,7 @@ impl BankedDevice {
             self.busy_banks += 1;
         }
         self.bank_inflight[bank] += 1;
-        self.completions.push((done, bank as u32));
+        self.completions.push(Reverse((done, bank as u32)));
         self.queue.set(now, self.queued_now() as u64);
         done
     }
@@ -172,24 +175,22 @@ impl BankedDevice {
         done
     }
 
-    /// Drops bookkeeping for requests that completed before `now`.
+    /// Drops bookkeeping for requests that completed by `now`.
     fn prune(&mut self, now: SimTime) {
-        let before = self.completions.len();
-        let bank_inflight = &mut self.bank_inflight;
-        let busy_banks = &mut self.busy_banks;
-        self.completions.retain(|&(c, bank)| {
-            if c > now {
-                return true;
+        let mut finished = 0;
+        while let Some(top) = self.completions.peek_mut() {
+            if top.0 .0 > now {
+                break;
             }
-            bank_inflight[bank as usize] -= 1;
-            if bank_inflight[bank as usize] == 0 {
-                *busy_banks -= 1;
+            let bank = PeekMut::pop(top).0 .1 as usize;
+            self.bank_inflight[bank] -= 1;
+            if self.bank_inflight[bank] == 0 {
+                self.busy_banks -= 1;
             }
-            false
-        });
-        let finished = before - self.completions.len();
+            finished += 1;
+        }
         if finished > 0 {
-            self.in_flight.adjust(now, -(finished as i64));
+            self.in_flight.adjust(now, -finished);
             self.queue.set(now, self.queued_now() as u64);
         }
     }
@@ -205,7 +206,7 @@ impl BankedDevice {
     /// Used by trace sampling, which must be read-only.
     #[must_use]
     pub fn pressure_at(&self, now: SimTime) -> usize {
-        self.completions.iter().filter(|&&(c, _)| c > now).count()
+        self.completions.iter().filter(|c| c.0 .0 > now).count()
     }
 
     /// Requests queued behind a busy bank (in flight but not in service)
@@ -225,24 +226,19 @@ impl BankedDevice {
 
     /// Requests queued behind a busy bank at `now`, without touching any
     /// bookkeeping. Used by trace sampling, which must be read-only.
-    /// Quadratic in the in-flight count, so keep it off hot paths.
+    /// Linear in the in-flight count plus the bank count.
     #[must_use]
     pub fn queued_at(&self, now: SimTime) -> usize {
-        let inflight = self.pressure_at(now);
-        // Count the distinct banks among in-flight requests: each
-        // contributes exactly one request in service.
-        let busy = self
-            .completions
-            .iter()
-            .enumerate()
-            .filter(|&(i, &(c, bank))| {
-                c > now
-                    && !self.completions[..i]
-                        .iter()
-                        .any(|&(c2, bank2)| c2 > now && bank2 == bank)
-            })
-            .count();
-        inflight - busy
+        // Each bank with a request in flight has exactly one in service.
+        let mut busy = vec![false; self.bank_free.len()];
+        let mut inflight = 0;
+        for &Reverse((c, bank)) in self.completions.iter() {
+            if c > now {
+                inflight += 1;
+                busy[bank as usize] = true;
+            }
+        }
+        inflight - busy.into_iter().filter(|&b| b).count()
     }
 
     /// The earliest time at which every request submitted so far has
@@ -417,6 +413,172 @@ mod tests {
         // empty even though no prune has run.
         assert_eq!(d.queued_at(first), 0);
         assert_eq!(d.queued_now(), 1, "no bookkeeping was touched");
+    }
+
+    /// The device before completions moved into a heap: an unordered
+    /// `Vec` that every prune scans and `queued_at` walks pairwise. Kept
+    /// as the reference the heap must match.
+    struct ScanDevice {
+        params: DeviceParams,
+        bank_free: Vec<SimTime>,
+        in_flight: LevelGauge,
+        queue: LevelGauge,
+        completions: Vec<(SimTime, u32)>,
+        bank_inflight: Vec<u32>,
+        busy_banks: usize,
+    }
+
+    impl ScanDevice {
+        fn new(params: DeviceParams) -> Self {
+            let banks = params.total_banks() as usize;
+            ScanDevice {
+                params,
+                bank_free: vec![SimTime::ZERO; banks],
+                in_flight: LevelGauge::new(),
+                queue: LevelGauge::new(),
+                completions: Vec::new(),
+                bank_inflight: vec![0; banks],
+                busy_banks: 0,
+            }
+        }
+
+        fn submit(&mut self, now: SimTime, bank: usize, bytes: u64, kind: AccessKind) -> SimTime {
+            self.prune(now);
+            let base = match kind {
+                AccessKind::Read => self.params.read_latency,
+                AccessKind::Write => self.params.write_latency,
+            };
+            let done = self.bank_free[bank].max(now) + base + self.params.transfer_time(bytes);
+            self.bank_free[bank] = done;
+            self.in_flight.adjust(now, 1);
+            if self.bank_inflight[bank] == 0 {
+                self.busy_banks += 1;
+            }
+            self.bank_inflight[bank] += 1;
+            self.completions.push((done, bank as u32));
+            self.queue.set(now, self.queued_now() as u64);
+            done
+        }
+
+        /// Striped 256-byte chunks, as `submit_background` lays them.
+        fn submit_background(&mut self, now: SimTime, mut bank: usize, bytes: u64) -> SimTime {
+            let mut done = now;
+            for _ in 0..bytes / 256 {
+                let service = self.params.write_latency + self.params.transfer_time(256);
+                self.bank_free[bank] = self.bank_free[bank].max(now) + service;
+                done = done.max(self.bank_free[bank]);
+                bank = (bank + 1) % self.bank_free.len();
+            }
+            done
+        }
+
+        fn prune(&mut self, now: SimTime) {
+            let before = self.completions.len();
+            let (bank_inflight, busy_banks) = (&mut self.bank_inflight, &mut self.busy_banks);
+            self.completions.retain(|&(c, bank)| {
+                if c > now {
+                    return true;
+                }
+                bank_inflight[bank as usize] -= 1;
+                if bank_inflight[bank as usize] == 0 {
+                    *busy_banks -= 1;
+                }
+                false
+            });
+            let finished = before - self.completions.len();
+            if finished > 0 {
+                self.in_flight.adjust(now, -(finished as i64));
+                self.queue.set(now, self.queued_now() as u64);
+            }
+        }
+
+        fn queued_now(&self) -> usize {
+            self.completions.len() - self.busy_banks
+        }
+
+        fn pressure_at(&self, now: SimTime) -> usize {
+            self.completions.iter().filter(|&&(c, _)| c > now).count()
+        }
+
+        fn queued_at(&self, now: SimTime) -> usize {
+            let busy = self
+                .completions
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(c, bank))| {
+                    c > now
+                        && !self.completions[..i]
+                            .iter()
+                            .any(|&(c2, bank2)| c2 > now && bank2 == bank)
+                })
+                .count();
+            self.pressure_at(now) - busy
+        }
+    }
+
+    fn same_gauge(a: &LevelGauge, b: &LevelGauge) -> bool {
+        a.current() == b.current()
+            && a.max() == b.max()
+            && a.time_weighted_mean() == b.time_weighted_mean()
+    }
+
+    #[test]
+    fn completion_heap_matches_the_scan() {
+        for seed in 0..6u64 {
+            let mut rng = ddp_sim::SimRng::seed_from(seed);
+            let mut d = nvm();
+            let mut scan = ScanDevice::new(d.params);
+            let mut clock = SimTime::ZERO;
+            for step in 0..3_000 {
+                if rng.chance(0.4) {
+                    clock += Duration::from_nanos(rng.next_below(300));
+                }
+                // Some requests are stamped ahead of the clock, as a
+                // coordinator's persist at its apply time is.
+                let now = clock + Duration::from_nanos(rng.next_below(2) * rng.next_below(500));
+                let addr = rng.next_below(64) << 6;
+                let bank = d.bank_for(addr);
+                match rng.next_below(10) {
+                    0 => {
+                        let bytes = 256 * (1 + rng.next_below(40));
+                        assert_eq!(
+                            d.submit_background(now, addr, bytes, 256),
+                            scan.submit_background(now, bank, bytes)
+                        );
+                    }
+                    1 => {
+                        scan.prune(now);
+                        assert_eq!(d.pressure(now), scan.completions.len());
+                    }
+                    k => {
+                        let kind = if k == 2 {
+                            AccessKind::Read
+                        } else {
+                            AccessKind::Write
+                        };
+                        let bytes = 64 << rng.next_below(3);
+                        assert_eq!(
+                            d.submit(now, addr, bytes, kind),
+                            scan.submit(now, bank, bytes, kind),
+                            "seed {seed}, step {step}"
+                        );
+                    }
+                }
+                assert_eq!(d.bank_free, scan.bank_free);
+                assert_eq!(d.queued_now(), scan.queued_now());
+                let probe = clock + Duration::from_nanos(rng.next_below(4_000));
+                assert_eq!(d.pressure_at(probe), scan.pressure_at(probe));
+                assert_eq!(d.queued_at(probe), scan.queued_at(probe));
+                assert!(same_gauge(&d.in_flight, &scan.in_flight));
+                assert!(same_gauge(&d.queue, &scan.queue));
+            }
+            assert!(d.bank_queue().max() > 2, "banks queued deeply");
+            let end = d.drain_time();
+            scan.prune(end);
+            assert_eq!(d.pressure(end), 0);
+            assert!(same_gauge(&d.in_flight, &scan.in_flight));
+            assert!(same_gauge(&d.queue, &scan.queue));
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Per-node NIC model: egress serialization, queue-pair scheduling, and
 //! SNIA-style RDMA command kinds.
 
+use std::collections::VecDeque;
+
 use ddp_sim::{Duration, SimTime};
 
 use crate::params::NetworkParams;
@@ -66,8 +68,11 @@ impl RdmaKind {
 pub struct Nic {
     params: NetworkParams,
     egress_free: SimTime,
-    /// Completion time of each in-flight message, one slot per queue pair.
-    qp_busy_until: Vec<SimTime>,
+    /// Completion time of each in-flight message, one per busy queue
+    /// pair. Messages arrive in send order (each one's wire slot starts
+    /// after the previous one's, and the flight time is the NIC's own
+    /// constant), so the times are pushed sorted, earliest at the front.
+    qp_busy_until: VecDeque<SimTime>,
     sent: u64,
     sent_by_kind: [u64; 4],
     bytes_sent: u64,
@@ -84,7 +89,7 @@ impl Nic {
         Nic {
             params,
             egress_free: SimTime::ZERO,
-            qp_busy_until: Vec::new(),
+            qp_busy_until: VecDeque::new(),
             sent: 0,
             sent_by_kind: [0; 4],
             bytes_sent: 0,
@@ -128,29 +133,23 @@ impl Nic {
 
     /// Earliest time a queue pair is available at or after `now`.
     fn acquire_qp(&mut self, now: SimTime) -> SimTime {
-        self.qp_busy_until.retain(|&t| t > now);
+        while self.qp_busy_until.front().is_some_and(|&t| t <= now) {
+            self.qp_busy_until.pop_front();
+        }
         if self.qp_busy_until.len() < self.params.max_queue_pairs as usize {
             now
         } else {
             // All queue pairs busy: wait for the earliest to complete.
-            let earliest = self
-                .qp_busy_until
-                .iter()
-                .copied()
-                .min()
-                .expect("nonempty when full");
-            let pos = self
-                .qp_busy_until
-                .iter()
-                .position(|&t| t == earliest)
-                .expect("present");
-            self.qp_busy_until.swap_remove(pos);
-            earliest
+            self.qp_busy_until.pop_front().expect("nonempty when full")
         }
     }
 
     fn occupy_qp(&mut self, until: SimTime) {
-        self.qp_busy_until.push(until);
+        debug_assert!(
+            self.qp_busy_until.back().map_or(true, |&t| t <= until),
+            "messages arrive in send order"
+        );
+        self.qp_busy_until.push_back(until);
     }
 
     /// Total messages sent.
@@ -246,6 +245,80 @@ mod tests {
         nic.send(t0, 64);
         nic.send(t0, 64); // must wait for a QP
         assert!(nic.queue_pair_stall() > Duration::ZERO);
+    }
+
+    /// The NIC before queue pairs became a sorted queue: a `Vec` of
+    /// completion times, scanned on every send. Kept as the reference the
+    /// queue must match.
+    struct ScanNic {
+        params: NetworkParams,
+        egress_free: SimTime,
+        qp_busy_until: Vec<SimTime>,
+        qp_stall_total: Duration,
+    }
+
+    impl ScanNic {
+        fn send(&mut self, now: SimTime, bytes: u64) -> SimTime {
+            self.qp_busy_until.retain(|&t| t > now);
+            let ready = if self.qp_busy_until.len() < self.params.max_queue_pairs as usize {
+                now
+            } else {
+                let earliest = self.qp_busy_until.iter().copied().min().expect("full");
+                let pos = self.qp_busy_until.iter().position(|&t| t == earliest);
+                self.qp_busy_until.swap_remove(pos.expect("present"));
+                earliest
+            };
+            let start = self.egress_free.max(ready);
+            let on_wire =
+                start + self.params.per_message_occupancy + self.params.serialization(bytes);
+            self.egress_free = on_wire;
+            let arrival = on_wire + self.params.per_message_overhead + self.params.one_way();
+            self.qp_busy_until.push(arrival);
+            self.qp_stall_total += ready.saturating_since(now);
+            arrival
+        }
+    }
+
+    #[test]
+    fn queue_pair_fifo_matches_the_scan() {
+        for (seed, qps) in [(1u64, 1u32), (2, 3), (3, 4), (4, 400)] {
+            let mut params = NetworkParams::micro21();
+            params.max_queue_pairs = qps;
+            let mut nic = Nic::new(params);
+            let mut scan = ScanNic {
+                params,
+                egress_free: SimTime::ZERO,
+                qp_busy_until: Vec::new(),
+                qp_stall_total: Duration::ZERO,
+            };
+            let mut rng = ddp_sim::SimRng::seed_from(seed);
+            let mut clock = SimTime::ZERO;
+            for step in 0..4_000 {
+                // Broadcast-like bursts at one instant, now and then an
+                // idle gap that drains the link and the queue pairs, and
+                // some sends stamped ahead of the clock (at a future apply
+                // time), so `now` is not monotone.
+                match rng.next_below(20) {
+                    0 => clock += Duration::from_nanos(1_000 + rng.next_below(2_000)),
+                    1..=6 => clock += Duration::from_nanos(rng.next_below(400)),
+                    _ => {}
+                }
+                let now = clock + Duration::from_nanos(rng.next_below(3) * 150);
+                let bytes = 32 << rng.next_below(6);
+                assert_eq!(
+                    nic.send(now, bytes),
+                    scan.send(now, bytes),
+                    "{qps} queue pairs, step {step}"
+                );
+                assert_eq!(nic.queue_pair_stall(), scan.qp_stall_total);
+            }
+            if qps < 400 {
+                assert!(
+                    nic.queue_pair_stall() > Duration::ZERO,
+                    "all-busy branch ran"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,50 +1,19 @@
 //! The pending-event set of the discrete-event simulator.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// A scheduled event: a payload due at a given simulated time.
-///
-/// Ordering ties at equal timestamps are broken by insertion order, so the
-/// simulation is fully deterministic for a fixed schedule of pushes.
-struct Scheduled<E> {
-    due: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped
-        // first, with the lowest sequence number winning ties.
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A time-ordered queue of simulation events.
 ///
 /// Events pop in nondecreasing time order; events scheduled for the same
 /// instant pop in the order they were pushed (FIFO), which keeps runs
 /// deterministic and makes "send A then B" mean A is handled first.
+///
+/// The heap orders 24-byte `(due, seq, slot)` keys, where `seq` is the
+/// push count that breaks ties; the payloads stay in a slot vector that
+/// reuses freed slots, so a sift moves keys, never events.
 ///
 /// # Examples
 ///
@@ -59,7 +28,13 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Min-heap of `(due, seq, slot)`; `seq` is unique, so `slot` never
+    /// decides an order.
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, the most recently freed last.
+    free: Vec<usize>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -68,11 +43,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` events.
@@ -80,6 +51,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -97,22 +70,34 @@ impl<E> EventQueue<E> {
             "event scheduled at {due:?}, before current time {:?}",
             self.last_popped
         );
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { due, seq, event });
+        self.heap.push(Reverse((due, seq, slot)));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        self.last_popped = s.due;
-        Some((s.due, s.event))
+        let Reverse((due, _, slot)) = self.heap.pop()?;
+        let event = self.slots[slot].take().expect("a queued key owns its slot");
+        self.free.push(slot);
+        self.last_popped = due;
+        Some((due, event))
     }
 
     /// Returns the time of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.due)
+        self.heap.peek().map(|k| k.0 .0)
     }
 
     /// Returns the number of pending events.
@@ -199,6 +184,77 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(8)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    /// The queue before payloads moved out of the heap: a max-heap of
+    /// whole entries under an inverted order. Kept as the reference the
+    /// slot queue must match.
+    struct Scheduled<E> {
+        due: SimTime,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.due == other.due && self.seq == other.seq
+        }
+    }
+
+    impl<E> Eq for Scheduled<E> {}
+
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .due
+                .cmp(&self.due)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    #[test]
+    fn slot_queue_matches_the_whole_entry_heap() {
+        for seed in 0..8u64 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let mut now = SimTime::ZERO;
+            let mut most_pending = 0;
+            for id in 0..5_000u64 {
+                // Bursts of pushes over a few distinct instants make
+                // same-instant ties common; pops free slots to reuse.
+                if rng.chance(0.55) {
+                    let due = now + crate::Duration::from_nanos(rng.next_below(4) * 10);
+                    q.push(due, id);
+                    reference.push(Scheduled {
+                        due,
+                        seq: id,
+                        event: id,
+                    });
+                } else {
+                    let got = q.pop();
+                    let want = reference.pop().map(|s| (s.due, s.event));
+                    assert_eq!(got, want, "seed {seed}, step {id}");
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                most_pending = most_pending.max(q.len());
+                assert_eq!(q.peek_time(), reference.peek().map(|s| s.due));
+                assert_eq!(q.len(), reference.len());
+            }
+            assert_eq!(q.slots.len(), most_pending, "freed slots are reused");
+            while let Some(s) = reference.pop() {
+                assert_eq!(q.pop(), Some((s.due, s.event)));
+            }
+            assert!(q.is_empty());
+        }
     }
 
     #[test]

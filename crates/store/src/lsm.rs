@@ -69,21 +69,52 @@ impl LsmWork {
     }
 }
 
-/// One immutable sorted run; `None` values are tombstones.
+/// One sorted run: a dense key array, binary-searched without touching
+/// the values, beside the values in the same order; `None` values are
+/// tombstones. The memtable is the one mutable run; sealed batches never
+/// change.
 #[derive(Clone, Debug)]
-struct Batch<V> {
-    entries: Vec<(Key, Option<V>)>,
+struct Run<V> {
+    keys: Vec<Key>,
+    vals: Vec<Option<V>>,
+}
+
+impl<V> Default for Run<V> {
+    fn default() -> Self {
+        Run {
+            keys: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+}
+
+impl<V> Run<V> {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn find(&self, key: Key) -> Result<usize, usize> {
+        self.keys.binary_search(&key)
+    }
+
+    fn get(&self, key: Key) -> Option<&Option<V>> {
+        self.find(key).ok().map(|i| &self.vals[i])
+    }
+
+    fn insert(&mut self, i: usize, key: Key, entry: Option<V>) {
+        self.keys.insert(i, key);
+        self.vals.insert(i, entry);
+    }
 }
 
 /// The log-structured store: a sorted mutable memtable over leveled
 /// immutable batches. See the module docs for the lifecycle.
 #[derive(Clone, Debug)]
 pub struct LsmStore<V> {
-    /// Sorted by key; `None` marks a tombstone (an unmerged delete).
-    memtable: Vec<(Key, Option<V>)>,
+    memtable: Run<V>,
     /// `levels[0]` is the newest level; within a level, later batches are
     /// newer and shadow earlier ones.
-    levels: Vec<Vec<Batch<V>>>,
+    levels: Vec<Vec<Run<V>>>,
     memtable_cap: usize,
     fanout: usize,
     /// Live keys (tombstones and shadowed duplicates excluded).
@@ -111,7 +142,7 @@ impl<V> LsmStore<V> {
         assert!(memtable_entries > 0, "memtable threshold must be non-zero");
         assert!(fanout >= 2, "fanout below 2 merges forever");
         LsmStore {
-            memtable: Vec::new(),
+            memtable: Run::default(),
             levels: Vec::new(),
             memtable_cap: memtable_entries,
             fanout,
@@ -164,21 +195,20 @@ impl<V> LsmStore<V> {
         self.levels.len()
     }
 
-    fn slot(&self, key: Key) -> Result<usize, usize> {
-        self.memtable.binary_search_by_key(&key, |e| e.0)
-    }
-
     /// The newest entry for `key` anywhere in the store; `Some(&None)` is
     /// a live tombstone, `None` means the key was never written (or was
     /// merged out entirely).
     fn lookup(&self, key: Key) -> Option<&Option<V>> {
-        if let Ok(i) = self.slot(key) {
-            return Some(&self.memtable[i].1);
-        }
+        self.memtable.get(key).or_else(|| self.lookup_batches(key))
+    }
+
+    /// [`Self::lookup`] below the memtable: the sealed batches, newest
+    /// first.
+    fn lookup_batches(&self, key: Key) -> Option<&Option<V>> {
         for level in &self.levels {
             for batch in level.iter().rev() {
-                if let Ok(i) = batch.entries.binary_search_by_key(&key, |e| e.0) {
-                    return Some(&batch.entries[i].1);
+                if let Some(entry) = batch.get(key) {
+                    return Some(entry);
                 }
             }
         }
@@ -188,31 +218,39 @@ impl<V> LsmStore<V> {
     /// Writes `entry` into the memtable, sealing first if a fresh slot
     /// would overflow the threshold.
     fn insert_slot(&mut self, key: Key, entry: Option<V>) {
-        match self.slot(key) {
-            Ok(i) => self.memtable[i].1 = entry,
+        match self.memtable.find(key) {
+            Ok(i) => self.memtable.vals[i] = entry,
             Err(i) => {
-                if self.memtable.len() >= self.memtable_cap {
-                    self.seal();
-                    self.memtable.push((key, entry));
-                } else {
-                    self.memtable.insert(i, (key, entry));
-                }
+                self.insert_fresh(i, key, entry);
             }
+        }
+    }
+
+    /// Inserts a key the memtable lacks at its sorted position `i`,
+    /// sealing first if the memtable is full; returns the entry's index.
+    fn insert_fresh(&mut self, i: usize, key: Key, entry: Option<V>) -> usize {
+        if self.memtable.len() >= self.memtable_cap {
+            self.seal();
+            self.memtable.insert(0, key, entry);
+            0
+        } else {
+            self.memtable.insert(i, key, entry);
+            i
         }
     }
 
     /// Seals the memtable into a level-0 batch and cascades any merges it
     /// triggers. A no-op on an empty memtable.
     fn seal(&mut self) {
-        if self.memtable.is_empty() {
+        if self.memtable.len() == 0 {
             return;
         }
-        let entries = std::mem::take(&mut self.memtable);
-        let n = entries.len() as u64;
+        let batch = std::mem::take(&mut self.memtable);
+        let n = batch.len() as u64;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
-        self.levels[0].push(Batch { entries });
+        self.levels[0].push(batch);
         self.seals += 1;
         self.work.push(LsmWork::Seal { entries: n });
         self.maybe_merge(0);
@@ -226,16 +264,16 @@ impl<V> LsmStore<V> {
             .is_some_and(|l| l.len() >= self.fanout)
         {
             let batches = std::mem::take(&mut self.levels[level]);
-            let input: u64 = batches.iter().map(|b| b.entries.len() as u64).sum();
+            let input: u64 = batches.iter().map(|b| b.len() as u64).sum();
             // Tombstones may be dropped only when the merge output becomes
             // the oldest data in the store; otherwise they must keep
             // shadowing older values below.
             let oldest = self.levels.iter().skip(level + 1).all(Vec::is_empty);
-            let merged = merge_batches(batches, oldest);
+            let merged = merge_runs(batches, oldest);
             if self.levels.len() <= level + 1 {
                 self.levels.push(Vec::new());
             }
-            self.levels[level + 1].push(Batch { entries: merged });
+            self.levels[level + 1].push(merged);
             self.merges += 1;
             self.work.push(LsmWork::Merge {
                 level: level as u32,
@@ -253,36 +291,56 @@ impl<V> LsmStore<V> {
         }
         // Sources in newest-to-oldest priority order: the memtable, then
         // each level shallow-to-deep, batches within a level newest first.
-        let mut srcs: Vec<&'a [(Key, Option<V>)]> = vec![&self.memtable];
+        let mut srcs: Vec<&'a Run<V>> = vec![&self.memtable];
         for level in &self.levels {
-            for batch in level.iter().rev() {
-                srcs.push(&batch.entries);
-            }
+            srcs.extend(level.iter().rev());
         }
         let mut idx: Vec<usize> = srcs
             .iter()
-            .map(|s| s.partition_point(|e| e.0 < lo))
+            .map(|s| s.keys.partition_point(|&k| k < lo))
             .collect();
         loop {
             let mut best: Option<(Key, usize)> = None;
             for (si, s) in srcs.iter().enumerate() {
-                if let Some(&(k, _)) = s.get(idx[si]) {
+                if let Some(&k) = s.keys.get(idx[si]) {
                     if k <= hi && best.map_or(true, |(bk, _)| k < bk) {
                         best = Some((k, si));
                     }
                 }
             }
             let Some((k, winner)) = best else { break };
-            let entry = &srcs[winner][idx[winner]];
+            let entry = &srcs[winner].vals[idx[winner]];
             for (si, s) in srcs.iter().enumerate() {
-                if s.get(idx[si]).is_some_and(|e| e.0 == k) {
+                if s.keys.get(idx[si]) == Some(&k) {
                     idx[si] += 1;
                 }
             }
-            if let Some(v) = entry.1.as_ref() {
+            if let Some(v) = entry.as_ref() {
                 f(k, v);
             }
         }
+    }
+}
+
+impl<V: Clone> LsmStore<V> {
+    /// The value of `key`, inserting `fill()` if the key has no live
+    /// value, in one pass over the runs: equivalent to `contains`, then
+    /// `put` if absent, then `get_mut`, with the same state, length,
+    /// memtable and work list. A value living only in a batch is promoted
+    /// into the memtable, as [`KvStore::get_mut`] does.
+    pub fn get_or_insert_with(&mut self, key: Key, fill: impl FnOnce() -> V) -> &mut V {
+        let i = match self.memtable.find(key) {
+            Ok(i) => i,
+            Err(i) => {
+                let promoted = self.lookup_batches(key).cloned().flatten();
+                self.insert_fresh(i, key, promoted)
+            }
+        };
+        let entry = &mut self.memtable.vals[i];
+        if entry.is_none() {
+            self.live += 1;
+        }
+        entry.get_or_insert_with(fill)
     }
 }
 
@@ -292,30 +350,28 @@ impl<V> Default for LsmStore<V> {
     }
 }
 
-/// K-way merges owned batches (later = newer) into one sorted run,
-/// dropping tombstones when the output becomes the store's oldest data.
-fn merge_batches<V>(batches: Vec<Batch<V>>, drop_tombstones: bool) -> Vec<(Key, Option<V>)> {
-    // Reverse each run so its next entry pops off the back in O(1).
-    let mut srcs: Vec<Vec<(Key, Option<V>)>> = batches
+/// K-way merges owned runs (later = newer) into one sorted run, dropping
+/// tombstones when the output becomes the store's oldest data.
+fn merge_runs<V>(runs: Vec<Run<V>>, drop_tombstones: bool) -> Run<V> {
+    let mut srcs: Vec<_> = runs
         .into_iter()
-        .map(|b| {
-            let mut e = b.entries;
-            e.reverse();
-            e
-        })
+        .map(|r| r.keys.into_iter().zip(r.vals).peekable())
         .collect();
-    let mut out = Vec::new();
-    while let Some(k) = srcs.iter().filter_map(|s| s.last().map(|e| e.0)).min() {
+    let mut out = Run::default();
+    while let Some(k) = srcs.iter_mut().filter_map(|s| s.peek().map(|e| e.0)).min() {
         let mut newest = None;
-        // Later sources are newer, so the last pop for `k` wins.
+        // Later sources are newer, so the last entry taken for `k` wins.
         for s in &mut srcs {
-            if s.last().is_some_and(|e| e.0 == k) {
-                newest = s.pop();
+            if let Some((_, entry)) = s.next_if(|e| e.0 == k) {
+                newest = Some(entry);
             }
         }
         match newest {
-            Some((_, None)) if drop_tombstones => {}
-            Some(e) => out.push(e),
+            Some(None) if drop_tombstones => {}
+            Some(entry) => {
+                out.keys.push(k);
+                out.vals.push(entry);
+            }
             None => unreachable!("a source held the minimum key"),
         }
     }
@@ -331,15 +387,17 @@ impl<V: Clone> KvStore<V> for LsmStore<V> {
         // Batches are immutable: a value living only in a batch is
         // promoted (cloned) into the memtable, where it shadows the batch
         // copy — an LSM write, so it counts toward the seal threshold.
-        if self.slot(key).is_err() {
-            let promoted = match self.lookup(key) {
-                Some(Some(v)) => v.clone(),
-                _ => return None,
-            };
-            self.insert_slot(key, Some(promoted));
-        }
-        let i = self.slot(key).expect("key resides in the memtable");
-        self.memtable[i].1.as_mut()
+        let i = match self.memtable.find(key) {
+            Ok(i) => i,
+            Err(i) => {
+                let promoted = match self.lookup_batches(key) {
+                    Some(Some(v)) => v.clone(),
+                    _ => return None,
+                };
+                self.insert_fresh(i, key, Some(promoted))
+            }
+        };
+        self.memtable.vals[i].as_mut()
     }
 
     fn put(&mut self, key: Key, value: V) -> Option<V> {
@@ -512,6 +570,45 @@ mod tests {
     }
 
     proptest! {
+        /// The one-pass upsert leaves the store exactly as the three-call
+        /// sequence it replaces: `contains`, `put` of the default if
+        /// absent, then `get_mut`. Removes leave tombstones in the
+        /// memtable and in batches; small thresholds make upserts promote
+        /// batch values and seal.
+        #[test]
+        fn one_pass_upsert_matches_contains_put_get_mut(
+            ops in proptest::collection::vec((0u8..5, 0u64..24), 1..400),
+            cap in 1usize..6,
+            fanout in 2usize..4,
+        ) {
+            let mut fused: LsmStore<u64> = LsmStore::with_thresholds(cap, fanout);
+            let mut three: LsmStore<u64> = LsmStore::with_thresholds(cap, fanout);
+            for (op, key) in ops {
+                if op == 0 {
+                    prop_assert_eq!(fused.remove(key), three.remove(key));
+                } else {
+                    let a = fused.get_or_insert_with(key, || 7);
+                    *a += 1;
+                    let a = *a;
+                    if !three.contains(key) {
+                        three.put(key, 7);
+                    }
+                    let b = three.get_mut(key).expect("inserted above");
+                    *b += 1;
+                    prop_assert_eq!(a, *b);
+                }
+                prop_assert_eq!(fused.len(), three.len());
+                prop_assert_eq!(fused.memtable_len(), three.memtable_len());
+                prop_assert_eq!(fused.batch_count(), three.batch_count());
+                prop_assert_eq!(fused.take_work(), three.take_work());
+            }
+            let a: Vec<(Key, u64)> =
+                fused.range_inclusive(0, Key::MAX).into_iter().map(|(k, v)| (k, *v)).collect();
+            let b: Vec<(Key, u64)> =
+                three.range_inclusive(0, Key::MAX).into_iter().map(|(k, v)| (k, *v)).collect();
+            prop_assert_eq!(a, b);
+        }
+
         /// Differential test against the AVL map over random operation
         /// sequences with small thresholds, so runs routinely cross seal
         /// and cascading-merge boundaries.
