@@ -75,5 +75,59 @@ fn cache_hierarchy(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, nvm_submit, nvm_submit_bursty, cache_hierarchy);
+/// The cache model at the benchmark's shapes. First, a 5-node cluster's
+/// memory systems under uniform keys, as the benchmark's uniform workloads
+/// drive them: lines drawn from 100k keys, one access in five a DDIO
+/// inject (a replicated update arriving). Most accesses are cold, so this
+/// times the fill path. Second, the 40 nodes of one 8-shard fleet, built
+/// and dropped.
+fn cache_at_benchmark_shapes(c: &mut Criterion) {
+    const KEYS: u64 = 100_000;
+    const NODES: usize = 5;
+    let mut rng = SimRng::seed_from(17);
+    let ops: Vec<(usize, u64, bool)> = (0..200_000)
+        .map(|_| {
+            let node = rng.next_below(NODES as u64) as usize;
+            (node, rng.next_below(KEYS) << 6, rng.next_below(5) == 0)
+        })
+        .collect();
+    c.bench_function("mem/volatile_access_uniform_100k_keys_5_nodes", |b| {
+        b.iter_batched(
+            || -> Vec<MemoryController> {
+                (0..NODES)
+                    .map(|_| MemoryController::new(MemoryParams::micro21()))
+                    .collect()
+            },
+            |mut nodes| {
+                let mut acc = 0u64;
+                for &(node, addr, inject) in &ops {
+                    let mc = &mut nodes[node];
+                    let lat = if inject {
+                        mc.ddio_inject(addr)
+                    } else {
+                        mc.volatile_access(addr)
+                    };
+                    acc = acc.wrapping_add(lat.as_nanos());
+                }
+                acc
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    c.bench_function("mem/new_40_controllers", |b| {
+        b.iter(|| -> Vec<MemoryController> {
+            (0..40)
+                .map(|_| MemoryController::new(MemoryParams::micro21()))
+                .collect()
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    nvm_submit,
+    nvm_submit_bursty,
+    cache_hierarchy,
+    cache_at_benchmark_shapes
+);
 criterion_main!(benches);

@@ -16,16 +16,7 @@ use super::{ClientPhase, Cluster, Event, ObservationLog, ReadObservation, WriteO
 impl Cluster {
     /// The node that coordinates a client's requests.
     pub(crate) fn home_of(&self, client: ClientId) -> NodeId {
-        let home = self
-            .clients
-            .clients()
-            .nth(client.index())
-            .map(|c| c.home_node());
-        debug_assert!(
-            home.is_some(),
-            "home_of: {client} is not in this cluster's pool"
-        );
-        NodeId(home.unwrap_or(0))
+        NodeId(self.clients.client(client).home_node())
     }
 
     /// Handles a client being ready to issue its next request. `token` is

@@ -23,122 +23,253 @@ pub enum HitLevel {
     Memory,
 }
 
+/// Tags a set's first fill reserves (fewer if the level has fewer ways).
+const SMALL_BLOCK: usize = 4;
+
+/// Directory slots a level starts with; a power of two.
+const FIRST_DIRECTORY: usize = 16;
+
+/// Fibonacci-hashing multiplier: spreads neighbouring set keys over the
+/// directory.
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A directory slot: one filled set, or free.
+#[derive(Clone, Copy, Debug, Default)]
+struct Entry {
+    /// Set index + 1, or 0 if the slot is free.
+    key: u32,
+    /// Index of the set's first tag in the level's arena.
+    base: u32,
+    /// Valid tags (front of the block = MRU).
+    len: u8,
+    /// Tags the set's block holds: the small size, or `ways`.
+    cap: u8,
+}
+
+/// A line a lookup missed, with its set's directory slot (the set's entry,
+/// or the free slot the set would take), so that the fill that follows the
+/// miss does not probe again. Valid until the level next changes.
+#[derive(Clone, Copy, Debug)]
+struct Miss {
+    line: u64,
+    key: u32,
+    slot: usize,
+}
+
 /// One set-associative cache level with LRU replacement.
 ///
 /// Tags are full line addresses; the structure stores no data, only presence,
-/// because the simulator is a timing model. Sets are allocated on first
-/// fill: a set that is never filled costs one zeroed `u32` and one zeroed
-/// `u8`, and its `ways` tag slots are carved out of the level's shared
-/// arena the first time a line is installed. Building a node therefore
-/// writes no per-set state, and tag memory grows only with the sets a run
-/// touches (a short run touches few of a 40 MiB LLC's ~47k sets).
+/// because the simulator is a timing model. Host memory follows the sets a
+/// run fills, not the level's geometry: an open-addressing directory maps
+/// each filled set to a block of tags in the level's arena, and a block is
+/// sized to its set's occupancy. A set's first fill takes a small block of
+/// `min(4, ways)` tags; a set that outgrows it moves once to a block of
+/// `ways` tags, and the next set filled reuses the small block. Key-derived
+/// lines spread thinly over a large LLC (100k keys never put more than 3
+/// lines in one of its 40,960 sets), so most sets never move.
 #[derive(Clone, Debug)]
 struct CacheLevel {
-    /// Per set: one past the index of its first slot in `tags`, or 0 if
-    /// the set has never been filled.
-    slot: Vec<u32>,
-    /// Per set: number of valid tags (front of its slots = MRU).
-    lens: Vec<u8>,
-    /// Tag arena; each filled set owns `ways` consecutive slots.
+    /// Filled sets, found by linear probing from a hash of the set key; a
+    /// power of two long and at most half full.
+    dir: Vec<Entry>,
+    /// Occupied directory slots.
+    filled: usize,
+    /// `64 - log2(dir.len())`: turns a spread key into a directory slot.
+    dir_shift: u32,
+    /// Tag arena holding every filled set's block.
     tags: Vec<u64>,
+    /// Small blocks left behind by sets that moved to a full block.
+    free_small: Vec<u32>,
+    sets: u64,
     ways: usize,
+    small: usize,
     line_shift: u32,
 }
 
 impl CacheLevel {
     fn new(params: &CacheParams) -> Self {
-        let sets = params.sets().max(1) as usize;
+        let sets = params.sets().max(1);
         assert!(
             u8::try_from(params.ways).is_ok(),
             "{} ways overflow the per-set length",
             params.ways
         );
+        assert!(
+            sets < u64::from(u32::MAX),
+            "{sets} sets overflow the directory key"
+        );
+        let ways = params.ways as usize;
         CacheLevel {
-            slot: vec![0; sets],
-            lens: vec![0; sets],
+            dir: vec![Entry::default(); FIRST_DIRECTORY],
+            filled: 0,
+            dir_shift: 64 - FIRST_DIRECTORY.trailing_zeros(),
             tags: Vec::new(),
-            ways: params.ways as usize,
+            free_small: Vec::new(),
+            sets,
+            ways,
+            small: ways.min(SMALL_BLOCK),
             line_shift: params.line_bytes.trailing_zeros(),
         }
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr >> self.line_shift) % self.slot.len() as u64) as usize
+    /// The line address of `addr` and its set's directory key.
+    fn line_and_key(&self, addr: u64) -> (u64, u32) {
+        let line = addr >> self.line_shift;
+        (line, (line % self.sets) as u32 + 1)
     }
 
-    fn line(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
-    }
-
-    /// The valid tags of set `idx`, MRU first (empty if never filled).
-    fn set(&mut self, idx: usize) -> &mut [u64] {
-        match self.slot[idx] {
-            0 => &mut [],
-            s => {
-                let base = s as usize - 1;
-                &mut self.tags[base..base + usize::from(self.lens[idx])]
-            }
+    /// The directory slot holding `key`, or the free slot that ends its
+    /// probe sequence.
+    fn probe(&self, key: u32) -> usize {
+        let mask = self.dir.len() - 1;
+        let mut slot = (u64::from(key).wrapping_mul(SPREAD) >> self.dir_shift) as usize;
+        while self.dir[slot].key != key && self.dir[slot].key != 0 {
+            slot = (slot + 1) & mask;
         }
+        slot
+    }
+
+    /// The valid tags of the set at directory `slot`, MRU first (empty for
+    /// a free slot).
+    fn set(&mut self, slot: usize) -> &mut [u64] {
+        let Entry { base, len, .. } = self.dir[slot];
+        let base = base as usize;
+        &mut self.tags[base..base + usize::from(len)]
     }
 
     /// Looks up the line; on hit, promotes it to MRU.
-    fn access(&mut self, addr: u64) -> bool {
-        let line = self.line(addr);
-        let set = self.set(self.set_index(addr));
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set[..=pos].rotate_right(1);
-            true
-        } else {
-            false
+    fn lookup(&mut self, addr: u64) -> Result<(), Miss> {
+        let (line, key) = self.line_and_key(addr);
+        let slot = self.probe(key);
+        let set = self.set(slot);
+        match set.iter().position(|&t| t == line) {
+            Some(pos) => {
+                set[..=pos].rotate_right(1);
+                Ok(())
+            }
+            None => Err(Miss { line, key, slot }),
         }
     }
 
-    /// Installs the line as MRU, evicting LRU if the set is full.
-    fn fill(&mut self, addr: u64) {
-        let line = self.line(addr);
-        let idx = self.set_index(addr);
-        if self.slot[idx] == 0 {
-            self.slot[idx] = u32::try_from(self.tags.len() + 1).expect("tag arena overflow");
-            self.tags.resize(self.tags.len() + self.ways, 0);
-        }
-        let len = usize::from(self.lens[idx]);
-        let base = self.slot[idx] as usize - 1;
-        let set = &mut self.tags[base..base + self.ways];
-        let end = match set[..len].iter().position(|&t| t == line) {
-            Some(pos) => pos + 1,
-            None if len >= self.ways => len,
-            None => {
-                self.lens[idx] += 1;
-                len + 1
+    /// Looks up the line and installs it on a miss; returns whether it hit.
+    fn hit_or_fill(&mut self, addr: u64) -> bool {
+        match self.lookup(addr) {
+            Ok(()) => true,
+            Err(miss) => {
+                self.fill(miss);
+                false
             }
+        }
+    }
+
+    /// Installs a missed line as MRU, evicting LRU if the set is full.
+    fn fill(&mut self, miss: Miss) {
+        debug_assert!(
+            [0, miss.key].contains(&self.dir[miss.slot].key),
+            "stale miss"
+        );
+        let slot = match self.dir[miss.slot].key {
+            0 => self.insert(miss.key, miss.slot),
+            _ => miss.slot,
         };
-        // The slot at `end - 1` (the hit, the LRU victim or a free slot)
-        // takes the line, then rotates to the front.
-        set[end - 1] = line;
-        set[..end].rotate_right(1);
+        let Entry { base, len, cap, .. } = self.dir[slot];
+        let (mut base, len) = (base as usize, usize::from(len));
+        if len == usize::from(cap) && len < self.ways {
+            // The set outgrew its small block: move it to a full one.
+            let full = self.tags.len();
+            self.tags.extend_from_within(base..base + len);
+            self.tags.resize(full + self.ways, 0);
+            self.free_small.push(self.dir[slot].base);
+            self.dir[slot].base = arena_index(full);
+            self.dir[slot].cap = self.ways as u8;
+            base = full;
+        }
+        let end = if len < self.ways {
+            self.dir[slot].len += 1;
+            len + 1
+        } else {
+            len
+        };
+        // The slot at `end - 1` (the LRU victim or a free slot) takes the
+        // line, then rotates to the front.
+        let set = &mut self.tags[base..base + end];
+        set[end - 1] = miss.line;
+        set.rotate_right(1);
+    }
+
+    /// Enters `key` in the directory with a small block, at its free probe
+    /// `slot` unless the directory has to grow first; returns its slot.
+    fn insert(&mut self, key: u32, slot: usize) -> usize {
+        let slot = if 2 * (self.filled + 1) > self.dir.len() {
+            self.grow();
+            self.probe(key)
+        } else {
+            slot
+        };
+        let base = self.free_small.pop().unwrap_or_else(|| {
+            let base = arena_index(self.tags.len());
+            self.tags.resize(self.tags.len() + self.small, 0);
+            base
+        });
+        self.dir[slot] = Entry {
+            key,
+            base,
+            len: 0,
+            cap: self.small as u8,
+        };
+        self.filled += 1;
+        slot
+    }
+
+    /// Doubles the directory and re-enters every filled set.
+    fn grow(&mut self) {
+        let doubled = vec![Entry::default(); 2 * self.dir.len()];
+        let old = std::mem::replace(&mut self.dir, doubled);
+        self.dir_shift -= 1;
+        for entry in old.into_iter().filter(|e| e.key != 0) {
+            let slot = self.probe(entry.key);
+            self.dir[slot] = entry;
+        }
     }
 
     /// Removes the line if present (invalidation).
     fn invalidate(&mut self, addr: u64) {
-        let line = self.line(addr);
-        let idx = self.set_index(addr);
-        let set = self.set(idx);
+        let (line, key) = self.line_and_key(addr);
+        let slot = self.probe(key);
+        let set = self.set(slot);
         if let Some(pos) = set.iter().position(|&t| t == line) {
             set[pos..].rotate_left(1);
-            self.lens[idx] -= 1;
+            self.dir[slot].len -= 1;
         }
     }
 
-    /// Tag slots allocated so far.
+    /// Host bytes the level has allocated.
     #[cfg(test)]
-    fn slots(&self) -> usize {
-        self.tags.len()
+    fn host_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.dir.capacity() * size_of::<Entry>()
+            + self.tags.capacity() * size_of::<u64>()
+            + self.free_small.capacity() * size_of::<u32>()
+    }
+}
+
+/// `index` as a tag-arena offset.
+fn arena_index(index: usize) -> u32 {
+    u32::try_from(index).expect("tag arena overflow")
+}
+
+/// The share of `total` that `ways` of its ways hold, at the same set count.
+fn partition(total: &CacheParams, ways: u32) -> CacheParams {
+    CacheParams {
+        ways,
+        capacity_bytes: total.capacity_bytes * u64::from(ways) / u64::from(total.ways),
+        ..*total
     }
 }
 
 /// The per-node cache hierarchy: one L1 + L2 (the core running the worker
-/// thread for a request) and the shared LLC split into a DDIO partition and
-/// a regular partition.
+/// thread for a request) and the shared LLC split by ways into a DDIO
+/// partition and a regular partition.
 ///
 /// # Examples
 ///
@@ -170,21 +301,11 @@ impl CacheHierarchy {
     pub fn new(params: &MemoryParams) -> Self {
         let llc_total = params.llc_total();
         let ddio_ways = ((f64::from(llc_total.ways) * params.ddio_fraction).round() as u32).max(1);
-        let ddio = CacheParams {
-            ways: ddio_ways,
-            capacity_bytes: llc_total.capacity_bytes * u64::from(ddio_ways)
-                / u64::from(llc_total.ways),
-            ..llc_total
-        };
-        let main_llc = CacheParams {
-            ways: llc_total.ways - ddio_ways,
-            ..llc_total
-        };
         CacheHierarchy {
             l1: CacheLevel::new(&params.l1),
             l2: CacheLevel::new(&params.l2),
-            llc: CacheLevel::new(&main_llc),
-            ddio: CacheLevel::new(&ddio),
+            llc: CacheLevel::new(&partition(&llc_total, llc_total.ways - ddio_ways)),
+            ddio: CacheLevel::new(&partition(&llc_total, ddio_ways)),
             l1_lat: params.l1.round_trip(),
             l2_lat: params.l2.round_trip(),
             llc_lat: llc_total.round_trip(),
@@ -197,20 +318,19 @@ impl CacheHierarchy {
     /// Performs a CPU load/store to `addr`; returns where it hit and the
     /// access latency. Fills all levels on the way back (inclusive model).
     pub fn access(&mut self, addr: u64) -> (HitLevel, Duration) {
-        let (level, lat) = if self.l1.access(addr) {
+        let (level, lat) = if self.l1.hit_or_fill(addr) {
             (HitLevel::L1, self.l1_lat)
-        } else if self.l2.access(addr) {
-            self.l1.fill(addr);
+        } else if self.l2.hit_or_fill(addr) {
             (HitLevel::L2, self.l2_lat)
-        } else if self.llc.access(addr) || self.ddio.access(addr) {
-            self.l1.fill(addr);
-            self.l2.fill(addr);
-            (HitLevel::Llc, self.llc_lat)
         } else {
-            self.l1.fill(addr);
-            self.l2.fill(addr);
-            self.llc.fill(addr);
-            (HitLevel::Memory, self.mem_lat)
+            match self.llc.lookup(addr) {
+                Ok(()) => (HitLevel::Llc, self.llc_lat),
+                Err(_) if self.ddio.lookup(addr).is_ok() => (HitLevel::Llc, self.llc_lat),
+                Err(miss) => {
+                    self.llc.fill(miss);
+                    (HitLevel::Memory, self.mem_lat)
+                }
+            }
         };
         self.hits[level as usize] += 1;
         (level, lat)
@@ -220,7 +340,7 @@ impl CacheHierarchy {
     /// of the LLC (Data Direct I/O). Private caches are invalidated so the
     /// next CPU access sees the new data at LLC latency.
     pub fn ddio_inject(&mut self, addr: u64) -> Duration {
-        self.ddio.fill(addr);
+        self.ddio.hit_or_fill(addr);
         self.l1.invalidate(addr);
         self.l2.invalidate(addr);
         self.llc_lat
@@ -304,8 +424,19 @@ mod tests {
         assert_eq!(level, HitLevel::Llc, "stale private copy must be dropped");
     }
 
+    #[test]
+    fn llc_partitions_sum_to_the_llc_and_share_its_sets() {
+        let p = MemoryParams::micro21();
+        let c = CacheHierarchy::new(&p);
+        let bytes = |l: &CacheLevel| l.sets * l.ways as u64 * (1 << l.line_shift);
+        assert_eq!(bytes(&c.llc) + bytes(&c.ddio), p.llc_total().capacity_bytes);
+        assert_eq!((c.llc.ways, c.ddio.ways), (14, 2));
+        assert_eq!((c.llc.sets, c.ddio.sets), (40_960, 40_960));
+    }
+
     /// A hierarchy with a handful of sets per level, so random addresses
-    /// reuse, evict and invalidate constantly.
+    /// reuse, evict and invalidate constantly. L1, L2 and the main LLC
+    /// partition have more ways than a small block holds.
     fn tiny_hierarchy() -> CacheHierarchy {
         let line = |sets: u64, ways: u32, cycles: u64| CacheParams {
             capacity_bytes: sets * u64::from(ways) * 64,
@@ -315,15 +446,16 @@ mod tests {
         };
         CacheHierarchy::new(&MemoryParams {
             cores: 1,
-            l1: line(4, 2, 2),
-            l2: line(8, 4, 12),
-            llc_per_core: line(8, 10, 38),
+            l1: line(4, 6, 2),
+            l2: line(8, 8, 12),
+            llc_per_core: line(8, 16, 38),
             ..MemoryParams::micro21()
         })
     }
 
     /// The reference LRU set: the `VecDeque`-per-set model, MRU at the
-    /// front, that the shared-arena `CacheLevel` must reproduce exactly.
+    /// front, that the directory-and-arena `CacheLevel` must reproduce
+    /// exactly.
     struct RefLevel {
         sets: Vec<VecDeque<u64>>,
         ways: usize,
@@ -333,7 +465,7 @@ mod tests {
     impl RefLevel {
         fn like(level: &CacheLevel) -> Self {
             RefLevel {
-                sets: vec![VecDeque::new(); level.slot.len()],
+                sets: vec![VecDeque::new(); level.sets as usize],
                 ways: level.ways,
                 line_shift: level.line_shift,
             }
@@ -378,8 +510,15 @@ mod tests {
         }
     }
 
+    /// The valid tags of `addr`'s set, MRU first.
     fn tags(level: &mut CacheLevel, addr: u64) -> Vec<u64> {
-        level.set(level.set_index(addr)).to_vec()
+        let slot = level.probe(level.line_and_key(addr).1);
+        level.set(slot).to_vec()
+    }
+
+    /// Whether some set of the level has moved to a full block.
+    fn has_grown(level: &CacheLevel) -> bool {
+        level.dir.iter().any(|e| usize::from(e.cap) > level.small)
     }
 
     #[test]
@@ -392,8 +531,8 @@ mod tests {
         let mut hits = [0u64; 4];
         let mut rng = ddp_sim::SimRng::seed_from(0xCAC4E);
         for step in 0..200_000 {
-            // 96 distinct lines over at most 8 sets per level.
-            let addr = rng.next_below(96) * 64 + rng.next_below(64);
+            // 160 distinct lines over at most 8 sets per level.
+            let addr = rng.next_below(160) * 64 + rng.next_below(64);
             match rng.next_below(10) {
                 0..=6 => {
                     let want = if l1.access(addr) {
@@ -442,28 +581,88 @@ mod tests {
             );
         }
         assert!(hits.iter().all(|&h| h > 1_000), "mix too narrow: {hits:?}");
+        for (name, level) in [("L1", &c.l1), ("L2", &c.l2), ("LLC", &c.llc)] {
+            assert!(has_grown(level), "no {name} set outgrew its small block");
+        }
+    }
+
+    /// Host bytes all four levels have allocated.
+    fn host_bytes(c: &CacheHierarchy) -> usize {
+        [&c.l1, &c.l2, &c.llc, &c.ddio]
+            .iter()
+            .map(|level| level.host_bytes())
+            .sum()
     }
 
     #[test]
-    fn sets_are_allocated_on_first_fill() {
-        let mut c = hierarchy();
-        for level in [&c.l1, &c.l2, &c.llc, &c.ddio] {
-            assert_eq!(level.slots(), 0, "a fresh hierarchy holds no tags");
-        }
-        // L1 has 128 sets of 8 ways: lines 0..k land in k distinct sets,
-        // and refilling or re-accessing them allocates nothing more.
-        let k = 37u64;
-        for round in 0..3 {
-            for line in 0..k {
-                c.access(line * 64 + round);
+    fn fresh_hierarchy_bytes_do_not_depend_on_set_count() {
+        let bytes = |cores: u32, l2_kib: u64| {
+            let mut p = MemoryParams::micro21();
+            p.cores = cores;
+            p.l2.capacity_bytes = l2_kib * 1024;
+            host_bytes(&CacheHierarchy::new(&p))
+        };
+        let table5 = bytes(20, 512);
+        assert_eq!(bytes(1, 64), table5);
+        assert_eq!(bytes(320, 4096), table5);
+    }
+
+    #[test]
+    fn touched_sets_cost_one_entry_and_one_small_block_each() {
+        for k in [1usize, 10, 100] {
+            let mut c = hierarchy();
+            // Lines 0..k land in k distinct sets of every level (L1 has the
+            // fewest, 128); refilling or re-accessing them allocates
+            // nothing more.
+            for round in 0..3 {
+                for line in 0..k as u64 {
+                    c.access(line * 64 + round);
+                }
             }
+            // L1, L2 and the main LLC have 8, 8 and 14 ways; DDIO has 2.
+            for level in [&c.l1, &c.l2, &c.llc] {
+                assert_eq!(level.filled, k);
+                assert_eq!(level.tags.len(), k * SMALL_BLOCK);
+                assert!(level.dir.len() <= (4 * k).max(FIRST_DIRECTORY));
+            }
+            assert_eq!(c.ddio.filled, 0, "CPU accesses never fill DDIO ways");
+            for line in 0..k as u64 {
+                c.ddio_inject(line * 64);
+            }
+            assert_eq!(c.ddio.filled, k);
+            assert_eq!(c.ddio.tags.len(), k * 2);
         }
-        assert_eq!(c.l1.slots(), 37 * c.l1.ways);
-        assert_eq!(c.l2.slots(), 37 * c.l2.ways);
-        assert_eq!(c.llc.slots(), 37 * c.llc.ways);
-        assert_eq!(c.ddio.slots(), 0, "CPU accesses never fill DDIO ways");
-        c.ddio_inject(0);
-        assert_eq!(c.ddio.slots(), c.ddio.ways);
+    }
+
+    #[test]
+    fn grown_shrunk_and_refilled_set_keeps_lru_order() {
+        let mut c = hierarchy();
+        // L1 has 128 sets of 8 ways and small blocks of 4; lines 128 apart
+        // share set 0.
+        let l1 = &mut c.l1;
+        let addr = |i: u64| i * 128 * 64;
+        let set0 = |l1: &mut CacheLevel| -> Vec<u64> {
+            tags(l1, 0).into_iter().map(|line| line / 128).collect()
+        };
+        for i in 0..6 {
+            l1.hit_or_fill(addr(i));
+        }
+        assert_eq!(set0(l1), [5, 4, 3, 2, 1, 0]);
+        assert_eq!(l1.tags.len(), l1.small + l1.ways, "moved once");
+        assert_eq!(l1.free_small.len(), 1);
+        for i in [4, 0, 2] {
+            l1.invalidate(addr(i));
+        }
+        assert_eq!(set0(l1), [5, 3, 1]);
+        assert!(l1.hit_or_fill(addr(1)), "promoted, not refilled");
+        for i in 6..12 {
+            l1.hit_or_fill(addr(i));
+        }
+        assert_eq!(set0(l1), [11, 10, 9, 8, 7, 6, 1, 5], "3 evicted as LRU");
+        // The next set filled takes the freed small block.
+        l1.hit_or_fill(64);
+        assert_eq!(l1.tags.len(), l1.small + l1.ways);
+        assert!(l1.free_small.is_empty());
     }
 
     #[test]

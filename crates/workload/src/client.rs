@@ -175,6 +175,16 @@ impl ClientPool {
         self.clients.iter()
     }
 
+    /// One client.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the pool.
+    #[must_use]
+    pub fn client(&self, id: ClientId) -> &Client {
+        &self.clients[id.index()]
+    }
+
     /// Mutable access to one client.
     pub fn client_mut(&mut self, id: ClientId) -> &mut Client {
         &mut self.clients[id.index()]
@@ -203,6 +213,20 @@ mod tests {
         let pool = ClientPool::new(&WorkloadSpec::ycsb_a(), 10, 3, 1);
         let homes: Vec<u8> = pool.clients().map(Client::home_node).collect();
         assert_eq!(homes, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn client_looks_up_by_id() {
+        let pool = ClientPool::new(&WorkloadSpec::ycsb_a(), 10, 3, 1);
+        assert_eq!(pool.client(ClientId(7)).id(), ClientId(7));
+        assert_eq!(pool.client(ClientId(7)).home_node(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn unknown_client_panics() {
+        let pool = ClientPool::new(&WorkloadSpec::ycsb_a(), 10, 3, 1);
+        let _ = pool.client(ClientId(10));
     }
 
     #[test]
