@@ -28,5 +28,4 @@
 //! The `benches/` directory holds Criterion microbenchmarks of the
 //! substrate crates (`cargo bench --workspace`).
 
-#![forbid(unsafe_code)]
 pub use ddp_harness::{bar, figure_config, measure, measure_sim, print_row, print_rule};

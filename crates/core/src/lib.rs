@@ -48,7 +48,6 @@
 //! [`Persistency::durability_point`]: model::Persistency::durability_point
 //! [`Simulation`]: protocol::Simulation
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cauhist;

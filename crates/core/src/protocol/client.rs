@@ -149,7 +149,10 @@ impl Cluster {
     /// Records a completed read or write and schedules the client's next
     /// request. `issued_at` is the (first) issue time; `t_done` is when the
     /// value/acknowledgment reached the client.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one completion's client, kind, times, key, version and node"
+    )]
     pub(crate) fn complete_request(
         &mut self,
         ctx: &mut Context<'_, Event>,
@@ -171,7 +174,10 @@ impl Cluster {
 
     /// Statistics and bookkeeping shared by plain and transactional
     /// completions.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one completion's client, kind, times, key, version and node"
+    )]
     pub(crate) fn record_completed(
         &mut self,
         ctx: &mut Context<'_, Event>,

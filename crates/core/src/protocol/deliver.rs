@@ -77,7 +77,10 @@ impl Cluster {
 
     /// INV(+data) at a follower: DDIO-inject the update, apply it to the
     /// volatile replica, then acknowledge per the persistency model.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one INV message, unpacked by the dispatcher"
+    )]
     fn on_inv(
         &mut self,
         ctx: &mut Context<'_, Event>,
@@ -474,7 +477,10 @@ impl Cluster {
     }
 
     /// VAL / VAL_c / VAL_p at a follower.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one VAL message, unpacked by the dispatcher"
+    )]
     fn on_val(
         &mut self,
         ctx: &mut Context<'_, Event>,

@@ -848,7 +848,7 @@ impl Cluster {
     /// when the semantic instant — e.g. a Visibility Point — differs from
     /// the dispatch time of the handler recording it).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the fields of one trace record")]
     pub(crate) fn trace_at(
         &mut self,
         ctx: &Context<'_, Event>,
@@ -934,7 +934,10 @@ impl Cluster {
     /// keeps the `PersistDone` scheduling in one place. `counted` mirrors
     /// the historical accounting: transaction-log persists are protocol
     /// overhead and are not counted as data persists.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one persist's node, time, address, size and accounting"
+    )]
     pub(crate) fn issue_persist(
         &mut self,
         ctx: &mut Context<'_, Event>,

@@ -466,7 +466,10 @@ impl Cluster {
     }
 
     /// A transaction-tagged INV at a follower.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one transaction-tagged INV message"
+    )]
     pub(crate) fn follower_txn_write(
         &mut self,
         ctx: &mut Context<'_, Event>,

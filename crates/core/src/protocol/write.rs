@@ -55,7 +55,10 @@ impl Cluster {
     /// Starts the protocol round for one write. `queued_ns` is the time the
     /// write spent serialized behind a same-key predecessor (zero unless it
     /// came through [`Cluster::pop_queued_write`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one write round's origin, request, timing and scope"
+    )]
     pub(crate) fn begin_write_round(
         &mut self,
         ctx: &mut Context<'_, Event>,

@@ -16,7 +16,7 @@
 //!   byte-identical for any `--threads N`.
 //!
 //! The work queue, the worker threads, and all wall-clock access live in
-//! [`crate::progress`] — the one module the determinism audit lets touch
+//! [`crate::progress`] — the one module whose lint escapes let it touch
 //! host time and threads. This file only decides *what* each worker runs.
 
 use ddp_core::{ClusterConfig, RunStats, Simulation, TimelineDump, TraceDump};

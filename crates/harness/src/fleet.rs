@@ -171,7 +171,10 @@ fn f64_array(values: &[f64]) -> String {
 ///
 /// Panics if a trial's [`FleetConfig::validate`] fails.
 #[must_use]
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "each record with its shards' trace and timeline dumps; a named type would have one use"
+)]
 pub fn run_fleet_sweep_instrumented(
     name: &str,
     sweep: FleetSweep,

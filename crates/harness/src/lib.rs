@@ -39,7 +39,6 @@
 //! assert!(grid.baseline().summary.throughput > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

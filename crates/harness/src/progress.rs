@@ -3,10 +3,10 @@
 //!
 //! Every record a sweep produces must be byte-identical at any
 //! `--threads N`, so host time and host threads are confined to this one
-//! module — the `ddp-audit` determinism lints (`wall-clock`,
-//! `thread-spawn`) ban them everywhere else, and the escape comments
-//! below are the workspace's only `audit:allow` sites for them. The sweep
-//! executor ([`crate::exec`]), which runs solo sweeps
+//! module — `clippy.toml` bans them everywhere else (`disallowed-methods`),
+//! and the `#[expect(clippy::disallowed_methods, …)]` attributes below are
+//! the workspace's only escapes from that ban outside the criterion shim.
+//! The sweep executor ([`crate::exec`]), which runs solo sweeps
 //! ([`crate::run_sweep_instrumented`]) and fleet sweeps
 //! ([`crate::run_fleet_sweep_instrumented`]) as one flat list of
 //! simulations, runs through [`run_pool`], which owns the work queue, the
@@ -15,26 +15,26 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-// audit:allow(wall-clock): stderr progress timing only; never reaches records
 use std::time::Instant;
 
 /// A started wall-clock timer for stderr progress reporting.
 ///
-/// Thin wrapper so callers can time a phase without naming `std::time`
-/// themselves (which the audit would flag).
+/// Thin wrapper so callers can time a phase without calling
+/// `Instant::now` themselves, which `clippy.toml` bans.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
-    // audit:allow(wall-clock): the wrapped instant is this module's point
     started: Instant,
 }
 
 impl Stopwatch {
     /// Starts a timer.
     #[must_use]
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress timing goes to stderr only, never into a record"
+    )]
     pub fn start() -> Self {
         Stopwatch {
-            // audit:allow(wall-clock): progress timing, stderr only
             started: Instant::now(),
         }
     }
@@ -48,9 +48,11 @@ impl Stopwatch {
 
 /// The host's available parallelism: one worker per core, at least one.
 #[must_use]
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes the worker pool; the thread count never changes a record"
+)]
 pub fn available_threads() -> usize {
-    // audit:allow(thread-spawn): querying parallelism, not spawning
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -83,8 +85,7 @@ where
 
     // Results land in index-keyed slots, so output order is
     // thread-count-invariant even though completion order is not.
-    #[allow(clippy::disallowed_methods)]
-    // audit:allow(thread-spawn): the workspace's one worker pool
+    #[expect(clippy::disallowed_methods, reason = "the workspace's one worker pool")]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {

@@ -17,7 +17,6 @@
 //!
 //! [`SimTime`]: ddp_sim::SimTime
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

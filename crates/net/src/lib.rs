@@ -10,7 +10,6 @@
 //! and [`Fabric::broadcast`] return arrival times, and the protocol engine
 //! in `ddp-core` turns them into simulator events.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -40,7 +40,6 @@
 //! assert_eq!(end, SimTime::from_nanos(3_000));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,7 +23,6 @@
 //! All stores are deterministic: no hashing randomness, no allocation-order
 //! dependence, which the simulator's reproducibility requires.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

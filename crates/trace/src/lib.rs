@@ -29,7 +29,6 @@
 //! never schedules events or mutates protocol state, so enabling it
 //! changes nothing but the trace output.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod lifecycle;

@@ -168,28 +168,34 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable_and_unique() {
-        let kinds = [
-            TraceEventKind::WriteIssue,
-            TraceEventKind::WriteVp,
-            TraceEventKind::ReplicaApply,
-            TraceEventKind::PersistIssue,
-            TraceEventKind::PersistComplete,
-            TraceEventKind::WriteDp,
-            TraceEventKind::ReadIssue,
-            TraceEventKind::ReadComplete,
-            TraceEventKind::WriteComplete,
-            TraceEventKind::StallBegin,
-            TraceEventKind::StallEnd,
-            TraceEventKind::Sample,
-            TraceEventKind::AdmissionSample,
-            TraceEventKind::NvmQueueSample,
-            TraceEventKind::CompactionBegin,
-            TraceEventKind::CompactionEnd,
+        // Trace consumers persist both the value and the name, so each is
+        // pinned here; rustc already rejects a duplicate value (E0081).
+        let table = [
+            (TraceEventKind::WriteIssue, 0, "write_issue"),
+            (TraceEventKind::WriteVp, 1, "write_vp"),
+            (TraceEventKind::ReplicaApply, 2, "replica_apply"),
+            (TraceEventKind::PersistIssue, 3, "persist_issue"),
+            (TraceEventKind::PersistComplete, 4, "persist_complete"),
+            (TraceEventKind::WriteDp, 5, "write_dp"),
+            (TraceEventKind::ReadIssue, 6, "read_issue"),
+            (TraceEventKind::ReadComplete, 7, "read_complete"),
+            (TraceEventKind::WriteComplete, 8, "write_complete"),
+            (TraceEventKind::StallBegin, 9, "stall_begin"),
+            (TraceEventKind::StallEnd, 10, "stall_end"),
+            (TraceEventKind::Sample, 11, "sample"),
+            (TraceEventKind::AdmissionSample, 12, "admission_sample"),
+            (TraceEventKind::NvmQueueSample, 13, "nvm_queue_sample"),
+            (TraceEventKind::CompactionBegin, 14, "compaction_begin"),
+            (TraceEventKind::CompactionEnd, 15, "compaction_end"),
         ];
-        let mut names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+        for (kind, value, name) in table {
+            assert_eq!(kind as u8, value, "{kind:?} was renumbered");
+            assert_eq!(kind.name(), name, "{kind:?} was renamed");
+        }
+        let mut names: Vec<&str> = table.iter().map(|&(_, _, name)| name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), kinds.len());
+        assert_eq!(names.len(), table.len());
     }
 
     #[test]

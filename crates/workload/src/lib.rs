@@ -15,7 +15,6 @@
 //! arrival timing (Poisson and bursty MMPP) for overload studies, where
 //! offered load is an arrival rate rather than a client count.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

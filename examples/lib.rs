@@ -1,4 +1,2 @@
 //! Shared helpers for the DDP examples (currently none; each example
 //! is self-contained).
-
-#![forbid(unsafe_code)]

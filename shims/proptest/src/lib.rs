@@ -11,7 +11,6 @@
 //! Shrinking is intentionally not implemented: a failing case panics with the
 //! sampled inputs' `Debug` output instead.
 
-#![forbid(unsafe_code)]
 /// Deterministic splitmix64 generator driving all sampling.
 #[derive(Clone, Debug)]
 pub struct TestRng(u64);
