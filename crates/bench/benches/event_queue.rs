@@ -7,6 +7,8 @@ use ddp_sim::{Context, Duration, Engine, EventQueue, Model, SimRng, SimTime};
 /// of a cluster run moves or stores one of these.
 const EVENT_WORDS: usize = std::mem::size_of::<ddp_core::protocol::Event>() / 8;
 
+/// Every push is at least 1 ms ahead of the clock, beyond the calendar
+/// wheel's 8,192 ns reach, so this case times the overflow heap alone.
 fn queue_push_pop(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_10k", |b| {
         b.iter_batched(
@@ -25,24 +27,23 @@ fn queue_push_pop(c: &mut Criterion) {
     });
 }
 
-/// The hold model at a run's standing depth: 1,024 pending events of the
-/// simulator's event size; each step pops the earliest and pushes its
-/// successor a random 1-2,000 ns later, so the depth stands.
-fn queue_hold_event_sized(c: &mut Criterion) {
-    let mut rng = SimRng::seed_from(7);
-    let delays: Vec<u64> = (0..10_000).map(|_| 1 + rng.next_below(2_000)).collect();
-    c.bench_function("event_queue/hold_10k_at_1k_pending_event_sized", |b| {
+/// The hold model: `depth` pending events of the simulator's event size,
+/// pushed at the first `depth` delays from time zero; each step pops the
+/// earliest and pushes its successor the next delay later, so the depth
+/// stands.
+fn hold(c: &mut Criterion, name: &str, depth: usize, delays: &[u64]) {
+    c.bench_function(name, |b| {
         b.iter_batched(
             || {
-                let mut q = EventQueue::with_capacity(1_025);
-                for (i, &d) in delays.iter().take(1_024).enumerate() {
+                let mut q = EventQueue::with_capacity(depth + 1);
+                for (i, &d) in delays.iter().cycle().take(depth).enumerate() {
                     q.push(SimTime::from_nanos(d), [i as u64; EVENT_WORDS]);
                 }
                 q
             },
             |mut q| {
-                for &d in &delays {
-                    let (t, e) = q.pop().expect("the queue stands at 1,024 events");
+                for &d in delays {
+                    let (t, e) = q.pop().expect("the queue stands at its depth");
                     q.push(t + Duration::from_nanos(d), e);
                 }
                 q
@@ -50,6 +51,56 @@ fn queue_hold_event_sized(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+}
+
+/// 1,024 pending, delays of 1-2,000 ns: all within the wheel.
+fn queue_hold_event_sized(c: &mut Criterion) {
+    let mut rng = SimRng::seed_from(7);
+    let delays: Vec<u64> = (0..10_000).map(|_| 1 + rng.next_below(2_000)).collect();
+    hold(
+        c,
+        "event_queue/hold_10k_at_1k_pending_event_sized",
+        1_024,
+        &delays,
+    );
+}
+
+/// A closed-loop cell's shape: a few hundred pending (the benchmark's
+/// closed-loop cells peak at 152-1,567), every delay under the wheel's
+/// 8,192 ns reach.
+fn queue_hold_closed_loop(c: &mut Criterion) {
+    let mut rng = SimRng::seed_from(11);
+    let delays: Vec<u64> = (0..10_000).map(|_| 1 + rng.next_below(8_000)).collect();
+    hold(
+        c,
+        "event_queue/hold_10k_closed_loop_512_pending_under_8us",
+        512,
+        &delays,
+    );
+}
+
+/// An open-loop overload cell's shape (`writes-openloop-lsm` at 1.5x
+/// `<Causal,Sync>` peaks at 29k pending and pushes 51 % of its events
+/// past the wheel): 15k pending; half the delays go beyond the wheel's
+/// reach, with a tail to ~0.5 ms, so those events take the overflow heap.
+fn queue_hold_open_loop(c: &mut Criterion) {
+    let mut rng = SimRng::seed_from(13);
+    let delays: Vec<u64> = (0..10_000)
+        .map(|_| {
+            if rng.chance(0.5) {
+                1 + rng.next_below(8_000)
+            } else {
+                let u = rng.next_below(1_000);
+                8_192 + u * u / 2
+            }
+        })
+        .collect();
+    hold(
+        c,
+        "event_queue/hold_10k_open_loop_15k_pending_tail_500us",
+        15_000,
+        &delays,
+    );
 }
 
 struct Chain {
@@ -82,6 +133,8 @@ criterion_group!(
     benches,
     queue_push_pop,
     queue_hold_event_sized,
+    queue_hold_closed_loop,
+    queue_hold_open_loop,
     engine_dispatch
 );
 criterion_main!(benches);

@@ -9,15 +9,13 @@
 //! checked against the read/write sets of all active transactions; on a
 //! conflict, wound-wait decides which side waits and which restarts.
 //!
-//! The check reads a per-key index of the transactions holding the key
-//! ([`TxnRegistry`]) instead of scanning every active transaction's sets;
-//! the conflict semantics are the same as the scan's.
-
-use std::collections::BTreeMap;
+//! The check reads the active transactions' sets by client and their
+//! holders by key ([`TxnRegistry`]) instead of scanning every active
+//! transaction's sets; the conflict semantics are the same as the scan's.
 
 use ddp_net::{NodeId, RdmaKind};
 use ddp_sim::{Context, SimTime};
-use ddp_store::Key;
+use ddp_store::{HashTable, Key, KvStore};
 use ddp_workload::{ClientId, OpKind};
 
 use crate::message::{Message, TxnId, WriteId};
@@ -44,34 +42,60 @@ struct Holder {
     write: bool,
 }
 
-/// The active transactions' read/write sets, indexed by key.
+/// The client whose attempt `txn` is: [`Cluster::begin_txn`] numbers a
+/// client's attempts in the low 32 bits of `seq`, under the client's id.
+fn client_of(txn: TxnId) -> usize {
+    (txn.seq >> 32) as usize
+}
+
+/// The active transactions' read/write sets, indexed by client and by key.
 ///
-/// `holders` lists, per key, the transactions whose sets contain it. The
-/// methods are the only mutations, so the index always matches the sets
-/// and emptied keys leave no entry behind.
+/// The engine keeps at most one registered attempt per client: a client
+/// begins an attempt only after its previous one left the registry. So
+/// `sets` holds, at each client's index, that client's attempt. `holders`
+/// lists, per key, the transactions whose sets contain it; it is created by
+/// the first access, so building a registry allocates nothing. The methods
+/// are the only mutations, so the index always matches the sets and emptied
+/// keys leave no entry behind.
 #[derive(Debug, Default)]
 pub(crate) struct TxnRegistry {
-    sets: BTreeMap<TxnId, TxnSets>,
-    holders: BTreeMap<Key, Vec<Holder>>,
+    sets: Vec<Option<(TxnId, TxnSets)>>,
+    holders: Option<HashTable<Vec<Holder>>>,
 }
 
 impl TxnRegistry {
     /// Registers a transaction attempt with empty sets.
     pub(crate) fn begin(&mut self, txn: TxnId, client: u32, started_ns: u64) {
-        let prev = self.sets.insert(
+        let c = client as usize;
+        debug_assert_eq!(client_of(txn), c, "{txn:?} does not encode client {c}");
+        if self.sets.len() <= c {
+            self.sets.resize_with(c + 1, || None);
+        }
+        let prev = self.sets[c].replace((
             txn,
             TxnSets {
                 client,
                 started_ns,
                 ..TxnSets::default()
             },
+        ));
+        debug_assert!(
+            prev.is_none(),
+            "client {c} began {txn:?} with {prev:?} still registered"
         );
-        debug_assert!(prev.is_none(), "transaction ids are never reused");
+    }
+
+    /// The registered attempt `txn`'s sets.
+    fn sets_mut(&mut self, txn: TxnId) -> Option<&mut TxnSets> {
+        match self.sets.get_mut(client_of(txn)) {
+            Some(Some((id, sets))) if *id == txn => Some(sets),
+            _ => None,
+        }
     }
 
     /// Adds `key` to a registered transaction's read or write set.
     pub(crate) fn record(&mut self, txn: TxnId, key: Key, is_write: bool) {
-        let Some(sets) = self.sets.get_mut(&txn) else {
+        let Some(sets) = self.sets_mut(txn) else {
             return;
         };
         let set = if is_write {
@@ -83,26 +107,39 @@ impl TxnRegistry {
             return;
         }
         set.push(key);
-        let holders = self.holders.entry(key).or_default();
-        match holders.iter_mut().find(|h| h.txn == txn) {
-            Some(h) if is_write => h.write = true,
-            Some(h) => h.read = true,
-            None => holders.push(Holder {
-                txn,
-                read: !is_write,
-                write: is_write,
-            }),
+        let holder = Holder {
+            txn,
+            read: !is_write,
+            write: is_write,
+        };
+        let table = self.holders.get_or_insert_with(HashTable::new);
+        match table.get_mut(key) {
+            None => {
+                table.put(key, vec![holder]);
+            }
+            Some(holders) => match holders.iter_mut().find(|h| h.txn == txn) {
+                Some(h) => {
+                    h.read |= holder.read;
+                    h.write |= holder.write;
+                }
+                None => holders.push(holder),
+            },
         }
     }
 
     /// Unregisters a transaction, returning its sets.
     pub(crate) fn remove(&mut self, txn: TxnId) -> Option<TxnSets> {
-        let sets = self.sets.remove(&txn)?;
-        for key in sets.reads.iter().chain(&sets.writes) {
-            if let Some(holders) = self.holders.get_mut(key) {
-                holders.retain(|h| h.txn != txn);
-                if holders.is_empty() {
-                    self.holders.remove(key);
+        let (_, sets) = self
+            .sets
+            .get_mut(client_of(txn))?
+            .take_if(|(id, _)| *id == txn)?;
+        if let Some(table) = &mut self.holders {
+            for &key in sets.reads.iter().chain(&sets.writes) {
+                if let Some(holders) = table.get_mut(key) {
+                    holders.retain(|h| h.txn != txn);
+                    if holders.is_empty() {
+                        table.remove(key);
+                    }
                 }
             }
         }
@@ -113,9 +150,10 @@ impl TxnRegistry {
     pub(crate) fn remove_coordinated_by(&mut self, node: NodeId) {
         let doomed: Vec<TxnId> = self
             .sets
-            .keys()
+            .iter()
+            .flatten()
+            .map(|&(txn, _)| txn)
             .filter(|t| t.coordinator == node)
-            .copied()
             .collect();
         for txn in doomed {
             self.remove(txn);
@@ -124,7 +162,10 @@ impl TxnRegistry {
 
     /// A registered transaction's sets.
     pub(crate) fn get(&self, txn: TxnId) -> Option<&TxnSets> {
-        self.sets.get(&txn)
+        match self.sets.get(client_of(txn)) {
+            Some(Some((id, sets))) if *id == txn => Some(sets),
+            _ => None,
+        }
     }
 
     /// The transactions other than `me` that conflict with an access to
@@ -136,7 +177,8 @@ impl TxnRegistry {
         is_write: bool,
     ) -> impl Iterator<Item = TxnId> + '_ {
         self.holders
-            .get(&key)
+            .as_ref()
+            .and_then(|table| table.get(key))
             .into_iter()
             .flatten()
             .filter(move |h| h.txn != me && (h.write || (is_write && h.read)))
@@ -296,6 +338,8 @@ impl Cluster {
     fn begin_txn(&mut self, ctx: &mut Context<'_, Event>, client: ClientId, home: NodeId) {
         let cr = &mut self.cstate[client.index()];
         cr.txn_counter += 1;
+        // The client's id in the high half of `seq` is what the registry
+        // indexes by (`client_of`).
         let txn = TxnId {
             coordinator: home,
             seq: (u64::from(client.0) << 32) | cr.txn_counter,
@@ -893,17 +937,24 @@ mod tests {
 
     const KEYS: u64 = 6;
     const COORDINATORS: u8 = 3;
+    const CLIENTS: u32 = 8;
+
+    /// The registered transactions, in no particular order.
+    fn registered(reg: &TxnRegistry) -> impl Iterator<Item = &(TxnId, TxnSets)> {
+        reg.sets.iter().flatten()
+    }
 
     /// The conflict filter as a scan over every registered transaction's
     /// sets: the reference the per-key index must agree with.
     fn scan(reg: &TxnRegistry, me: TxnId, key: Key, is_write: bool) -> Vec<TxnId> {
-        reg.sets
-            .iter()
-            .filter(|(&id, sets)| {
-                id != me && (sets.writes.contains(&key) || (is_write && sets.reads.contains(&key)))
+        let mut found: Vec<TxnId> = registered(reg)
+            .filter(|(id, sets)| {
+                *id != me && (sets.writes.contains(&key) || (is_write && sets.reads.contains(&key)))
             })
-            .map(|(&id, _)| id)
-            .collect()
+            .map(|&(id, _)| id)
+            .collect();
+        found.sort();
+        found
     }
 
     fn assert_index_matches_scan(reg: &TxnRegistry, probes: &[TxnId], step: usize) {
@@ -929,23 +980,36 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let mut reg = TxnRegistry::default();
             let mut live: Vec<TxnId> = Vec::new();
-            let mut next_seq = [0u64; COORDINATORS as usize];
-            // Never registered: probes the filter from outside the sets.
+            let mut attempts = [0u64; CLIENTS as usize];
+            // Never registered: a client with no attempts, and a stale id
+            // of client 0, whose live attempt (if any) has another seq.
             let outsider = TxnId {
                 coordinator: NodeId(COORDINATORS),
+                seq: u64::from(CLIENTS) << 32,
+            };
+            let stale = TxnId {
+                coordinator: NodeId(0),
                 seq: 0,
             };
             for step in 0..1_000 {
                 match rng.next_below(100) {
                     0..=24 => {
-                        let c = rng.next_below(u64::from(COORDINATORS)) as usize;
-                        next_seq[c] += 1;
-                        let txn = TxnId {
-                            coordinator: NodeId(c as u8),
-                            seq: next_seq[c],
-                        };
-                        reg.begin(txn, rng.next_below(8) as u32, rng.next_below(1_000));
-                        live.push(txn);
+                        // Like the engine, a client begins an attempt only
+                        // when it has none registered, and numbers it in
+                        // the low half of the seq, under its own id.
+                        let idle: Vec<u32> = (0..CLIENTS)
+                            .filter(|&c| live.iter().all(|&t| client_of(t) != c as usize))
+                            .collect();
+                        if !idle.is_empty() {
+                            let client = *rng.choose(&idle);
+                            attempts[client as usize] += 1;
+                            let txn = TxnId {
+                                coordinator: NodeId(rng.next_below(u64::from(COORDINATORS)) as u8),
+                                seq: (u64::from(client) << 32) | attempts[client as usize],
+                            };
+                            reg.begin(txn, client, rng.next_below(1_000));
+                            live.push(txn);
+                        }
                     }
                     25..=74 if !live.is_empty() => {
                         let txn = *rng.choose(&live);
@@ -963,23 +1027,28 @@ mod tests {
                     }
                     _ => {
                         // An access by an unregistered transaction is ignored.
-                        reg.record(outsider, rng.next_below(KEYS), rng.chance(0.5));
+                        let other = if rng.chance(0.5) { outsider } else { stale };
+                        reg.record(other, rng.next_below(KEYS), rng.chance(0.5));
+                        assert!(reg.get(other).is_none() && reg.remove(other).is_none());
                     }
                 }
-                assert_eq!(reg.sets.len(), live.len(), "step {step}");
+                assert_eq!(registered(&reg).count(), live.len(), "step {step}");
+                for &txn in &live {
+                    assert_eq!(
+                        reg.get(txn).map(|s| s.client as usize),
+                        Some(client_of(txn))
+                    );
+                }
                 let mut probes = live.clone();
-                probes.push(outsider);
+                probes.extend([outsider, stale]);
                 assert_index_matches_scan(&reg, &probes, step);
             }
             for txn in live {
                 reg.remove(txn);
             }
-            assert!(reg.sets.is_empty());
-            assert!(
-                reg.holders.is_empty(),
-                "seed {seed}: stale holders {:?}",
-                reg.holders
-            );
+            assert_eq!(registered(&reg).count(), 0);
+            let holders = reg.holders.as_ref().map_or(0, HashTable::len);
+            assert_eq!(holders, 0, "seed {seed}: stale holders {:?}", reg.holders);
         }
     }
 }

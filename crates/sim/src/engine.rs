@@ -124,7 +124,17 @@ impl<E> Engine<E> {
     }
 
     /// Schedules an event before or between runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due` is before [`Engine::now`], which a run cut off by
+    /// its deadline leaves ahead of the last dispatched event.
     pub fn schedule(&mut self, due: SimTime, event: E) {
+        assert!(
+            due >= self.now,
+            "event scheduled at {due:?}, before current time {:?}",
+            self.now
+        );
         self.queue.push(due, event);
     }
 
@@ -163,15 +173,12 @@ impl<E> Engine<E> {
     pub fn run_until<M: Model<Event = E>>(&mut self, model: &mut M, deadline: SimTime) -> SimTime {
         let mut stop = false;
         while !stop {
-            match self.queue.peek_time() {
-                None => break,
-                Some(t) if t > deadline => {
+            let Some((t, event)) = self.queue.pop_due(deadline) else {
+                if !self.queue.is_empty() {
                     self.now = deadline;
-                    break;
                 }
-                Some(_) => {}
-            }
-            let (t, event) = self.queue.pop().expect("peeked event must pop");
+                break;
+            };
             self.now = t;
             self.dispatched += 1;
             let mut ctx = Context {
@@ -250,6 +257,20 @@ mod tests {
         // A second run picks up the remainder.
         e.run(&mut m);
         assert_eq!(m.seen.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn scheduling_before_a_deadline_stop_panics() {
+        let mut m = Recorder { seen: Vec::new() };
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_nanos(10), 10);
+        e.schedule(SimTime::from_nanos(30), 30);
+        e.run_until(&mut m, SimTime::from_nanos(20));
+        assert_eq!(e.now(), SimTime::from_nanos(20));
+        // The clock stands at the deadline, past the last dispatch at 10:
+        // an event at 15 would run after time 20 had been reached.
+        e.schedule(SimTime::from_nanos(15), 15);
     }
 
     struct Stopper;
