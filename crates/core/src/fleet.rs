@@ -4,7 +4,7 @@
 //! The paper evaluates one replica group — every node holds every key.
 //! Real deployments shard: the key space splits over `S` independent
 //! groups, each running the full DDP protocol for its slice of the keys.
-//! This module scales the single-[`Cluster`] core out to such a fleet
+//! This module scales the single-[`Cluster`](crate::Cluster) core out to such a fleet
 //! while preserving the repo's central invariant — byte-identical results
 //! for a given config at any host thread count:
 //!
@@ -15,12 +15,14 @@
 //! * Shards never exchange an event, so each one runs as a plain
 //!   [`Simulation`] of its derived config. A fleet of one shard is that
 //!   config's solo run.
-//! * [`FleetSimulation`] runs the shards and aggregates their [`RunStats`]
-//!   into a fleet-level [`FleetReport`] ([`FleetReport::from_shards`]):
+//! * [`FleetSimulation`] runs the shards one after another and keeps only
+//!   each finished shard's [`RunOutcome`], which
+//!   [`FleetReport::from_outcomes`] aggregates into a fleet-level report:
 //!   pooled latency histograms, a union measured window, a
 //!   shard-imbalance index, and the count of transaction groups that
 //!   would have crossed shards. The harness executor runs the same shards
-//!   as separate jobs and builds the same report.
+//!   as separate jobs and builds the report and traces from their
+//!   outcomes with the same two functions.
 //!
 //! Cross-shard transactions are out of scope for the protocol layer (each
 //! shard's group runs its own coordination); the workload layer re-homes
@@ -30,8 +32,9 @@
 
 use crate::config::ClusterConfig;
 use crate::model::{Consistency, DdpModel, Persistency};
-use crate::protocol::{Cluster, Simulation};
+use crate::protocol::{RunOutcome, Simulation};
 use crate::stats::{RunStats, RunSummary};
+use ddp_sim::SimTime;
 use ddp_trace::TraceDump;
 use ddp_workload::{Placement, ShardRouter, ShardSlice};
 
@@ -54,7 +57,7 @@ pub fn shard_seed(fleet_seed: u64, shard: u16) -> u64 {
 /// the shard count and key→shard placement.
 ///
 /// The template's `clients`, `warmup_requests`, `measured_requests`, and
-/// open-loop `offered_per_sec` are **fleet totals**; [`FleetConfig::shard_configs`]
+/// open-loop `offered_per_sec` are **fleet totals**; [`FleetConfig::split`]
 /// splits them across shards in proportion to each shard's popularity
 /// mass, so a skewed workload loads shards unevenly — exactly the
 /// imbalance the scaling sweeps measure.
@@ -139,14 +142,6 @@ impl FleetConfig {
         ShardRouter::new(self.placement, self.shards, self.base.workload.key_space)
     }
 
-    /// The fraction of key draws homed on each shard (sums to 1); see
-    /// [`ShardRouter::popularity_mass`].
-    #[must_use]
-    pub fn popularity_mass(&self) -> Vec<f64> {
-        self.router()
-            .popularity_mass(&self.base.workload.key_chooser())
-    }
-
     /// Requests per transaction group for cross-shard accounting:
     /// transactions group `txn_size` requests, Scope persistency groups
     /// `scope_size`, everything else is ungrouped.
@@ -160,7 +155,17 @@ impl FleetConfig {
         }
     }
 
-    /// Derives the per-shard cluster configurations.
+    /// The per-shard cluster configurations; the configurations of
+    /// [`FleetConfig::split`].
+    #[must_use]
+    pub fn shard_configs(&self) -> Vec<ClusterConfig> {
+        self.split().1
+    }
+
+    /// Derives the fleet's popularity mass (the fraction of key draws
+    /// homed on each shard, summing to 1; see
+    /// [`ShardRouter::popularity_mass`]) and the per-shard cluster
+    /// configurations apportioned by it.
     ///
     /// A one-shard fleet returns the template untouched (no workload
     /// slice, same seed), which is what makes `--shards 1` byte-identical
@@ -174,12 +179,15 @@ impl FleetConfig {
     /// * a [`ShardSlice`] restricting its workload to keys homed on `s`
     ///   and counting rejected cross-shard groups.
     #[must_use]
-    pub fn shard_configs(&self) -> Vec<ClusterConfig> {
+    pub fn split(&self) -> (Vec<f64>, Vec<ClusterConfig>) {
         if self.shards == 1 {
-            return vec![self.base.clone()];
+            // One shard homes every key draw.
+            return (vec![1.0], vec![self.base.clone()]);
         }
-        let mass = self.popularity_mass();
         let router = self.router();
+        // A Zipf key space builds its normaliser and draws a fixed sample
+        // here, so each fleet path calls `split` once.
+        let mass = router.popularity_mass(&self.base.workload.key_chooser());
         let group = self.group_size();
         let min_clients = if self.base.open_loop.is_some() {
             u64::from(self.base.nodes)
@@ -189,7 +197,7 @@ impl FleetConfig {
         let clients = apportion(u64::from(self.base.clients), &mass, min_clients);
         let warmup = apportion(self.base.warmup_requests, &mass, 0);
         let measured = apportion(self.base.measured_requests, &mass, 1);
-        (0..self.shards)
+        let configs = (0..self.shards)
             .map(|s| {
                 let mut cfg = self.base.clone();
                 cfg.seed = shard_seed(self.base.seed, s);
@@ -204,7 +212,8 @@ impl FleetConfig {
                 }
                 cfg
             })
-            .collect()
+            .collect();
+        (mass, configs)
     }
 }
 
@@ -252,7 +261,7 @@ fn apportion(total: u64, mass: &[f64], min: u64) -> Vec<u64> {
 }
 
 /// Fleet-level results: the aggregate summary plus per-shard breakdown.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
     /// The DDP model the fleet ran.
     pub model: DdpModel,
@@ -282,24 +291,23 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Builds the report from each shard's finished statistics, in shard
-    /// order, and the fleet's total of re-homed cross-shard groups.
-    /// `offered_mass` is [`FleetConfig::popularity_mass`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
+    /// Builds the report from each shard's outcome, in shard order.
+    /// `offered_mass` is the mass [`FleetConfig::split`] apportioned the
+    /// fleet by. [`FleetSimulation`] and the harness executor both report
+    /// through here.
     #[must_use]
-    pub fn from_shards(
+    pub fn from_outcomes(
         cfg: &FleetConfig,
         offered_mass: Vec<f64>,
-        shards: &[&RunStats],
-        cross_shard_groups: u64,
+        outcomes: &[RunOutcome],
     ) -> Self {
-        let per_shard: Vec<RunSummary> = shards.iter().map(|s| RunSummary::from_stats(s)).collect();
-        let shard_completed: Vec<u64> = shards.iter().map(|s| s.completed()).collect();
+        let per_shard: Vec<RunSummary> = outcomes
+            .iter()
+            .map(|o| RunSummary::from_stats(&o.stats))
+            .collect();
+        let shard_completed: Vec<u64> = outcomes.iter().map(|o| o.stats.completed()).collect();
 
-        let mut aggregate = RunSummary::from_stats(&merge_shard_stats(shards));
+        let mut aggregate = RunSummary::from_stats(&merge_shard_stats(outcomes));
         // Gauge-derived occupancies: sum the per-shard values (see
         // FleetReport::aggregate).
         aggregate.mean_buffered_writes = per_shard.iter().map(|s| s.mean_buffered_writes).sum();
@@ -329,52 +337,49 @@ impl FleetReport {
             shard_completed,
             offered_mass,
             imbalance,
-            cross_shard_groups,
+            cross_shard_groups: outcomes.iter().map(|o| o.cross_shard_groups).sum(),
         }
     }
 }
 
-/// Fleet-wide merged statistics: counters summed, histograms pooled, the
-/// measured window unioned (see [`RunStats::absorb`]). The level gauges
-/// are left default — occupancy does not pool; use the per-shard
-/// summaries for those.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty.
-#[must_use]
-pub fn merge_shard_stats(shards: &[&RunStats]) -> RunStats {
+/// Fleet-wide merged statistics of the shards' outcomes: counters summed,
+/// histograms pooled, the measured window unioned (see
+/// [`RunStats::absorb`]). The level gauges are left default — occupancy
+/// does not pool; use the per-shard summaries for those. No outcomes
+/// merge to `RunStats::default()`.
+fn merge_shard_stats(outcomes: &[RunOutcome]) -> RunStats {
     let mut merged = RunStats {
         // Seed the accumulator's (empty) window at shard 0's start so
         // the union below is exactly the union of real windows.
-        window_start: shards[0].window_start,
+        window_start: outcomes
+            .first()
+            .map_or(SimTime::ZERO, |o| o.stats.window_start),
         ..RunStats::default()
     };
-    for stats in shards {
-        merged.absorb(stats);
+    for o in outcomes {
+        merged.absorb(&o.stats);
     }
     merged
 }
 
-/// Numbers per-shard trace dumps fleet-wide. Each item is one shard, in
-/// shard order: the events its simulation dispatched and its drained
-/// dump, if it traced. Shard `s`'s `seq` values are offset by the events
-/// shards `0..s` dispatched, so no `seq` value appears in two shards and
-/// the highest is the fleet's dispatch total. Shard 0 keeps its numbering,
-/// so a one-shard fleet's stream is its solo run's.
-pub fn number_fleet_traces(
-    shards: impl IntoIterator<Item = (u64, Option<TraceDump>)>,
-) -> Vec<(u16, TraceDump)> {
+/// Drains the shards' traces, numbered fleet-wide: `(shard, dump)` for
+/// each outcome, in shard order, that traced. Shard `s`'s `seq` values
+/// are offset by the events shards `0..s` dispatched, so no `seq` value
+/// appears in two shards and the highest is the fleet's dispatch total.
+/// Shard 0 keeps its numbering, so a one-shard fleet's stream is its solo
+/// run's. A drained outcome keeps an empty dump.
+pub fn number_fleet_traces(outcomes: &mut [RunOutcome]) -> Vec<(u16, TraceDump)> {
     let mut offset = 0;
     let mut out = Vec::new();
-    for (s, (events, dump)) in shards.into_iter().enumerate() {
-        if let Some(mut dump) = dump {
+    for (s, outcome) in outcomes.iter_mut().enumerate() {
+        if let Some(dump) = outcome.trace.as_mut() {
+            let mut dump = std::mem::take(dump);
             for r in &mut dump.events {
                 r.seq += offset;
             }
             out.push((u16::try_from(s).expect("shard index fits u16"), dump));
         }
-        offset += events;
+        offset += outcome.events;
     }
     out
 }
@@ -382,11 +387,18 @@ pub fn number_fleet_traces(
 /// Runs a fleet as one independent [`Simulation`] per shard and
 /// aggregates the per-shard results; the sharded counterpart of
 /// [`Simulation`].
+///
+/// Every shard is built up front, but [`FleetSimulation::run`] replaces
+/// each one by its [`RunOutcome`] as soon as it finishes, so at most one
+/// shard's run state (caches, replica stores, event records) is live.
 #[derive(Debug)]
 pub struct FleetSimulation {
     cfg: FleetConfig,
     mass: Vec<f64>,
-    shards: Vec<Simulation>,
+    /// Shards not yet run, in shard order; `run` empties it.
+    unrun: Vec<Simulation>,
+    /// The finished shards' outcomes, in shard order.
+    outcomes: Vec<RunOutcome>,
 }
 
 impl FleetSimulation {
@@ -398,13 +410,14 @@ impl FleetSimulation {
     #[must_use]
     pub fn new(cfg: FleetConfig) -> Self {
         cfg.validate().expect("invalid fleet configuration");
-        let mass = cfg.popularity_mass();
-        let shards = cfg
-            .shard_configs()
-            .into_iter()
-            .map(Simulation::new)
-            .collect();
-        FleetSimulation { cfg, mass, shards }
+        let (mass, configs) = cfg.split();
+        let unrun = configs.into_iter().map(Simulation::new).collect();
+        FleetSimulation {
+            cfg,
+            mass,
+            unrun,
+            outcomes: Vec::new(),
+        }
     }
 
     /// Runs every shard to the end of its measured window, in shard
@@ -412,42 +425,27 @@ impl FleetSimulation {
     /// its own stop time. Calling `run` again returns the same report
     /// without re-running.
     pub fn run(&mut self) -> FleetReport {
-        for sim in &mut self.shards {
-            sim.run();
+        for sim in std::mem::take(&mut self.unrun) {
+            self.outcomes.push(sim.finish());
         }
-        let cross = self
-            .shards
-            .iter()
-            .map(|s| s.cluster().cross_shard_groups())
-            .sum();
-        FleetReport::from_shards(&self.cfg, self.mass.clone(), &self.stats(), cross)
+        FleetReport::from_outcomes(&self.cfg, self.mass.clone(), &self.outcomes)
     }
 
-    fn stats(&self) -> Vec<&RunStats> {
-        self.shards.iter().map(|s| s.cluster().stats()).collect()
-    }
-
-    /// Fleet-wide merged statistics; see [`merge_shard_stats`].
+    /// Fleet-wide merged statistics of the shards that have run (all of
+    /// them after [`FleetSimulation::run`]): counters summed, histograms
+    /// pooled, the measured window unioned (see [`RunStats::absorb`]). The
+    /// level gauges are left default; the report's per-shard summaries
+    /// carry them.
     #[must_use]
     pub fn merged_stats(&self) -> RunStats {
-        merge_shard_stats(&self.stats())
+        merge_shard_stats(&self.outcomes)
     }
 
-    /// One shard's cluster (stats, observations, stores).
-    #[must_use]
-    pub fn shard(&self, shard: u16) -> &Cluster {
-        self.shards[usize::from(shard)].cluster()
-    }
-
-    /// Drains every shard's trace event ring: `(shard, dump)` pairs for
-    /// shards with event tracing enabled, numbered fleet-wide (see
+    /// Drains the trace of every shard that has run: `(shard, dump)` pairs
+    /// for shards with event tracing enabled, numbered fleet-wide (see
     /// [`number_fleet_traces`]).
     pub fn take_traces(&mut self) -> Vec<(u16, TraceDump)> {
-        number_fleet_traces(
-            self.shards
-                .iter_mut()
-                .map(|s| (s.events_dispatched(), s.take_trace())),
-        )
+        number_fleet_traces(&mut self.outcomes)
     }
 }
 

@@ -71,14 +71,14 @@ pub use config::{
 };
 pub use failure::{crash_snapshot, ClusterSnapshot, NodeImage};
 pub use fleet::{
-    merge_shard_stats, number_fleet_traces, run_fleet, shard_seed, FleetConfig, FleetReport,
-    FleetSimulation, SHARD_SEED_STRIDE,
+    number_fleet_traces, run_fleet, shard_seed, FleetConfig, FleetReport, FleetSimulation,
+    SHARD_SEED_STRIDE,
 };
 pub use message::{Message, ScopeId, TxnId, WriteId};
 pub use model::{Consistency, DdpModel, Persistency};
 pub use protocol::{
-    run_experiment, Cluster, ObservationLog, OpenLoopAccounting, ReadObservation, RunReport,
-    Simulation, WriteObservation,
+    run_experiment, Cluster, ObservationLog, OpenLoopAccounting, ReadObservation, RunOutcome,
+    RunReport, Simulation, WriteObservation,
 };
 pub use recovery::{recover, RecoveredState, RecoveryPolicy};
 pub use recovery_time::{estimate_recovery, RecoveryEstimate};

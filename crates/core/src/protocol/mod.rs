@@ -1270,6 +1270,25 @@ pub struct RunReport {
     pub summary: RunSummary,
 }
 
+/// What a finished simulation leaves once its cluster is dropped: the
+/// statistics a record needs and the drained trace and timeline. Made by
+/// [`Simulation::finish`]; a fleet and the harness executor keep one per
+/// shard instead of the shard's whole [`Simulation`].
+#[derive(Debug)]
+pub struct RunOutcome {
+    /// The run's statistics.
+    pub stats: RunStats,
+    /// Transaction/scope groups the run's workload re-homed (see
+    /// [`Cluster::cross_shard_groups`]).
+    pub cross_shard_groups: u64,
+    /// Events the run dispatched (see [`Simulation::events_dispatched`]).
+    pub events: u64,
+    /// The drained trace ring, if event tracing was on.
+    pub trace: Option<TraceDump>,
+    /// The drained timeline, if the timeline was on.
+    pub timeline: Option<TimelineDump>,
+}
+
 impl Simulation {
     /// Builds a simulation for the given configuration.
     ///
@@ -1289,6 +1308,31 @@ impl Simulation {
     ///
     /// Calling `run` again returns the same report without re-running.
     pub fn run(&mut self) -> RunReport {
+        self.run_to_end();
+        RunReport {
+            model: self.cluster.cfg.model,
+            summary: RunSummary::from_stats(&self.cluster.stats),
+        }
+    }
+
+    /// Runs the simulation if it has not run, then drops the cluster and
+    /// keeps its [`RunOutcome`]: the statistics move out rather than being
+    /// copied, and the trace ring and timeline are drained.
+    #[must_use]
+    pub fn finish(mut self) -> RunOutcome {
+        self.run_to_end();
+        let trace = self.take_trace();
+        let timeline = self.take_timeline();
+        RunOutcome {
+            cross_shard_groups: self.cluster.cross_shard_groups(),
+            events: self.events_dispatched(),
+            trace,
+            timeline,
+            stats: self.cluster.stats,
+        }
+    }
+
+    fn run_to_end(&mut self) {
         if !self.ran {
             if let Some(ol) = self.cluster.ol.as_mut() {
                 // Open loop: the run is driven by the arrival chain; all
@@ -1321,10 +1365,6 @@ impl Simulation {
             self.cluster.stats.measured_time =
                 now.saturating_since(self.cluster.stats.window_start);
             self.ran = true;
-        }
-        RunReport {
-            model: self.cluster.cfg.model,
-            summary: RunSummary::from_stats(&self.cluster.stats),
         }
     }
 

@@ -172,46 +172,93 @@ impl RunStats {
     /// form at this layer. Fleet summaries instead sum the per-shard
     /// gauge-derived summary fields.
     pub fn absorb(&mut self, other: &RunStats) {
-        self.reads_completed += other.reads_completed;
-        self.writes_completed += other.writes_completed;
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
-        self.access_latency.merge(&other.access_latency);
-        self.network_bytes += other.network_bytes;
-        self.messages_sent += other.messages_sent;
-        self.reads_stalled_on_persist += other.reads_stalled_on_persist;
-        self.reads_stalled_on_consistency += other.reads_stalled_on_consistency;
-        self.txns_started += other.txns_started;
-        self.txns_conflicted += other.txns_conflicted;
-        self.txns_committed += other.txns_committed;
-        self.persists_issued += other.persists_issued;
-        self.nvm_queue_wait += other.nvm_queue_wait;
-        self.vp_dp_lag.merge(&other.vp_dp_lag);
-        self.phase.merge(&other.phase);
+        // No `..`: a field added to `RunStats` without a line here is
+        // E0027, so no counter silently drops out of fleet aggregates.
+        let RunStats {
+            reads_completed,
+            writes_completed,
+            read_latency,
+            write_latency,
+            access_latency,
+            network_bytes,
+            messages_sent,
+            reads_stalled_on_persist,
+            reads_stalled_on_consistency,
+            txns_started,
+            txns_conflicted,
+            txns_committed,
+            persists_issued,
+            nvm_queue_wait,
+            vp_dp_lag,
+            phase,
+            measured_time,
+            window_start,
+            messages_dropped,
+            messages_duplicated,
+            messages_delayed,
+            retransmits,
+            duplicates_suppressed,
+            client_timeouts,
+            transient_expirations,
+            catchup_keys,
+            crashes,
+            rejoins,
+            ol_arrivals,
+            ol_rejections,
+            ol_retries,
+            ol_shed,
+            admissions,
+            admission_wait,
+            lsm_seals,
+            lsm_merges,
+            compaction_bytes,
+            // Not pooled: `FleetReport::from_outcomes` sums the per-shard
+            // summaries of these level gauges instead.
+            causal_buffered: _,
+            admission_queue: _,
+            nvm_bank_queue: _,
+            compactions_active: _,
+        } = other;
+        self.reads_completed += reads_completed;
+        self.writes_completed += writes_completed;
+        self.read_latency.merge(read_latency);
+        self.write_latency.merge(write_latency);
+        self.access_latency.merge(access_latency);
+        self.network_bytes += network_bytes;
+        self.messages_sent += messages_sent;
+        self.reads_stalled_on_persist += reads_stalled_on_persist;
+        self.reads_stalled_on_consistency += reads_stalled_on_consistency;
+        self.txns_started += txns_started;
+        self.txns_conflicted += txns_conflicted;
+        self.txns_committed += txns_committed;
+        self.persists_issued += persists_issued;
+        self.nvm_queue_wait += *nvm_queue_wait;
+        self.vp_dp_lag.merge(vp_dp_lag);
+        self.phase.merge(phase);
         // Union of the measured windows: earliest start to latest end.
         let self_end = self.window_start + self.measured_time;
-        let other_end = other.window_start + other.measured_time;
-        self.window_start = self.window_start.min(other.window_start);
+        let other_end = *window_start + *measured_time;
+        self.window_start = self.window_start.min(*window_start);
         self.measured_time = self_end.max(other_end).saturating_since(self.window_start);
-        self.messages_dropped += other.messages_dropped;
-        self.messages_duplicated += other.messages_duplicated;
-        self.messages_delayed += other.messages_delayed;
-        self.retransmits += other.retransmits;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.client_timeouts += other.client_timeouts;
-        self.transient_expirations += other.transient_expirations;
-        self.catchup_keys += other.catchup_keys;
-        self.crashes.extend_from_slice(&other.crashes);
-        self.rejoins.extend_from_slice(&other.rejoins);
-        self.ol_arrivals += other.ol_arrivals;
-        self.ol_rejections += other.ol_rejections;
-        self.ol_retries += other.ol_retries;
-        self.ol_shed += other.ol_shed;
-        self.admissions += other.admissions;
-        self.admission_wait += other.admission_wait;
-        self.lsm_seals += other.lsm_seals;
-        self.lsm_merges += other.lsm_merges;
-        self.compaction_bytes += other.compaction_bytes;
+        self.messages_dropped += messages_dropped;
+        self.messages_duplicated += messages_duplicated;
+        self.messages_delayed += messages_delayed;
+        self.retransmits += retransmits;
+        self.duplicates_suppressed += duplicates_suppressed;
+        self.client_timeouts += client_timeouts;
+        self.transient_expirations += transient_expirations;
+        self.catchup_keys += catchup_keys;
+        self.crashes.extend_from_slice(crashes);
+        self.rejoins.extend_from_slice(rejoins);
+        self.ol_arrivals += ol_arrivals;
+        self.ol_rejections += ol_rejections;
+        self.ol_retries += ol_retries;
+        self.ol_shed += ol_shed;
+        self.admissions += admissions;
+        self.admission_wait += *admission_wait;
+        self.lsm_seals += lsm_seals;
+        self.lsm_merges += lsm_merges;
+        self.compaction_bytes += compaction_bytes;
     }
 }
 

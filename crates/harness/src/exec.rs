@@ -19,7 +19,7 @@
 //! [`crate::progress`] — the one module whose lint escapes let it touch
 //! host time and threads. This file only decides *what* each worker runs.
 
-use ddp_core::{ClusterConfig, RunStats, Simulation, TimelineDump, TraceDump};
+use ddp_core::{ClusterConfig, RunOutcome, Simulation, TimelineDump, TraceDump};
 
 use crate::args::HarnessArgs;
 use crate::csv::CsvWriter;
@@ -37,33 +37,17 @@ use crate::trace::{trace_end_to_json, trace_event_to_json};
 /// figure-scale run.
 pub const DEFAULT_WINDOW_NS: u64 = 50_000;
 
-/// What a worker keeps of one finished simulation: everything a record
-/// and the `--trace`/`--timeline` streams need. The [`Simulation`] itself
-/// is dropped inside the worker, so a sweep never holds more live
-/// simulations than it has workers.
-#[derive(Debug)]
-pub(crate) struct SimRun {
-    /// The run's statistics.
-    pub stats: RunStats,
-    /// Cross-shard groups the run's workload re-homed.
-    pub cross_shard_groups: u64,
-    /// Events the run dispatched.
-    pub events: u64,
-    /// The drained trace ring, if event tracing was on.
-    pub trace: Option<TraceDump>,
-    /// The drained timeline, if the timeline was on.
-    pub timeline: Option<TimelineDump>,
-}
-
 /// Runs every trial's simulations on `threads` workers as one flat job
-/// list and returns each trial's [`SimRun`]s in trial-then-shard order.
-/// A trial is its label plus one config per simulation (one for a solo
-/// trial, one per shard for a fleet).
+/// list and returns each trial's [`RunOutcome`]s in trial-then-shard
+/// order. A trial is its label plus one config per simulation (one for a
+/// solo trial, one per shard for a fleet). Each [`Simulation`] is
+/// finished inside its worker, so a sweep never holds more live
+/// simulations than it has workers.
 pub(crate) fn run_simulations(
     name: &str,
     trials: &[(String, Vec<ClusterConfig>)],
     threads: usize,
-) -> Vec<Vec<SimRun>> {
+) -> Vec<Vec<RunOutcome>> {
     let mut labels = Vec::new();
     let mut cfgs = Vec::new();
     for (label, shards) in trials {
@@ -77,15 +61,7 @@ pub(crate) fn run_simulations(
         }
     }
     let mut runs = run_pool(name, "simulations", &labels, threads, |i| {
-        let mut sim = Simulation::new(cfgs[i].clone());
-        sim.run();
-        SimRun {
-            stats: sim.cluster().stats().clone(),
-            cross_shard_groups: sim.cluster().cross_shard_groups(),
-            events: sim.events_dispatched(),
-            trace: sim.take_trace(),
-            timeline: sim.take_timeline(),
-        }
+        Simulation::new(cfgs[i].clone()).finish()
     })
     .into_iter();
     trials

@@ -11,7 +11,7 @@
 //! `--threads N`.
 
 use ddp_core::{
-    number_fleet_traces, DdpModel, FleetConfig, FleetReport, FleetSimulation, Placement, RunStats,
+    number_fleet_traces, DdpModel, FleetConfig, FleetReport, FleetSimulation, Placement,
     RunSummary, TimelineDump, TraceDump,
 };
 
@@ -181,32 +181,28 @@ pub fn run_fleet_sweep_instrumented(
     threads: usize,
 ) -> Vec<(FleetRecord, Vec<(u16, TraceDump)>, Vec<(u16, TimelineDump)>)> {
     let trials = sweep.into_trials();
-    let jobs: Vec<_> = trials
+    let (masses, jobs): (Vec<_>, Vec<_>) = trials
         .iter()
         .map(|t| {
             t.cfg.validate().expect("invalid fleet configuration");
-            (t.label.clone(), t.cfg.shard_configs())
+            let (mass, shards) = t.cfg.split();
+            (mass, (t.label.clone(), shards))
         })
-        .collect();
+        .unzip();
     let runs = run_simulations(name, &jobs, threads);
     trials
         .into_iter()
+        .zip(masses)
         .zip(runs)
-        .map(|(trial, runs)| {
-            let stats: Vec<&RunStats> = runs.iter().map(|r| &r.stats).collect();
-            let cross = runs.iter().map(|r| r.cross_shard_groups).sum();
-            let mass = trial.cfg.popularity_mass();
-            let report = FleetReport::from_shards(&trial.cfg, mass, &stats, cross);
+        .map(|((trial, mass), mut outcomes)| {
+            let report = FleetReport::from_outcomes(&trial.cfg, mass, &outcomes);
             let record = FleetRecord::from_report(trial.index, trial.label, report);
-            let mut traces = Vec::with_capacity(runs.len());
-            let mut timelines = Vec::new();
-            for (s, run) in runs.into_iter().enumerate() {
-                traces.push((run.events, run.trace));
-                if let Some(dump) = run.timeline {
-                    timelines.push((s as u16, dump));
-                }
-            }
-            (record, number_fleet_traces(traces), timelines)
+            let traces = number_fleet_traces(&mut outcomes);
+            let timelines = (0..)
+                .zip(outcomes)
+                .filter_map(|(s, o)| o.timeline.map(|dump| (s, dump)))
+                .collect();
+            (record, traces, timelines)
         })
         .collect()
 }

@@ -1,20 +1,40 @@
 //! Sharded-fleet integration tests: the degenerate single-shard case
 //! against the solo simulation over the whole 25-model grid, every shard
 //! against a solo run of its derived config, fleet-wide trace numbering,
-//! executor byte-identity at different thread counts, per-shard open-loop
-//! conservation under faults, weak-scaling sanity, and config validation.
+//! `FleetSimulation` against the harness executor, executor byte-identity
+//! at different thread counts, per-shard open-loop conservation under
+//! faults, weak-scaling sanity, and config validation.
 
 use ddp_core::{
-    ClusterConfig, Consistency, DdpModel, FleetConfig, FleetSimulation, OpenLoopPlan, Persistency,
-    Placement, Simulation, TraceConfig,
+    ClusterConfig, CompactionConfig, Consistency, DdpModel, FleetConfig, FleetSimulation,
+    OpenLoopPlan, Persistency, Placement, Simulation, StoreKind, TraceConfig,
 };
-use ddp_harness::{run_fleet_sweep, run_fleet_sweep_instrumented, FleetSweep};
+use ddp_harness::{run_fleet_sweep, run_fleet_sweep_instrumented, FleetRecord, FleetSweep};
 use ddp_sim::Duration;
 
 fn small_cfg(model: DdpModel) -> ClusterConfig {
     let mut cfg = ClusterConfig::micro21(model);
     cfg.warmup_requests = 50;
     cfg.measured_requests = 600;
+    cfg
+}
+
+/// An open-loop `<Lin,Strict>` config (20 M arrivals/s, admission queues
+/// of 8, two retries) with message loss and a mid-run crash of node 1.
+/// Its 40 clients give up to 8 shards of 5 nodes a session slot each.
+fn open_loop_with_faults() -> ClusterConfig {
+    let mut cfg = small_cfg(DdpModel::new(
+        Consistency::Linearizable,
+        Persistency::Strict,
+    ))
+    .with_open_loop(
+        OpenLoopPlan::poisson(20_000_000.0)
+            .with_queue_capacity(Some(8))
+            .with_retries(2),
+    )
+    .with_loss(0.02)
+    .with_crash(1, Duration::from_micros(30), Duration::from_micros(40));
+    cfg.clients = 40;
     cfg
 }
 
@@ -117,6 +137,60 @@ fn fleet_trace_seq_is_numbered_shard_by_shard() {
     );
 }
 
+/// The two fleet paths, [`FleetSimulation`] and the harness executor,
+/// build the same record and the same fleet-numbered traces from their
+/// shards' outcomes, on transactional, open-loop-with-faults, LSM and
+/// traced-with-timeline fleets of 1, 3 and 8 shards; and a fleet that
+/// has run reports the same again without re-running.
+#[test]
+fn fleet_simulation_and_executor_agree() {
+    let txn = small_cfg(DdpModel::new(
+        Consistency::Transactional,
+        Persistency::Synchronous,
+    ));
+    let lsm = small_cfg(DdpModel::new(Consistency::Causal, Persistency::Eventual))
+        .with_store(StoreKind::Lsm)
+        .with_compaction(CompactionConfig {
+            memtable_entries: 16,
+            ..CompactionConfig::default()
+        });
+    let traced = small_cfg(DdpModel::baseline())
+        .with_trace(TraceConfig::enabled().with_timeline(Duration::from_micros(20)));
+    let cases = [
+        ("txn", txn),
+        ("open", open_loop_with_faults()),
+        ("lsm", lsm),
+        ("traced", traced),
+    ];
+    for shards in [1, 3, 8] {
+        for (name, cfg) in &cases {
+            let label = format!("{name} S={shards}");
+            let fleet_cfg = FleetConfig::new(cfg.clone(), shards);
+            let mut fleet = FleetSimulation::new(fleet_cfg.clone());
+            let report = fleet.run();
+            assert_eq!(
+                fleet.run(),
+                report,
+                "{label}: a second run moved the report"
+            );
+            let record = FleetRecord::from_simulation(0, label.clone(), &mut fleet);
+            let traces = fleet.take_traces();
+
+            let sweep = FleetSweep::new().trial(label.clone(), fleet_cfg);
+            let (exec_record, exec_traces, exec_timelines) =
+                run_fleet_sweep_instrumented("fleet-paths", sweep, 2)
+                    .pop()
+                    .expect("one trial");
+            assert_eq!(record, exec_record, "{label}: records differ");
+            assert_eq!(traces, exec_traces, "{label}: traces differ");
+            let count = |on: bool| if on { usize::from(shards) } else { 0 };
+            assert_eq!(traces.len(), count(cfg.trace.events), "{label}");
+            let timelines = count(cfg.trace.timeline_window.is_some());
+            assert_eq!(exec_timelines.len(), timelines, "{label}");
+        }
+    }
+}
+
 /// Sharded sweeps honour the executor determinism contract: records over
 /// the 25-model grid are bit-identical at 1 and 4 worker threads.
 #[test]
@@ -142,28 +216,21 @@ fn sharded_sweeps_are_bit_identical_across_thread_counts() {
 /// Every shard of an open-loop fleet keeps its own conservation invariant
 /// (`arrivals == completed + shed + queued + retry_pending + in_flight`),
 /// including under a mid-run node crash, and the fleet totals are the sum
-/// of the per-shard books.
+/// of the per-shard books. Each shard is checked as a solo run of its
+/// derived config, whose completions the fleet report must match.
 #[test]
 fn per_shard_conservation_under_open_loop_arrivals_and_faults() {
-    let model = DdpModel::new(Consistency::Linearizable, Persistency::Strict);
-    let mut cfg = small_cfg(model)
-        .with_open_loop(
-            OpenLoopPlan::poisson(20_000_000.0)
-                .with_queue_capacity(Some(8))
-                .with_retries(2),
-        )
-        .with_loss(0.02)
-        .with_crash(1, Duration::from_micros(30), Duration::from_micros(40));
-    cfg.clients = 40;
     let shards = 4;
-    let mut sim = FleetSimulation::new(FleetConfig::new(cfg, shards));
-    let report = sim.run();
+    let fleet = FleetConfig::new(open_loop_with_faults(), shards);
+    let report = FleetSimulation::new(fleet.clone()).run();
 
     let mut arrivals_total = 0;
     let mut completed_total = 0;
-    for s in 0..shards {
-        let acct = sim
-            .shard(s)
+    for (s, shard_cfg) in fleet.shard_configs().into_iter().enumerate() {
+        let mut sim = Simulation::new(shard_cfg);
+        sim.run();
+        let cluster = sim.cluster();
+        let acct = cluster
             .open_loop_accounting()
             .expect("open-loop fleet shard must expose accounting");
         assert_eq!(
@@ -172,6 +239,11 @@ fn per_shard_conservation_under_open_loop_arrivals_and_faults() {
             "conservation violated on shard {s}: {acct:?}"
         );
         assert!(acct.arrivals > 0, "shard {s} generated no arrivals");
+        assert_eq!(
+            report.shard_completed[s],
+            cluster.stats().completed(),
+            "shard {s}: the fleet report disagrees with the solo run"
+        );
         arrivals_total += acct.arrivals;
         completed_total += acct.completed_sessions;
     }
