@@ -1,8 +1,8 @@
 //! Microbenchmark: observability hot-path overhead. Runs the same
 //! full-cluster simulation with instrumentation off, with the windowed
-//! timeline on, and with event tracing + gauge sampling + timeline all
-//! on, so the off/on delta prices the "zero overhead when off" claim and
-//! the per-event cost of the timeline's window arithmetic.
+//! timeline on, and with event tracing and the timeline both on, so the
+//! off/on delta prices the "zero overhead when off" claim and the
+//! per-event cost of the timeline's window arithmetic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ddp_core::{ClusterConfig, DdpModel, Simulation, TraceConfig};
@@ -31,11 +31,8 @@ fn trace_overhead(c: &mut Criterion) {
     });
     group.bench_function("trace_and_timeline", |b| {
         b.iter(|| {
-            run(base_cfg().with_trace(
-                TraceConfig::enabled()
-                    .with_sample_interval(Duration::from_micros(5))
-                    .with_timeline(Duration::from_micros(20)),
-            ))
+            run(base_cfg()
+                .with_trace(TraceConfig::enabled().with_timeline(Duration::from_micros(20))))
         });
     });
     group.finish();

@@ -562,9 +562,9 @@ impl ClusterConfig {
         if self.clients == 0 {
             return Err("need at least one client".into());
         }
-        if self.workload.key_space == 0 {
-            return Err("workload key_space must be positive".into());
-        }
+        self.workload
+            .validate()
+            .map_err(|e| format!("workload: {e}"))?;
         if self.txn_size == 0 {
             return Err("transaction size must be positive".into());
         }
@@ -573,6 +573,12 @@ impl ClusterConfig {
         }
         if self.measured_requests == 0 {
             return Err("measured_requests must be positive".into());
+        }
+        if self.model.consistency.is_transactional() && self.txn_retry_backoff == Duration::ZERO {
+            // A blocked access would re-poll at the same instant forever.
+            return Err(
+                "txn_retry_backoff must be positive under Transactional consistency".into(),
+            );
         }
         if let Some(ol) = &self.open_loop {
             ol.validate().map_err(|e| format!("open_loop: {e}"))?;
@@ -591,9 +597,6 @@ impl ClusterConfig {
         }
         if self.trace.events && self.trace.ring_capacity == 0 {
             return Err("trace ring_capacity must be positive when events are on".into());
-        }
-        if self.trace.sample_interval == Some(Duration::ZERO) {
-            return Err("trace sample_interval must be positive".into());
         }
         if self.trace.timeline_window == Some(Duration::ZERO) {
             return Err("trace timeline_window must be positive".into());
@@ -632,34 +635,71 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_configs() {
-        let mut cfg = ClusterConfig::micro21(DdpModel::baseline());
+        use crate::model::{Consistency, Persistency};
+        let base = || ClusterConfig::micro21(DdpModel::baseline());
+        // Each bad config, named by a word its error carries. Unchecked,
+        // θ ≥ 1 panics inside `Simulation::new`, a read ratio outside
+        // [0, 1] runs a meaningless mix, and a zero Transactional backoff
+        // never finishes.
+        let mut bad: Vec<(&str, ClusterConfig)> = Vec::new();
+        let mut cfg = base();
         cfg.nodes = 1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ClusterConfig::micro21(DdpModel::baseline());
+        bad.push(("nodes", cfg));
+        let mut cfg = base();
         cfg.clients = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ClusterConfig::micro21(DdpModel::baseline());
+        bad.push(("client", cfg));
+        let mut cfg = base();
         cfg.txn_size = 0;
-        assert!(cfg.validate().is_err());
+        bad.push(("transaction size", cfg));
+        for theta in [1.0, 1.5, -0.1, f64::NAN] {
+            let mut cfg = base();
+            cfg.workload.zipf_theta = Some(theta);
+            bad.push(("zipf_theta", cfg));
+        }
+        for ratio in [1.5, -0.5, f64::NAN] {
+            let mut cfg = base();
+            cfg.workload.read_ratio = ratio;
+            bad.push(("read_ratio", cfg));
+        }
+        let mut cfg = base();
+        cfg.workload.key_space = 0;
+        bad.push(("key_space", cfg));
+        let mut cfg = ClusterConfig::micro21(DdpModel::new(
+            Consistency::Transactional,
+            Persistency::Synchronous,
+        ));
+        cfg.txn_retry_backoff = Duration::ZERO;
+        bad.push(("txn_retry_backoff", cfg));
+        for (knob, cfg) in bad {
+            let err = cfg.validate().expect_err(knob);
+            assert!(err.contains(knob), "{knob}: {err}");
+        }
+
+        // The edges of each range stay valid, and a zero backoff is
+        // harmless outside Transactional consistency (nothing polls).
+        let mut edges = base();
+        edges.workload.zipf_theta = Some(0.0);
+        edges.workload.read_ratio = 1.0;
+        edges.txn_retry_backoff = Duration::ZERO;
+        assert!(edges.validate().is_ok());
+        edges.workload.read_ratio = 0.0;
+        edges.workload.zipf_theta = None;
+        assert!(edges.validate().is_ok());
     }
 
     #[test]
     fn trace_is_inert_by_default_and_validated_when_on() {
         use ddp_trace::TraceConfig;
         let cfg = ClusterConfig::micro21(DdpModel::baseline());
-        assert!(!cfg.trace.events && cfg.trace.sample_interval.is_none());
+        assert!(!cfg.trace.events && cfg.trace.timeline_window.is_none());
 
         let traced = ClusterConfig::micro21(DdpModel::baseline())
-            .with_trace(TraceConfig::enabled().with_sample_interval(Duration::from_micros(1)));
+            .with_trace(TraceConfig::enabled().with_timeline(Duration::from_micros(1)));
         assert!(traced.validate().is_ok());
 
         let mut bad =
             ClusterConfig::micro21(DdpModel::baseline()).with_trace(TraceConfig::enabled());
         bad.trace.ring_capacity = 0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = ClusterConfig::micro21(DdpModel::baseline());
-        bad.trace.sample_interval = Some(Duration::ZERO);
         assert!(bad.validate().is_err());
 
         let mut bad = ClusterConfig::micro21(DdpModel::baseline());

@@ -44,8 +44,8 @@ use crate::model::{Consistency, Persistency};
 use crate::replica::ReplicaStore;
 use crate::stats::{RunStats, RunSummary};
 use ddp_trace::{
-    GaugeSnapshot, SampleClock, Timeline, TimelineDump, TraceDump, TraceEventKind, TraceRecord,
-    Tracer, WriteLifecycles,
+    GaugeSnapshot, Timeline, TimelineDump, TraceDump, TraceEventKind, TraceRecord, Tracer,
+    WriteLifecycles,
 };
 
 pub use admission::OpenLoopAccounting;
@@ -573,8 +573,6 @@ pub struct Cluster {
     /// Opt-in event ring; a disabled tracer is one predictable branch per
     /// hook and never observes the simulation mutably.
     pub(crate) tracer: Tracer,
-    /// Fixed-interval gauge sampling clock (`None` when sampling is off).
-    pub(crate) sample_clock: Option<SampleClock>,
     /// Open write lifecycles: VP recorded, DP not yet reached. Lives here
     /// (not in `RunStats`) because the warm-up boundary replaces the stats
     /// wholesale while writes straddle it.
@@ -663,7 +661,6 @@ impl Cluster {
             } else {
                 Tracer::disabled()
             },
-            sample_clock: cfg.trace.sample_interval.map(SampleClock::new),
             lifecycle: WriteLifecycles::default(),
             timeline: cfg.trace.build_timeline(),
             nvm_queued_level: vec![0; n],
@@ -784,7 +781,7 @@ impl Cluster {
     /// The cluster's level gauges at `at`: client ops in flight,
     /// admission-queue depth, NVM bank-queue depth and in-flight
     /// compactions. The one read behind the timeline's close-of-window
-    /// snapshots and the tracer's gauge samples.
+    /// snapshots.
     pub(crate) fn gauges(&self, at: SimTime) -> GaugeSnapshot {
         GaugeSnapshot {
             in_flight: self
@@ -805,10 +802,9 @@ impl Cluster {
     /// Closes any timeline windows whose boundary has passed, stamping
     /// their close-of-window gauge snapshots.
     ///
-    /// Called at the top of every event dispatch (like
-    /// [`Cluster::maybe_sample`]); it never schedules engine events and
-    /// only reads cluster state, so enabling the timeline cannot perturb
-    /// the simulation.
+    /// Called at the top of every event dispatch; it never schedules
+    /// engine events and only reads cluster state, so enabling the
+    /// timeline cannot perturb the simulation.
     pub(crate) fn roll_timeline(&mut self, ctx: &Context<'_, Event>) {
         if !self.measuring || !self.timeline.is_enabled() {
             return;
@@ -866,64 +862,9 @@ impl Cluster {
                 a,
                 b,
                 c,
-                d: 0,
                 kind,
                 node,
             });
-        }
-    }
-
-    /// Emits any gauge samples whose interval boundary has passed.
-    ///
-    /// Called at the top of every event dispatch; it never schedules
-    /// engine events, so enabling sampling cannot perturb the simulation.
-    /// Gauges are read-only snapshots of cluster state as of the first
-    /// dispatch at or after each boundary.
-    pub(crate) fn maybe_sample(&mut self, ctx: &Context<'_, Event>) {
-        let now_ns = ctx.now().as_nanos();
-        let seq = ctx.dispatch_seq();
-        while let Some(at_ns) = self.sample_clock.as_mut().and_then(|c| c.due(now_ns)) {
-            if self.tracer.is_enabled() {
-                let boundary = SimTime::from_nanos(at_ns);
-                let gauges = self.gauges(boundary);
-                let nvm: u64 = self
-                    .nodes
-                    .iter()
-                    .map(|n| n.mem.nvm_pressure_at(boundary) as u64)
-                    .sum();
-                self.tracer.push(TraceRecord {
-                    seq,
-                    at_ns,
-                    a: gauges.in_flight,
-                    b: self.stats.causal_buffered.current(),
-                    c: nvm,
-                    d: self.stats.retransmits,
-                    kind: TraceEventKind::Sample,
-                    node: u8::MAX,
-                });
-                if let Some(ol) = &self.ol {
-                    self.tracer.push(TraceRecord {
-                        seq,
-                        at_ns,
-                        a: gauges.admission_queue,
-                        b: ol.shed_total,
-                        c: self.stats.ol_retries,
-                        d: self.stats.ol_rejections,
-                        kind: TraceEventKind::AdmissionSample,
-                        node: u8::MAX,
-                    });
-                }
-                self.tracer.push(TraceRecord {
-                    seq,
-                    at_ns,
-                    a: gauges.nvm_bank_queue,
-                    b: nvm,
-                    c: 0,
-                    d: 0,
-                    kind: TraceEventKind::NvmQueueSample,
-                    node: u8::MAX,
-                });
-            }
         }
     }
 
@@ -1141,7 +1082,6 @@ impl Model for Cluster {
         if self.done {
             return;
         }
-        self.maybe_sample(ctx);
         self.roll_timeline(ctx);
         match event {
             Event::Issue(client, token) => self.on_issue(ctx, client, token),

@@ -10,8 +10,6 @@
 //!   construction: both serializers walk [`record_fields`]);
 //! * `--trace PATH` — enable event tracing and write the per-trial event
 //!   streams to `PATH` as JSON lines;
-//! * `--trace-sample NS` — with `--trace`, also emit gauge samples every
-//!   `NS` simulated nanoseconds;
 //! * `--timeline PATH` — enable the windowed metrics timeline and write
 //!   one JSON line per `(trial, window)` to `PATH`;
 //! * `--window-ns NS` — with `--timeline`, the window width in simulated
@@ -49,8 +47,6 @@ pub struct HarnessArgs {
     /// Trace event-stream output path; also enables event tracing on
     /// every trial.
     pub trace: Option<PathBuf>,
-    /// Gauge sample interval in simulated ns (requires `--trace`).
-    pub trace_sample: Option<u64>,
     /// Timeline output path; also enables the windowed metrics timeline
     /// on every trial.
     pub timeline: Option<PathBuf>,
@@ -79,7 +75,6 @@ impl Default for HarnessArgs {
             json: None,
             csv: None,
             trace: None,
-            trace_sample: None,
             timeline: None,
             window_ns: None,
             quick: false,
@@ -131,13 +126,6 @@ impl HarnessArgs {
                 "--trace" => {
                     let v = it.next().ok_or("--trace needs a path")?;
                     parsed.trace = Some(PathBuf::from(v));
-                }
-                "--trace-sample" => {
-                    let v = it.next().ok_or("--trace-sample needs a value")?;
-                    parsed.trace_sample =
-                        Some(v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--trace-sample needs a positive ns count, got {v:?}")
-                        })?);
                 }
                 "--timeline" => {
                     let v = it.next().ok_or("--timeline needs a path")?;
@@ -220,9 +208,6 @@ impl HarnessArgs {
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        if parsed.trace_sample.is_some() && parsed.trace.is_none() {
-            return Err("--trace-sample requires --trace PATH".to_string());
-        }
         if parsed.window_ns.is_some() && parsed.timeline.is_none() {
             return Err("--window-ns requires --timeline PATH".to_string());
         }
@@ -243,13 +228,12 @@ impl HarnessArgs {
     pub fn usage(bin: &str) -> String {
         format!(
             "usage: {bin} [--threads N] [--json PATH] [--csv PATH] [--trace PATH] \
-             [--trace-sample NS] [--timeline PATH] [--window-ns NS] [--quick] [--seeds N] \
+             [--timeline PATH] [--window-ns NS] [--quick] [--seeds N] \
              [--load R1,R2,...] [--shards S1,S2,...] [--burst B1,B2,...] [--store NAME]\n\
              \x20 --threads N        executor worker threads (default: DDP_THREADS or all cores)\n\
              \x20 --json PATH        write every run record to PATH as JSON lines\n\
              \x20 --csv PATH         write every run record to PATH as CSV (same fields)\n\
              \x20 --trace PATH       enable event tracing; write event streams to PATH as JSON lines\n\
-             \x20 --trace-sample NS  with --trace, emit gauge samples every NS simulated ns\n\
              \x20 --timeline PATH    enable the windowed timeline; write window rows to PATH as JSON lines\n\
              \x20 --window-ns NS     with --timeline, window width in simulated ns (default 50000)\n\
              \x20 --quick            smoke-test request counts (ClusterConfig::quick)\n\
@@ -293,8 +277,6 @@ mod tests {
             "/tmp/out.csv",
             "--trace",
             "/tmp/trace.jsonl",
-            "--trace-sample",
-            "500000",
             "--timeline",
             "/tmp/timeline.jsonl",
             "--window-ns",
@@ -326,7 +308,6 @@ mod tests {
             a.trace.as_deref(),
             Some(std::path::Path::new("/tmp/trace.jsonl"))
         );
-        assert_eq!(a.trace_sample, Some(500_000));
         assert_eq!(
             a.timeline.as_deref(),
             Some(std::path::Path::new("/tmp/timeline.jsonl"))
@@ -361,7 +342,7 @@ mod tests {
         assert!(parse(&["--json"]).is_err());
         assert!(parse(&["--csv"]).is_err());
         assert!(parse(&["--trace"]).is_err());
-        assert!(parse(&["--trace-sample", "0", "--trace", "/tmp/t.jsonl"]).is_err());
+        assert!(parse(&["--trace-sample", "1000", "--trace", "/tmp/t.jsonl"]).is_err());
         assert!(parse(&["--timeline"]).is_err());
         assert!(parse(&["--window-ns", "0", "--timeline", "/tmp/w.jsonl"]).is_err());
         assert!(parse(&["--seeds", "0"]).is_err());
@@ -378,12 +359,6 @@ mod tests {
         assert!(parse(&["--burst", "0.5"]).is_err());
         assert!(parse(&["--burst", "2.0,nope"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
-    }
-
-    #[test]
-    fn trace_sample_requires_trace() {
-        assert!(parse(&["--trace-sample", "1000"]).is_err());
-        assert!(parse(&["--trace", "/tmp/t.jsonl", "--trace-sample", "1000"]).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! count is the output. The executor therefore:
 //!
 //! * flattens a sweep into one simulation per job — a solo trial is one
-//!   job, a fleet trial one job per shard ([`run_simulations`]), so a
+//!   job, a fleet trial one job per shard (`run_simulations`), so a
 //!   single large fleet still fills every worker;
 //! * pulls jobs off a shared atomic work queue (no static partitioning,
 //!   so a slow model cannot strand an idle worker);
@@ -213,9 +213,9 @@ impl Harness {
 
     /// Applies the shared flags to one trial config: `--quick` shortens
     /// the run, `--store` swaps the store backend, and `--trace` /
-    /// `--timeline` (with `--trace-sample` / `--window-ns`) enable the
-    /// corresponding instrumentation. [`Harness::run`] applies it to every
-    /// trial; fleet sweeps apply it to each trial's base config (see
+    /// `--timeline` (with `--window-ns`) enable the corresponding
+    /// instrumentation. [`Harness::run`] applies it to every trial; fleet
+    /// sweeps apply it to each trial's base config (see
     /// [`Harness::run_fleet`]).
     #[must_use]
     pub fn configure(&self, cfg: ClusterConfig) -> ClusterConfig {
@@ -230,9 +230,6 @@ impl Harness {
             } else {
                 ddp_core::TraceConfig::default()
             };
-            if let Some(ns) = args.trace_sample {
-                trace_cfg = trace_cfg.with_sample_interval(ddp_sim::Duration::from_nanos(ns));
-            }
             if args.timeline.is_some() {
                 let ns = args.window_ns.unwrap_or(DEFAULT_WINDOW_NS);
                 trace_cfg = trace_cfg.with_timeline(ddp_sim::Duration::from_nanos(ns));

@@ -20,9 +20,9 @@
 //!    build is offline; no serde) behind `--json PATH`, a CSV twin behind
 //!    `--csv PATH` that walks the same [`record_fields`] schema (the two
 //!    formats cannot drift), per-trial trace event streams behind
-//!    `--trace PATH` / `--trace-sample NS`, per-window timeline rows
-//!    behind `--timeline PATH` / `--window-ns NS`, plus the table helpers
-//!    every figure prints through.
+//!    `--trace PATH`, per-window timeline rows behind `--timeline PATH` /
+//!    `--window-ns NS`, plus the table helpers every figure prints
+//!    through.
 //!
 //! ```
 //! use ddp_core::{ClusterConfig, DdpModel};

@@ -4,8 +4,8 @@
 //! simulations — 25 DDP models, times workloads, client counts, RTTs,
 //! loss rates, store backends. A [`Sweep`] declares that grid once; the
 //! executor in [`crate::exec`] runs it (in parallel, deterministically)
-//! and hands back one [`RunRecord`](crate::RunRecord) per trial, in
-//! declaration order, addressable by grid index.
+//! and hands back one [`RunRecord`] per trial, in declaration order,
+//! addressable by grid index.
 
 use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency};
 

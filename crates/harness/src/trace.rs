@@ -1,7 +1,7 @@
 //! JSON-lines serialization of trace event streams (`--trace PATH`).
 //!
 //! One line per [`TraceRecord`], with the payload words named per event
-//! kind (`key`, `version`, `lag_ns`, …) instead of the raw `a`/`b`/`c`/`d`
+//! kind (`key`, `version`, `lag_ns`, …) instead of the raw `a`/`b`/`c`
 //! slots, and one closing `trace_end` line per trial carrying the event
 //! and drop counts. Lines of a fleet trial lead with a `shard` column and
 //! come as one stream (events, then trailer) per shard. Records contain
@@ -63,22 +63,6 @@ pub fn trace_event_to_json(trial: usize, shard: Option<u16>, r: &TraceRecord) ->
             o.u64("key", r.a);
             o.u64("stall_ns", r.c);
         }
-        TraceEventKind::Sample => {
-            o.u64("inflight_ops", r.a);
-            o.u64("buffered_writes", r.b);
-            o.u64("nvm_inflight", r.c);
-            o.u64("retransmits", r.d);
-        }
-        TraceEventKind::AdmissionSample => {
-            o.u64("queued_arrivals", r.a);
-            o.u64("shed_total", r.b);
-            o.u64("retries", r.c);
-            o.u64("rejections", r.d);
-        }
-        TraceEventKind::NvmQueueSample => {
-            o.u64("bank_queued", r.a);
-            o.u64("nvm_inflight", r.b);
-        }
         TraceEventKind::CompactionBegin => {
             o.u64("work", r.a);
             o.u64("entries", r.b);
@@ -122,7 +106,6 @@ mod tests {
             a: 42,
             b: 3,
             c: 250,
-            d: 1,
             kind,
             node: 2,
         }
@@ -141,28 +124,6 @@ mod tests {
         assert!(
             stall.contains("\"cause\":\"persist\"") && stall.contains("\"blocking_version\":3"),
             "{stall}"
-        );
-
-        let sample = trace_event_to_json(2, None, &rec(TraceEventKind::Sample));
-        assert!(
-            sample.contains("\"inflight_ops\":42") && sample.contains("\"retransmits\":1"),
-            "{sample}"
-        );
-
-        let adm = trace_event_to_json(3, None, &rec(TraceEventKind::AdmissionSample));
-        assert!(
-            adm.contains("\"kind\":\"admission_sample\"")
-                && adm.contains("\"queued_arrivals\":42")
-                && adm.contains("\"rejections\":1"),
-            "{adm}"
-        );
-
-        let nvm = trace_event_to_json(4, None, &rec(TraceEventKind::NvmQueueSample));
-        assert!(
-            nvm.contains("\"kind\":\"nvm_queue_sample\"")
-                && nvm.contains("\"bank_queued\":42")
-                && nvm.contains("\"nvm_inflight\":3"),
-            "{nvm}"
         );
 
         let cb = trace_event_to_json(5, None, &rec(TraceEventKind::CompactionBegin));

@@ -1,8 +1,9 @@
-//! The per-node memory controller: one façade over caches, DRAM, and NVM.
+//! The per-node memory controller: one façade over the caches and NVM.
 //!
 //! Protocol engines talk to this type only. It answers three questions:
-//! how long does a local volatile access take, when does a persist to NVM
-//! complete, and how congested is the NVM right now.
+//! how long does a local volatile access take (a cache miss costs DRAM's
+//! fixed read latency), when does a persist to NVM complete, and how many
+//! persists are queued behind busy NVM banks.
 
 use ddp_sim::{Duration, SimTime};
 
@@ -28,7 +29,6 @@ use crate::params::MemoryParams;
 pub struct MemoryController {
     params: MemoryParams,
     caches: CacheHierarchy,
-    dram: BankedDevice,
     nvm: BankedDevice,
 }
 
@@ -38,7 +38,6 @@ impl MemoryController {
     pub fn new(params: MemoryParams) -> Self {
         MemoryController {
             caches: CacheHierarchy::new(&params),
-            dram: BankedDevice::new(params.dram),
             nvm: BankedDevice::new(params.nvm),
             params,
         }
@@ -98,18 +97,6 @@ impl MemoryController {
         self.nvm.submit_background(now, addr, bytes, chunk_bytes)
     }
 
-    /// Number of persists still in flight at `now`.
-    pub fn nvm_pressure(&mut self, now: SimTime) -> usize {
-        self.nvm.pressure(now)
-    }
-
-    /// Number of persists still in flight at `now`, read-only (no gauge
-    /// updates, no pruning) — safe to call from trace sampling.
-    #[must_use]
-    pub fn nvm_pressure_at(&self, now: SimTime) -> usize {
-        self.nvm.pressure_at(now)
-    }
-
     /// Number of persists queued behind busy NVM banks at `now` (in
     /// flight but not yet in service).
     pub fn nvm_queued(&mut self, now: SimTime) -> usize {
@@ -117,8 +104,8 @@ impl MemoryController {
     }
 
     /// Number of persists queued behind busy NVM banks at `now`,
-    /// read-only (no gauge updates, no pruning) — safe to call from
-    /// trace sampling.
+    /// read-only (no pruning) — safe to call from the timeline's
+    /// close-of-window snapshots.
     #[must_use]
     pub fn nvm_queued_at(&self, now: SimTime) -> usize {
         self.nvm.queued_at(now)
@@ -128,12 +115,6 @@ impl MemoryController {
     #[must_use]
     pub fn nvm(&self) -> &BankedDevice {
         &self.nvm
-    }
-
-    /// Direct access to the DRAM device (statistics).
-    #[must_use]
-    pub fn dram(&self) -> &BankedDevice {
-        &self.dram
     }
 
     /// Cache hit counts `[L1, L2, LLC, Memory]`.
@@ -161,18 +142,6 @@ mod tests {
         let (level, lat) = mc.volatile_access_traced(0x100);
         assert_eq!(level, HitLevel::L1);
         assert_eq!(lat, Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn pressure_reflects_outstanding_persists() {
-        let mut mc = MemoryController::new(MemoryParams::micro21());
-        assert_eq!(mc.nvm_pressure(SimTime::ZERO), 0);
-        for i in 0..64u64 {
-            mc.persist(SimTime::ZERO, i * 0x40, 256);
-        }
-        assert!(mc.nvm_pressure(SimTime::ZERO) >= 16);
-        let drained = mc.nvm().drain_time();
-        assert_eq!(mc.nvm_pressure(drained), 0);
     }
 
     #[test]

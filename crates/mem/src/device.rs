@@ -1,4 +1,4 @@
-//! Banked memory-device timing model (DRAM and NVM).
+//! Banked NVM timing model.
 //!
 //! Requests are dispatched to a bank chosen by address; each bank services
 //! one request at a time, so outstanding persists queue up. This queueing is
@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use ddp_sim::{Duration, LevelGauge, SimTime};
+use ddp_sim::{Duration, SimTime};
 
 use crate::params::DeviceParams;
 
@@ -47,11 +47,6 @@ pub struct BankedDevice {
     params: DeviceParams,
     /// Time each bank becomes free.
     bank_free: Vec<SimTime>,
-    /// Occupancy statistics: number of requests in flight.
-    in_flight: LevelGauge,
-    /// Bank-queue statistics: requests waiting behind a busy bank (in
-    /// flight but not yet in service).
-    queue: LevelGauge,
     /// Completion `(time, bank)` of in-flight requests, earliest on top,
     /// so a prune pops only the requests that have finished.
     completions: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -76,8 +71,6 @@ impl BankedDevice {
         BankedDevice {
             params,
             bank_free: vec![SimTime::ZERO; params.total_banks() as usize],
-            in_flight: LevelGauge::new(),
-            queue: LevelGauge::new(),
             completions: BinaryHeap::new(),
             bank_inflight: vec![0; params.total_banks() as usize],
             busy_banks: 0,
@@ -124,13 +117,11 @@ impl BankedDevice {
         self.total_queue_wait += start.saturating_since(now);
         let done = start + service;
         self.bank_free[bank] = done;
-        self.in_flight.adjust(now, 1);
         if self.bank_inflight[bank] == 0 {
             self.busy_banks += 1;
         }
         self.bank_inflight[bank] += 1;
         self.completions.push(Reverse((done, bank as u32)));
-        self.queue.set(now, self.queued_now() as u64);
         done
     }
 
@@ -139,8 +130,8 @@ impl BankedDevice {
     /// starting at `addr`'s bank. Each chunk occupies its bank exactly
     /// like a foreground write — it advances the bank's free time, so
     /// later foreground requests queue behind it — but background work is
-    /// invisible to the foreground accounting: the occupancy and queue
-    /// gauges, the queue-wait total, and the read/write counters do not
+    /// invisible to the foreground accounting: the in-flight and queued
+    /// counts, the queue-wait total, and the read/write counters do not
     /// move. Returns the completion time of the last chunk.
     ///
     /// # Panics
@@ -177,7 +168,6 @@ impl BankedDevice {
 
     /// Drops bookkeeping for requests that completed by `now`.
     fn prune(&mut self, now: SimTime) {
-        let mut finished = 0;
         while let Some(top) = self.completions.peek_mut() {
             if top.0 .0 > now {
                 break;
@@ -187,26 +177,7 @@ impl BankedDevice {
             if self.bank_inflight[bank] == 0 {
                 self.busy_banks -= 1;
             }
-            finished += 1;
         }
-        if finished > 0 {
-            self.in_flight.adjust(now, -finished);
-            self.queue.set(now, self.queued_now() as u64);
-        }
-    }
-
-    /// Number of requests still in flight at `now`.
-    pub fn pressure(&mut self, now: SimTime) -> usize {
-        self.prune(now);
-        self.completions.len()
-    }
-
-    /// Number of requests still in flight at `now`, without touching any
-    /// bookkeeping (`pressure` prunes and updates the occupancy gauge).
-    /// Used by trace sampling, which must be read-only.
-    #[must_use]
-    pub fn pressure_at(&self, now: SimTime) -> usize {
-        self.completions.iter().filter(|c| c.0 .0 > now).count()
     }
 
     /// Requests queued behind a busy bank (in flight but not in service)
@@ -225,8 +196,9 @@ impl BankedDevice {
     }
 
     /// Requests queued behind a busy bank at `now`, without touching any
-    /// bookkeeping. Used by trace sampling, which must be read-only.
-    /// Linear in the in-flight count plus the bank count.
+    /// bookkeeping. Used by the timeline's close-of-window snapshots,
+    /// which must be read-only. Linear in the in-flight count plus the
+    /// bank count.
     #[must_use]
     pub fn queued_at(&self, now: SimTime) -> usize {
         // Each bank with a request in flight has exactly one in service.
@@ -280,19 +252,6 @@ impl BankedDevice {
     pub fn total_queue_wait(&self) -> Duration {
         self.total_queue_wait
     }
-
-    /// Occupancy gauge (max and time-weighted mean in-flight requests).
-    #[must_use]
-    pub fn occupancy(&self) -> &LevelGauge {
-        &self.in_flight
-    }
-
-    /// Bank-queue gauge (max and time-weighted mean requests queued
-    /// behind busy banks). Updated at submit and prune times.
-    #[must_use]
-    pub fn bank_queue(&self) -> &LevelGauge {
-        &self.queue
-    }
 }
 
 #[cfg(test)]
@@ -345,17 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn pressure_rises_and_drains() {
-        let mut d = nvm();
-        for i in 0..32u64 {
-            d.submit(SimTime::ZERO, i * 0x40, 64, AccessKind::Write);
-        }
-        assert!(d.pressure(SimTime::ZERO) > 0);
-        let drain = d.drain_time();
-        assert_eq!(d.pressure(drain), 0);
-    }
-
-    #[test]
     fn queue_wait_grows_with_load() {
         let mut light = nvm();
         let mut heavy = nvm();
@@ -388,8 +336,6 @@ mod tests {
         }
         assert_eq!(d.queued_now(), 2);
         assert_eq!(d.queued_at(SimTime::ZERO), 2);
-        assert_eq!(d.bank_queue().current(), 2);
-        assert_eq!(d.bank_queue().max(), 2);
         // A write to a different bank is in service immediately.
         let mut addr2 = 0x80;
         while d.bank_for(addr2) == d.bank_for(0x40) {
@@ -401,7 +347,6 @@ mod tests {
         let drain = d.drain_time();
         assert_eq!(d.queued(drain), 0);
         assert_eq!(d.queued_at(drain), 0);
-        assert_eq!(d.bank_queue().current(), 0);
     }
 
     #[test]
@@ -421,8 +366,6 @@ mod tests {
     struct ScanDevice {
         params: DeviceParams,
         bank_free: Vec<SimTime>,
-        in_flight: LevelGauge,
-        queue: LevelGauge,
         completions: Vec<(SimTime, u32)>,
         bank_inflight: Vec<u32>,
         busy_banks: usize,
@@ -434,8 +377,6 @@ mod tests {
             ScanDevice {
                 params,
                 bank_free: vec![SimTime::ZERO; banks],
-                in_flight: LevelGauge::new(),
-                queue: LevelGauge::new(),
                 completions: Vec::new(),
                 bank_inflight: vec![0; banks],
                 busy_banks: 0,
@@ -450,13 +391,11 @@ mod tests {
             };
             let done = self.bank_free[bank].max(now) + base + self.params.transfer_time(bytes);
             self.bank_free[bank] = done;
-            self.in_flight.adjust(now, 1);
             if self.bank_inflight[bank] == 0 {
                 self.busy_banks += 1;
             }
             self.bank_inflight[bank] += 1;
             self.completions.push((done, bank as u32));
-            self.queue.set(now, self.queued_now() as u64);
             done
         }
 
@@ -473,7 +412,6 @@ mod tests {
         }
 
         fn prune(&mut self, now: SimTime) {
-            let before = self.completions.len();
             let (bank_inflight, busy_banks) = (&mut self.bank_inflight, &mut self.busy_banks);
             self.completions.retain(|&(c, bank)| {
                 if c > now {
@@ -485,22 +423,14 @@ mod tests {
                 }
                 false
             });
-            let finished = before - self.completions.len();
-            if finished > 0 {
-                self.in_flight.adjust(now, -(finished as i64));
-                self.queue.set(now, self.queued_now() as u64);
-            }
         }
 
         fn queued_now(&self) -> usize {
             self.completions.len() - self.busy_banks
         }
 
-        fn pressure_at(&self, now: SimTime) -> usize {
-            self.completions.iter().filter(|&&(c, _)| c > now).count()
-        }
-
         fn queued_at(&self, now: SimTime) -> usize {
+            let inflight = self.completions.iter().filter(|&&(c, _)| c > now).count();
             let busy = self
                 .completions
                 .iter()
@@ -512,14 +442,8 @@ mod tests {
                             .any(|&(c2, bank2)| c2 > now && bank2 == bank)
                 })
                 .count();
-            self.pressure_at(now) - busy
+            inflight - busy
         }
-    }
-
-    fn same_gauge(a: &LevelGauge, b: &LevelGauge) -> bool {
-        a.current() == b.current()
-            && a.max() == b.max()
-            && a.time_weighted_mean() == b.time_weighted_mean()
     }
 
     #[test]
@@ -529,6 +453,7 @@ mod tests {
             let mut d = nvm();
             let mut scan = ScanDevice::new(d.params);
             let mut clock = SimTime::ZERO;
+            let mut deepest = 0;
             for step in 0..3_000 {
                 if rng.chance(0.4) {
                     clock += Duration::from_nanos(rng.next_below(300));
@@ -548,7 +473,7 @@ mod tests {
                     }
                     1 => {
                         scan.prune(now);
-                        assert_eq!(d.pressure(now), scan.completions.len());
+                        assert_eq!(d.queued(now), scan.queued_now());
                     }
                     k => {
                         let kind = if k == 2 {
@@ -565,19 +490,16 @@ mod tests {
                     }
                 }
                 assert_eq!(d.bank_free, scan.bank_free);
+                assert_eq!(d.completions.len(), scan.completions.len());
                 assert_eq!(d.queued_now(), scan.queued_now());
+                deepest = deepest.max(d.queued_now());
                 let probe = clock + Duration::from_nanos(rng.next_below(4_000));
-                assert_eq!(d.pressure_at(probe), scan.pressure_at(probe));
                 assert_eq!(d.queued_at(probe), scan.queued_at(probe));
-                assert!(same_gauge(&d.in_flight, &scan.in_flight));
-                assert!(same_gauge(&d.queue, &scan.queue));
             }
-            assert!(d.bank_queue().max() > 2, "banks queued deeply");
+            assert!(deepest > 2, "banks queued deeply");
             let end = d.drain_time();
-            scan.prune(end);
-            assert_eq!(d.pressure(end), 0);
-            assert!(same_gauge(&d.in_flight, &scan.in_flight));
-            assert!(same_gauge(&d.queue, &scan.queue));
+            assert_eq!(d.queued(end), 0);
+            assert!(d.completions.is_empty());
         }
     }
 
@@ -600,7 +522,7 @@ mod tests {
         assert_eq!(d.read_count(), 0);
         assert_eq!(d.total_queue_wait(), Duration::ZERO);
         assert_eq!(d.queued_now(), 0);
-        assert_eq!(d.pressure(SimTime::ZERO), 0);
+        assert!(d.completions.is_empty());
         // Visible to the background books.
         assert_eq!(d.background_write_count(), 1);
         assert_eq!(d.background_byte_count(), 4096);

@@ -1,10 +1,10 @@
 //! # ddp-mem — memory-system substrate for the DDP evaluation
 //!
 //! Models the per-server memory system of the paper's Table 5: a three-level
-//! cache hierarchy with a DDIO partition in the shared LLC, a banked DRAM
-//! device, and a banked NVM device (140 ns reads, 400 ns writes, 2 channels
-//! × 8 banks). The paper used a modified DRAMSim2 for this role; this crate
-//! is the from-scratch Rust equivalent.
+//! cache hierarchy with a DDIO partition in the shared LLC, DRAM as a fixed
+//! cache-miss latency, and a banked NVM device (140 ns reads, 400 ns writes,
+//! 2 channels × 8 banks). The paper used a modified DRAMSim2 for this role;
+//! this crate is the from-scratch Rust equivalent.
 //!
 //! Everything here is a *timing model*: calls take the current [`SimTime`]
 //! and return latencies or completion times; the caller (the protocol engine

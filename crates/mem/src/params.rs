@@ -82,7 +82,8 @@ pub struct MemoryParams {
     pub llc_per_core: CacheParams,
     /// Fraction of LLC ways reserved for Data Direct I/O (Table 5: 10 %).
     pub ddio_fraction: f64,
-    /// Volatile DRAM device.
+    /// Volatile DRAM. Only its `read_latency` is used: the caches charge
+    /// it on a miss. DRAM is not modelled as a banked device.
     pub dram: DeviceParams,
     /// Non-volatile memory device.
     pub nvm: DeviceParams,

@@ -52,5 +52,5 @@ mod time;
 pub use engine::{Context, Engine, Model};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, LevelGauge};
+pub use stats::{Histogram, LevelGauge};
 pub use time::{Duration, SimTime};

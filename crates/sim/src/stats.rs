@@ -1,4 +1,4 @@
-//! Measurement utilities: latency histograms, counters, and summaries.
+//! Measurement utilities: latency histograms and level gauges.
 //!
 //! The paper reports mean and 95th-percentile latencies plus throughput
 //! (Figure 6). [`Histogram`] records nanosecond latencies with bounded
@@ -192,39 +192,6 @@ impl fmt::Debug for Histogram {
             .field("p95", &self.percentile(0.95))
             .field("max", &self.max())
             .finish()
-    }
-}
-
-/// A named monotonic counter.
-///
-/// # Examples
-///
-/// ```
-/// use ddp_sim::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
     }
 }
 

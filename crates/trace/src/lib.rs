@@ -16,14 +16,12 @@
 //! * [`PhaseAccum`] / [`PhaseBreakdown`] — per-op latency attribution:
 //!   service, same-key queueing, invalidation round-trip, durability
 //!   stall, NVM bank queueing, and read stalls.
-//! * [`SampleClock`] — fixed-interval gauge sampling evaluated *lazily*
-//!   at event-dispatch boundaries, so sampling never injects events into
-//!   the simulation (timestamps and results stay bit-identical).
 //! * [`Timeline`] — a windowed metrics aggregator: fixed sim-time
 //!   windows, each accumulating throughput, shed/retry counts, the
 //!   per-phase latency breakdown, VP→DP lag percentiles, and close-of-
 //!   window gauge snapshots — the time-resolved view that explains
-//!   *when* a run saturates.
+//!   *when* a run saturates, and the one source of levels over time (the
+//!   event ring records lifecycle events only).
 //!
 //! The tracer is strictly read-only with respect to the simulation: it
 //! never schedules events or mutates protocol state, so enabling it
@@ -54,9 +52,6 @@ pub struct TraceConfig {
     /// Ring capacity in records (oldest records are overwritten and
     /// counted once full).
     pub ring_capacity: usize,
-    /// Emit gauge samples every this often (simulated time); `None`
-    /// disables sampling.
-    pub sample_interval: Option<Duration>,
     /// Aggregate a windowed metrics [`Timeline`] with this window width;
     /// `None` disables the timeline.
     pub timeline_window: Option<Duration>,
@@ -70,7 +65,6 @@ impl Default for TraceConfig {
         TraceConfig {
             events: false,
             ring_capacity: 1 << 20,
-            sample_interval: None,
             timeline_window: None,
             timeline_max_windows: 1 << 12,
         }
@@ -78,20 +72,13 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Event tracing on, sampling off, default ring capacity.
+    /// Event tracing on, timeline off, default ring capacity.
     #[must_use]
     pub fn enabled() -> Self {
         TraceConfig {
             events: true,
             ..TraceConfig::default()
         }
-    }
-
-    /// Builder: sets the gauge sample interval.
-    #[must_use]
-    pub fn with_sample_interval(mut self, interval: Duration) -> Self {
-        self.sample_interval = Some(interval);
-        self
     }
 
     /// Builder: enables the windowed metrics timeline.
@@ -112,49 +99,6 @@ impl TraceConfig {
     }
 }
 
-/// Fixed-interval sample scheduler, advanced lazily from event dispatch.
-///
-/// Instead of scheduling sampler events (which would change the engine's
-/// event stream and break bit-identical-results guarantees), the model
-/// asks the clock at each dispatch which sample boundaries have passed
-/// and emits one gauge record per boundary, stamped at the boundary time.
-#[derive(Clone, Copy, Debug)]
-pub struct SampleClock {
-    interval_ns: u64,
-    next_ns: u64,
-}
-
-impl SampleClock {
-    /// A clock that fires every `interval` of simulated time, starting at
-    /// `interval` (not at zero, which would sample an empty cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn new(interval: Duration) -> Self {
-        let interval_ns = interval.as_nanos();
-        assert!(interval_ns > 0, "sample interval must be non-zero");
-        SampleClock {
-            interval_ns,
-            next_ns: interval_ns,
-        }
-    }
-
-    /// Returns the next sample boundary at or before `now_ns` and
-    /// advances past it, or `None` if no boundary is due. Call in a loop
-    /// to catch up over idle gaps longer than one interval.
-    #[must_use]
-    pub fn due(&mut self, now_ns: u64) -> Option<u64> {
-        if now_ns < self.next_ns {
-            return None;
-        }
-        let at = self.next_ns;
-        self.next_ns += self.interval_ns;
-        Some(at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +107,6 @@ mod tests {
     fn default_config_is_inert() {
         let cfg = TraceConfig::default();
         assert!(!cfg.events);
-        assert!(cfg.sample_interval.is_none());
         assert!(cfg.timeline_window.is_none());
         assert!(!cfg.build_timeline().is_enabled());
         assert!(cfg.ring_capacity > 0);
@@ -174,18 +117,5 @@ mod tests {
     fn with_timeline_builds_an_enabled_timeline() {
         let cfg = TraceConfig::default().with_timeline(Duration::from_nanos(500));
         assert!(cfg.build_timeline().is_enabled());
-    }
-
-    #[test]
-    fn sample_clock_catches_up_over_gaps() {
-        let mut clock = SampleClock::new(Duration::from_nanos(100));
-        assert_eq!(clock.due(50), None);
-        assert_eq!(clock.due(100), Some(100));
-        assert_eq!(clock.due(100), None, "a boundary fires exactly once");
-        // A long gap yields every missed boundary in order.
-        assert_eq!(clock.due(450), Some(200));
-        assert_eq!(clock.due(450), Some(300));
-        assert_eq!(clock.due(450), Some(400));
-        assert_eq!(clock.due(450), None);
     }
 }

@@ -1,10 +1,10 @@
 //! The trace event vocabulary: one fixed-size, `Copy` record per event.
 //!
 //! Records are plain data — no heap, no strings — so pushing one onto the
-//! ring is a handful of stores. The payload words `a`/`b`/`c`/`d` are
-//! interpreted per [`TraceEventKind`]; the accessors on [`TraceRecord`]
-//! document the mapping, and the harness serializer names them properly
-//! in the JSON-lines output.
+//! ring is a handful of stores. The payload words `a`/`b`/`c` are
+//! interpreted per [`TraceEventKind`]; each kind's docs give the mapping,
+//! and the harness serializer names them properly in the JSON-lines
+//! output.
 
 /// What happened. Discriminants are stable so dumps are comparable across
 /// builds.
@@ -41,19 +41,7 @@ pub enum TraceEventKind {
     StallBegin = 9,
     /// A stalled read resumed (`a`=key, `c`=stall duration in ns).
     StallEnd = 10,
-    /// A fixed-interval gauge sample (`a`=in-flight client ops,
-    /// `b`=buffered causal writes, `c`=NVM persists in flight,
-    /// `d`=cumulative retransmits).
-    Sample = 11,
-    /// A fixed-interval admission sample, emitted only on open-loop runs
-    /// (`a`=queued arrivals across all nodes, `b`=arrivals shed so far,
-    /// `c`=retries scheduled in the measured window, `d`=rejections in
-    /// the measured window).
-    AdmissionSample = 12,
-    /// A fixed-interval NVM bank-queue sample (`a`=requests queued behind
-    /// busy NVM banks across all nodes, `b`=persists in flight across all
-    /// nodes).
-    NvmQueueSample = 13,
+    // 11–13 are unused, so every kind keeps the value older dumps carry.
     /// An LSM background compaction (memtable seal or level merge) began
     /// writing to NVM (`a`=kind: 0 for a seal, `level + 1` for a merge
     /// out of `level`; `b`=entries, `c`=NVM bytes).
@@ -81,9 +69,6 @@ impl TraceEventKind {
             TraceEventKind::WriteComplete => "write_complete",
             TraceEventKind::StallBegin => "stall_begin",
             TraceEventKind::StallEnd => "stall_end",
-            TraceEventKind::Sample => "sample",
-            TraceEventKind::AdmissionSample => "admission_sample",
-            TraceEventKind::NvmQueueSample => "nvm_queue_sample",
             TraceEventKind::CompactionBegin => "compaction_begin",
             TraceEventKind::CompactionEnd => "compaction_end",
         }
@@ -152,10 +137,6 @@ pub struct TraceRecord {
     pub b: u64,
     /// Third payload word (lag, latency, stall cause — per kind).
     pub c: u64,
-    /// Fourth payload word (only [`Sample`] uses it).
-    ///
-    /// [`Sample`]: TraceEventKind::Sample
-    pub d: u64,
     /// What happened.
     pub kind: TraceEventKind,
     /// Node the event happened at (coordinator for client-side events).
@@ -182,9 +163,6 @@ mod tests {
             (TraceEventKind::WriteComplete, 8, "write_complete"),
             (TraceEventKind::StallBegin, 9, "stall_begin"),
             (TraceEventKind::StallEnd, 10, "stall_end"),
-            (TraceEventKind::Sample, 11, "sample"),
-            (TraceEventKind::AdmissionSample, 12, "admission_sample"),
-            (TraceEventKind::NvmQueueSample, 13, "nvm_queue_sample"),
             (TraceEventKind::CompactionBegin, 14, "compaction_begin"),
             (TraceEventKind::CompactionEnd, 15, "compaction_end"),
         ];
@@ -211,6 +189,7 @@ mod tests {
     #[test]
     fn record_is_compact() {
         // The ring preallocates capacity × this size; keep it cache-friendly.
-        assert!(std::mem::size_of::<TraceRecord>() <= 56);
+        // Five words plus kind and node: 6 bytes of padding stay free.
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
     }
 }

@@ -138,7 +138,6 @@ mod tests {
             a: 0,
             b: 0,
             c: 0,
-            d: 0,
             kind: TraceEventKind::WriteIssue,
             node: 0,
         }

@@ -301,9 +301,9 @@ impl Timeline {
 
     /// Returns the next window boundary at or before `now_ns` and
     /// advances past it, or `None` when no boundary has been crossed.
-    /// Call in a loop (like `SampleClock::due`) so idle gaps longer than
-    /// one window still close every window once. The caller snapshots its
-    /// gauges at each returned boundary via [`Timeline::snapshot`].
+    /// Call in a loop so idle gaps longer than one window still close
+    /// every window once. The caller snapshots its gauges at each
+    /// returned boundary via [`Timeline::snapshot`].
     #[must_use]
     pub fn boundary_due(&mut self, now_ns: u64) -> Option<u64> {
         if !self.enabled || now_ns < self.next_boundary_ns {

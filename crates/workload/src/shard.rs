@@ -147,7 +147,7 @@ impl ShardRouter {
     /// The fraction of the workload's key draws that home on each shard.
     ///
     /// Exact for a uniform chooser (each shard's share of the key space).
-    /// For a Zipfian chooser the mass comes from [`MASS_SAMPLES`]
+    /// For a Zipfian chooser the mass comes from `MASS_SAMPLES`
     /// deterministic draws with a fixed internal seed, so the estimate is
     /// a pure function of `(chooser, placement, shards)` — identical on
     /// every run and at any thread count. The returned vector sums to 1.

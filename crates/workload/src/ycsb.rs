@@ -134,6 +134,31 @@ impl WorkloadSpec {
         self
     }
 
+    /// Validates the specification: a non-empty key space, a read ratio
+    /// in `[0, 1]`, and a Zipf skew in `[0, 1)` (what [`Zipfian::new`]
+    /// accepts).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.key_space == 0 {
+            return Err("key_space must be positive".into());
+        }
+        if !(0.0..=1.0).contains(&self.read_ratio) {
+            return Err(format!(
+                "read_ratio must be in [0, 1], got {}",
+                self.read_ratio
+            ));
+        }
+        if let Some(theta) = self.zipf_theta {
+            if !(0.0..1.0).contains(&theta) {
+                return Err(format!("zipf_theta must be in [0, 1), got {theta}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the key chooser this workload draws from. A Zipfian chooser
     /// costs an O(`key_space`) normaliser sum, so a client pool builds it
     /// once and shares clones across its streams.

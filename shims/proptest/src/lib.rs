@@ -280,7 +280,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy type returned by [`vec`].
+    /// Strategy type returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
