@@ -562,6 +562,10 @@ impl ClusterConfig {
         if self.clients == 0 {
             return Err("need at least one client".into());
         }
+        self.memory.validate().map_err(|e| format!("memory.{e}"))?;
+        self.network
+            .validate()
+            .map_err(|e| format!("network.{e}"))?;
         self.workload
             .validate()
             .map_err(|e| format!("workload: {e}"))?;
@@ -685,6 +689,74 @@ mod tests {
         edges.workload.read_ratio = 0.0;
         edges.workload.zipf_theta = None;
         assert!(edges.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_memory_and_network_params_a_run_cannot_build() {
+        let base = || ClusterConfig::micro21(DdpModel::baseline()).with_clients(10);
+        // Each bad value, named by the field path its error carries.
+        // Unchecked, all but the zero bandwidth panic inside
+        // `Simulation::new` or `run`; a zero bandwidth runs silently.
+        let mut bad: Vec<(&str, ClusterConfig)> = Vec::new();
+        let mut cfg = base();
+        cfg.memory.cores = 0;
+        bad.push(("memory.cores", cfg));
+        for ways in [0, 300] {
+            let mut cfg = base();
+            cfg.memory.l1.ways = ways;
+            bad.push(("memory.l1.ways", cfg));
+        }
+        let mut cfg = base();
+        cfg.memory.l2.ways = 0;
+        bad.push(("memory.l2.ways", cfg));
+        let mut cfg = base();
+        cfg.memory.llc_per_core.ways = 256;
+        bad.push(("memory.llc_per_core.ways", cfg));
+        for line in [0, 48] {
+            let mut cfg = base();
+            cfg.memory.l1.line_bytes = line;
+            bad.push(("memory.l1.line_bytes", cfg));
+        }
+        for share in [1.0, 0.97, -0.5, f64::NAN] {
+            let mut cfg = base();
+            cfg.memory.ddio_fraction = share;
+            bad.push(("memory.ddio_fraction", cfg));
+        }
+        let mut cfg = base();
+        cfg.memory.llc_per_core.ways = 1;
+        bad.push(("memory.ddio_fraction", cfg));
+        let mut cfg = base();
+        cfg.memory.nvm.channels = 0;
+        bad.push(("memory.nvm.channels", cfg));
+        let mut cfg = base();
+        cfg.memory.nvm.banks_per_channel = 0;
+        bad.push(("memory.nvm.banks_per_channel", cfg));
+        let mut cfg = base();
+        cfg.network.max_queue_pairs = 0;
+        bad.push(("network.max_queue_pairs", cfg));
+        let mut cfg = base();
+        cfg.network.bandwidth_bits_per_sec = 0;
+        bad.push(("network.bandwidth_bits_per_sec", cfg));
+        for (field, cfg) in bad {
+            let err = cfg.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
+
+        // The edges stay valid: one core, 1 and 255 ways, one-byte lines,
+        // no DDIO share (it still takes one way) and one NVM bank.
+        let mut edges = base();
+        edges.memory.cores = 1;
+        edges.memory.l1.ways = 1;
+        edges.memory.l2.ways = 255;
+        edges.memory.l2.line_bytes = 1;
+        edges.memory.llc_per_core.ways = 2;
+        edges.memory.ddio_fraction = 0.0;
+        edges.memory.nvm.channels = 1;
+        edges.memory.nvm.banks_per_channel = 1;
+        edges.network.max_queue_pairs = 1;
+        assert_eq!(edges.validate(), Ok(()));
+        let report = crate::Simulation::new(edges.quick()).run();
+        assert!(report.summary.throughput > 0.0, "the edge config runs");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Cluster {
         // Linearizable/Read-Enforced consistency. Transactional reads don't.
         let mut lease = false;
         if self.cons != Consistency::Transactional && version >= st.inflight_version {
-            st.inflight = Some(write);
+            st.set_inflight(Some(write));
             st.inflight_version = version;
             lease = true;
         }
@@ -500,8 +500,8 @@ impl Cluster {
         if persisted {
             st.global_persisted = st.global_persisted.max(version);
         }
-        if st.inflight == Some(write) {
-            st.inflight = None;
+        if st.inflight() == Some(write) {
+            st.set_inflight(None);
         }
         self.wake_reads(ctx, node, key);
         // Writes queued at this node behind the remote write can now start.

@@ -107,8 +107,8 @@ impl Cluster {
                 (pw.key, pw.write)
             };
             let st = self.nodes[home.index()].store.state_mut(key);
-            if st.inflight == Some(write) {
-                st.inflight = None;
+            if st.inflight() == Some(write) {
+                st.set_inflight(None);
             }
             self.wake_reads(ctx, home, key);
             self.pop_queued_write(ctx, home, key);
@@ -383,8 +383,8 @@ impl Cluster {
         let mut changed = false;
         {
             let st = self.nodes[node.index()].store.state_mut(key);
-            if st.inflight == Some(write) {
-                st.inflight = None;
+            if st.inflight() == Some(write) {
+                st.set_inflight(None);
                 changed = true;
             }
             // Lease-validation: treat the overdue version as validated so
@@ -494,12 +494,15 @@ impl Cluster {
         for peer in &peers {
             let mut stale: Vec<Key> = Vec::new();
             self.nodes[peer.index()].store.for_each(&mut |key, st| {
-                if st.inflight.map(|w| w.coordinator) == Some(node) {
+                if st.inflight().map(|w| w.coordinator) == Some(node) {
                     stale.push(key);
                 }
             });
             for key in stale {
-                self.nodes[peer.index()].store.state_mut(key).inflight = None;
+                self.nodes[peer.index()]
+                    .store
+                    .state_mut(key)
+                    .set_inflight(None);
                 if self.measuring {
                     self.stats.transient_expirations += 1;
                 }

@@ -110,11 +110,11 @@ impl Cluster {
         }
         // Transactional reads never stall on transients; others do.
         if cons.uses_inv_ack_val() && cons != Consistency::Transactional {
-            st.inflight = Some(write);
+            st.set_inflight(Some(write));
             st.inflight_version = version;
         }
 
-        let inflight_set = st.inflight == Some(write);
+        let inflight_set = st.inflight() == Some(write);
         let pw = PendingWrite {
             write,
             key,
@@ -616,8 +616,8 @@ impl Cluster {
         if combined {
             st.global_persisted = st.global_persisted.max(version);
         }
-        if st.inflight == Some(write) {
-            st.inflight = None;
+        if st.inflight() == Some(write) {
+            st.set_inflight(None);
         }
         self.wake_reads(ctx, home, key);
         self.pop_queued_write(ctx, home, key);
@@ -637,8 +637,8 @@ impl Cluster {
         let st = self.nodes[home.index()].store.state_mut(key);
         st.global_visible = st.global_visible.max(version);
         st.global_persisted = st.global_persisted.max(version);
-        if st.inflight == Some(write) {
-            st.inflight = None;
+        if st.inflight() == Some(write) {
+            st.set_inflight(None);
         }
         self.wake_reads(ctx, home, key);
         self.pop_queued_write(ctx, home, key);

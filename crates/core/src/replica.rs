@@ -5,6 +5,8 @@ use ddp_store::{
     StoreKind,
 };
 
+use ddp_net::NodeId;
+
 use crate::message::WriteId;
 
 /// Everything one node tracks about one key.
@@ -12,6 +14,10 @@ use crate::message::WriteId;
 /// Versions are cluster-unique, monotonically increasing integers assigned
 /// by coordinators (a deterministic stand-in for Hermes-style logical
 /// timestamps); version 0 means "never written".
+///
+/// The state fits one 64-byte host cache line: the in-flight write is
+/// packed into a coordinator byte, a flag and a sequence, read and written
+/// through [`KeyState::inflight`] and [`KeyState::set_inflight`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyState {
     /// Latest version applied to this node's volatile hierarchy.
@@ -22,25 +28,51 @@ pub struct KeyState {
     pub global_visible: u64,
     /// Latest version known persisted at *all* replicas (set by VAL/VAL_p).
     pub global_persisted: u64,
-    /// The write currently in flight on this key at this node, if any
-    /// (Hermes "transient" state between INV and VAL).
-    pub inflight: Option<WriteId>,
     /// Version the in-flight write will install.
     pub inflight_version: u64,
+    /// Coordinator-local sequence of the visible version (causal tracking).
+    pub visible_seq: u64,
+    /// Sequence of the in-flight write; 0 when none is in flight.
+    inflight_seq: u64,
     /// Payload size of the latest value, for persist sizing.
     pub value_bytes: u32,
     /// Coordinator that produced the visible version (causal tracking).
     pub visible_origin: u8,
-    /// Coordinator-local sequence of the visible version (causal tracking).
-    pub visible_seq: u64,
+    /// Coordinator of the in-flight write; 0 when none is in flight.
+    inflight_coordinator: u8,
+    /// Whether a write is in flight.
+    inflight_set: bool,
 }
 
 impl KeyState {
+    /// The write currently in flight on this key at this node, if any
+    /// (Hermes "transient" state between INV and VAL).
+    #[must_use]
+    pub fn inflight(&self) -> Option<WriteId> {
+        self.inflight_set.then_some(WriteId {
+            coordinator: NodeId(self.inflight_coordinator),
+            seq: self.inflight_seq,
+        })
+    }
+
+    /// Sets or clears the in-flight write. Clearing zeroes the packed
+    /// fields, so a cleared state equals one that never had a write in
+    /// flight.
+    pub fn set_inflight(&mut self, write: Option<WriteId>) {
+        let (set, coordinator, seq) = match write {
+            Some(w) => (true, w.coordinator.0, w.seq),
+            None => (false, 0, 0),
+        };
+        self.inflight_set = set;
+        self.inflight_coordinator = coordinator;
+        self.inflight_seq = seq;
+    }
+
     /// True while an INV has been applied (or issued) but its VAL has not
     /// arrived; Linearizable and Read-Enforced consistency stall reads here.
     #[must_use]
     pub fn is_transient(&self) -> bool {
-        self.inflight.is_some()
+        self.inflight_set
     }
 }
 
@@ -162,12 +194,13 @@ impl ReplicaStore {
     }
 
     /// Mutable state of `key`, inserting the default on first touch. The
-    /// LSM backend resolves the key in one pass over its runs.
+    /// hashtable and LSM backends find a present key in one index probe.
     pub fn state_mut(&mut self, key: Key) -> &mut KeyState {
-        if let ReplicaStore::Lsm(s) = self {
-            return s.get_or_insert_with(key, KeyState::default);
-        }
-        let store = self.as_store_mut();
+        let store = match self {
+            ReplicaStore::Hash(s) => return s.get_or_insert_with(key, KeyState::default),
+            ReplicaStore::Lsm(s) => return s.get_or_insert_with(key, KeyState::default),
+            other => other.as_store_mut(),
+        };
         if !store.contains(key) {
             store.put(key, KeyState::default());
         }
@@ -247,10 +280,35 @@ mod tests {
         let mut rs = ReplicaStore::new(StoreKind::Map);
         let st = rs.state_mut(1);
         assert!(!st.is_transient());
-        st.inflight = Some(WriteId {
-            coordinator: ddp_net::NodeId(0),
+        let write = WriteId {
+            coordinator: NodeId(0),
             seq: 9,
-        });
+        };
+        st.set_inflight(Some(write));
         assert!(rs.state(1).is_transient());
+        assert_eq!(rs.state(1).inflight(), Some(write));
+    }
+
+    #[test]
+    fn key_state_is_one_cache_line_and_clearing_restores_default() {
+        assert_eq!(std::mem::size_of::<KeyState>(), 64);
+        let mut st = KeyState::default();
+        assert_eq!(st.inflight(), None);
+        // Coordinator 0 with sequence 0 is a real write, not "none".
+        let zero = WriteId {
+            coordinator: NodeId(0),
+            seq: 0,
+        };
+        st.set_inflight(Some(zero));
+        assert_eq!(st.inflight(), Some(zero));
+        assert_ne!(st, KeyState::default());
+        let write = WriteId {
+            coordinator: NodeId(200),
+            seq: u64::MAX,
+        };
+        st.set_inflight(Some(write));
+        assert_eq!(st.inflight(), Some(write));
+        st.set_inflight(None);
+        assert_eq!(st, KeyState::default());
     }
 }

@@ -292,7 +292,6 @@ pub struct CacheHierarchy {
     l2_lat: Duration,
     llc_lat: Duration,
     mem_lat: Duration,
-    hits: [u64; 4],
 }
 
 impl CacheHierarchy {
@@ -300,7 +299,7 @@ impl CacheHierarchy {
     #[must_use]
     pub fn new(params: &MemoryParams) -> Self {
         let llc_total = params.llc_total();
-        let ddio_ways = ((f64::from(llc_total.ways) * params.ddio_fraction).round() as u32).max(1);
+        let ddio_ways = params.ddio_ways();
         CacheHierarchy {
             l1: CacheLevel::new(&params.l1),
             l2: CacheLevel::new(&params.l2),
@@ -311,14 +310,13 @@ impl CacheHierarchy {
             llc_lat: llc_total.round_trip(),
             mem_lat: params.dram.read_latency
                 + Duration::from_cycles(llc_total.round_trip_cycles, CORE_GHZ),
-            hits: [0; 4],
         }
     }
 
     /// Performs a CPU load/store to `addr`; returns where it hit and the
     /// access latency. Fills all levels on the way back (inclusive model).
     pub fn access(&mut self, addr: u64) -> (HitLevel, Duration) {
-        let (level, lat) = if self.l1.hit_or_fill(addr) {
+        if self.l1.hit_or_fill(addr) {
             (HitLevel::L1, self.l1_lat)
         } else if self.l2.hit_or_fill(addr) {
             (HitLevel::L2, self.l2_lat)
@@ -331,9 +329,7 @@ impl CacheHierarchy {
                     (HitLevel::Memory, self.mem_lat)
                 }
             }
-        };
-        self.hits[level as usize] += 1;
-        (level, lat)
+        }
     }
 
     /// Injects a line arriving from the NIC directly into the DDIO partition
@@ -350,12 +346,6 @@ impl CacheHierarchy {
     #[must_use]
     pub fn llc_latency(&self) -> Duration {
         self.llc_lat
-    }
-
-    /// Hit counts indexed as `[L1, L2, LLC, Memory]`.
-    #[must_use]
-    pub fn hit_counts(&self) -> [u64; 4] {
-        self.hits
     }
 }
 
@@ -570,7 +560,6 @@ mod tests {
                     reference.invalidate(addr);
                 }
             }
-            assert_eq!(c.hit_counts(), hits, "step {step}");
             assert_eq!(tags(&mut c.l1, addr), l1.tags(addr), "L1 at step {step}");
             assert_eq!(tags(&mut c.l2, addr), l2.tags(addr), "L2 at step {step}");
             assert_eq!(tags(&mut c.llc, addr), llc.tags(addr), "LLC at step {step}");
@@ -663,16 +652,5 @@ mod tests {
         l1.hit_or_fill(64);
         assert_eq!(l1.tags.len(), l1.small + l1.ways);
         assert!(l1.free_small.is_empty());
-    }
-
-    #[test]
-    fn hit_counts_accumulate() {
-        let mut c = hierarchy();
-        c.access(0x40);
-        c.access(0x40);
-        c.access(0x40);
-        let [l1, _l2, _llc, mem] = c.hit_counts();
-        assert_eq!(l1, 2);
-        assert_eq!(mem, 1);
     }
 }

@@ -7,7 +7,7 @@
 
 use ddp_sim::{Duration, SimTime};
 
-use crate::cache::{CacheHierarchy, HitLevel};
+use crate::cache::CacheHierarchy;
 use crate::device::{AccessKind, BankedDevice};
 use crate::params::MemoryParams;
 
@@ -57,11 +57,6 @@ impl MemoryController {
         lat
     }
 
-    /// A CPU access that also reports where it hit.
-    pub fn volatile_access_traced(&mut self, addr: u64) -> (HitLevel, Duration) {
-        self.caches.access(addr)
-    }
-
     /// An update arriving from the NIC, placed in the LLC via DDIO.
     ///
     /// Returns the injection latency.
@@ -76,11 +71,6 @@ impl MemoryController {
     /// models.
     pub fn persist(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
         self.nvm.submit(now, addr, bytes, AccessKind::Write)
-    }
-
-    /// Reads `bytes` at `addr` from NVM starting at `now` (recovery path).
-    pub fn nvm_read(&mut self, now: SimTime, addr: u64, bytes: u64) -> SimTime {
-        self.nvm.submit(now, addr, bytes, AccessKind::Read)
     }
 
     /// Admits a background compaction write of `bytes` to NVM starting at
@@ -116,17 +106,12 @@ impl MemoryController {
     pub fn nvm(&self) -> &BankedDevice {
         &self.nvm
     }
-
-    /// Cache hit counts `[L1, L2, LLC, Memory]`.
-    #[must_use]
-    pub fn cache_hits(&self) -> [u64; 4] {
-        self.caches.hit_counts()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::HitLevel;
 
     #[test]
     fn persist_completion_includes_write_latency() {
@@ -138,18 +123,16 @@ mod tests {
     #[test]
     fn warm_access_is_l1_fast() {
         let mut mc = MemoryController::new(MemoryParams::micro21());
-        mc.volatile_access(0x100);
-        let (level, lat) = mc.volatile_access_traced(0x100);
-        assert_eq!(level, HitLevel::L1);
-        assert_eq!(lat, Duration::from_nanos(1));
+        let cold = mc.volatile_access(0x100);
+        assert_eq!(mc.volatile_access(0x100), Duration::from_nanos(1));
+        assert!(cold > Duration::from_nanos(100), "a cold miss pays DRAM");
     }
 
     #[test]
     fn ddio_then_cpu_access_hits_llc() {
         let mut mc = MemoryController::new(MemoryParams::micro21());
         mc.ddio_inject(0x4000);
-        let (level, _) = mc.volatile_access_traced(0x4000);
-        assert_eq!(level, HitLevel::Llc);
+        assert_eq!(mc.caches.access(0x4000).0, HitLevel::Llc);
     }
 
     #[test]
@@ -161,15 +144,5 @@ mod tests {
         busy.compact_write(SimTime::ZERO, 0, 1 << 16, 256);
         let contended = busy.persist(SimTime::ZERO, 0x40, 64);
         assert!(contended > quiet, "persists must queue behind compaction");
-        assert_eq!(busy.nvm().background_write_count(), 1);
-    }
-
-    #[test]
-    fn nvm_read_faster_than_persist() {
-        let mut mc = MemoryController::new(MemoryParams::micro21());
-        let r = mc.nvm_read(SimTime::ZERO, 0x999940, 64);
-        let mut mc2 = MemoryController::new(MemoryParams::micro21());
-        let w = mc2.persist(SimTime::ZERO, 0x999940, 64);
-        assert!(r < w);
     }
 }

@@ -54,14 +54,7 @@ pub struct BankedDevice {
     bank_inflight: Vec<u32>,
     /// Number of banks with at least one request in flight.
     busy_banks: usize,
-    reads: u64,
-    writes: u64,
     total_queue_wait: Duration,
-    /// Background (compaction) writes admitted via
-    /// [`Self::submit_background`]; kept out of the foreground counters.
-    background_writes: u64,
-    /// Bytes moved by background writes.
-    background_bytes: u64,
 }
 
 impl BankedDevice {
@@ -74,11 +67,7 @@ impl BankedDevice {
             completions: BinaryHeap::new(),
             bank_inflight: vec![0; params.total_banks() as usize],
             busy_banks: 0,
-            reads: 0,
-            writes: 0,
             total_queue_wait: Duration::ZERO,
-            background_writes: 0,
-            background_bytes: 0,
         }
     }
 
@@ -103,14 +92,8 @@ impl BankedDevice {
         self.prune(now);
         let bank = self.bank_for(addr);
         let base = match kind {
-            AccessKind::Read => {
-                self.reads += 1;
-                self.params.read_latency
-            }
-            AccessKind::Write => {
-                self.writes += 1;
-                self.params.write_latency
-            }
+            AccessKind::Read => self.params.read_latency,
+            AccessKind::Write => self.params.write_latency,
         };
         let service = base + self.params.transfer_time(bytes);
         let start = self.bank_free[bank].max(now);
@@ -131,8 +114,8 @@ impl BankedDevice {
     /// like a foreground write — it advances the bank's free time, so
     /// later foreground requests queue behind it — but background work is
     /// invisible to the foreground accounting: the in-flight and queued
-    /// counts, the queue-wait total, and the read/write counters do not
-    /// move. Returns the completion time of the last chunk.
+    /// counts and the queue-wait total do not move. Returns the completion
+    /// time of the last chunk.
     ///
     /// # Panics
     ///
@@ -161,8 +144,6 @@ impl BankedDevice {
             done = done.max(end);
             bank = (bank + 1) % banks;
         }
-        self.background_writes += 1;
-        self.background_bytes += bytes;
         done
     }
 
@@ -211,40 +192,6 @@ impl BankedDevice {
             }
         }
         inflight - busy.into_iter().filter(|&b| b).count()
-    }
-
-    /// The earliest time at which every request submitted so far has
-    /// completed (the "drain point").
-    #[must_use]
-    pub fn drain_time(&self) -> SimTime {
-        self.bank_free
-            .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Total reads submitted.
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes submitted.
-    #[must_use]
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Background bulk writes admitted (one per seal/merge, not per chunk).
-    #[must_use]
-    pub fn background_write_count(&self) -> u64 {
-        self.background_writes
-    }
-
-    /// Bytes moved by background bulk writes.
-    #[must_use]
-    pub fn background_byte_count(&self) -> u64 {
-        self.background_bytes
     }
 
     /// Sum of time requests spent waiting for a busy bank.
@@ -317,22 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_track_kinds() {
-        let mut d = nvm();
-        d.submit(SimTime::ZERO, 0, 64, AccessKind::Read);
-        d.submit(SimTime::ZERO, 0, 64, AccessKind::Write);
-        d.submit(SimTime::ZERO, 0, 64, AccessKind::Write);
-        assert_eq!(d.read_count(), 1);
-        assert_eq!(d.write_count(), 2);
-    }
-
-    #[test]
     fn queued_counts_requests_behind_busy_banks() {
         let mut d = nvm();
         assert_eq!(d.queued_now(), 0);
         // Three same-bank writes: one in service, two queued.
+        let mut drain = SimTime::ZERO;
         for _ in 0..3 {
-            d.submit(SimTime::ZERO, 0x40, 64, AccessKind::Write);
+            drain = d.submit(SimTime::ZERO, 0x40, 64, AccessKind::Write);
         }
         assert_eq!(d.queued_now(), 2);
         assert_eq!(d.queued_at(SimTime::ZERO), 2);
@@ -341,10 +279,10 @@ mod tests {
         while d.bank_for(addr2) == d.bank_for(0x40) {
             addr2 += 0x40;
         }
-        d.submit(SimTime::ZERO, addr2, 64, AccessKind::Write);
+        let other = d.submit(SimTime::ZERO, addr2, 64, AccessKind::Write);
         assert_eq!(d.queued_now(), 2);
         // Once everything drains, nothing is queued.
-        let drain = d.drain_time();
+        assert!(other < drain, "the lone write finishes first");
         assert_eq!(d.queued(drain), 0);
         assert_eq!(d.queued_at(drain), 0);
     }
@@ -497,7 +435,11 @@ mod tests {
                 assert_eq!(d.queued_at(probe), scan.queued_at(probe));
             }
             assert!(deepest > 2, "banks queued deeply");
-            let end = d.drain_time();
+            let end = d
+                .bank_free
+                .iter()
+                .copied()
+                .fold(SimTime::ZERO, SimTime::max);
             assert_eq!(d.queued(end), 0);
             assert!(d.completions.is_empty());
         }
@@ -516,16 +458,11 @@ mod tests {
         let mut d = nvm();
         let done = d.submit_background(SimTime::ZERO, 0x40, 4096, 256);
         assert!(done > SimTime::ZERO);
-        assert!(d.drain_time() >= done);
+        assert_eq!(d.bank_free.iter().max(), Some(&done));
         // Invisible to the foreground books.
-        assert_eq!(d.write_count(), 0);
-        assert_eq!(d.read_count(), 0);
         assert_eq!(d.total_queue_wait(), Duration::ZERO);
         assert_eq!(d.queued_now(), 0);
         assert!(d.completions.is_empty());
-        // Visible to the background books.
-        assert_eq!(d.background_write_count(), 1);
-        assert_eq!(d.background_byte_count(), 4096);
         // A foreground write to the seeded bank queues behind the burst.
         let fg = d.submit(SimTime::ZERO, 0x40, 64, AccessKind::Write);
         assert!(
@@ -550,14 +487,12 @@ mod tests {
         let mut d3 = nvm();
         let wrapped = d3.submit_background(SimTime::ZERO, 0, 2 * banks * chunk, chunk);
         assert!(wrapped > all);
-        assert_eq!(d3.background_write_count(), 1);
     }
 
     #[test]
     fn zero_byte_background_write_is_free() {
         let mut d = nvm();
         assert_eq!(d.submit_background(SimTime::ZERO, 0, 0, 256), SimTime::ZERO);
-        assert_eq!(d.background_write_count(), 0);
-        assert_eq!(d.drain_time(), SimTime::ZERO);
+        assert!(d.bank_free.iter().all(|&t| t == SimTime::ZERO));
     }
 }

@@ -141,6 +141,61 @@ impl MemoryParams {
             ..self.llc_per_core
         }
     }
+
+    /// LLC ways reserved for DDIO: the configured share, at least one.
+    pub(crate) fn ddio_ways(&self) -> u32 {
+        ((f64::from(self.llc_per_core.ways) * self.ddio_fraction).round() as u32).max(1)
+    }
+
+    /// Checks that a cache hierarchy and an NVM device can be built from
+    /// these parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found, starting with
+    /// the field's name.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("cores must be positive".into());
+        }
+        for (name, level) in [
+            ("l1", &self.l1),
+            ("l2", &self.l2),
+            ("llc_per_core", &self.llc_per_core),
+        ] {
+            // A set's length is one byte.
+            if !(1..=255).contains(&level.ways) {
+                return Err(format!(
+                    "{name}.ways must be within 1..=255, got {}",
+                    level.ways
+                ));
+            }
+            if !level.line_bytes.is_power_of_two() {
+                return Err(format!(
+                    "{name}.line_bytes must be a power of two, got {}",
+                    level.line_bytes
+                ));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.ddio_fraction) || self.ddio_ways() >= self.llc_per_core.ways
+        {
+            return Err(format!(
+                "ddio_fraction {} must leave the LLC's main partition at least one of its {} ways",
+                self.ddio_fraction, self.llc_per_core.ways
+            ));
+        }
+        let nvm = &self.nvm;
+        for (name, value) in [
+            ("channels", u64::from(nvm.channels)),
+            ("banks_per_channel", u64::from(nvm.banks_per_channel)),
+            ("channel_bytes_per_sec", nvm.channel_bytes_per_sec),
+        ] {
+            if value == 0 {
+                return Err(format!("nvm.{name} must be positive"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for MemoryParams {

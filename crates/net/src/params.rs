@@ -43,6 +43,22 @@ impl NetworkParams {
         self
     }
 
+    /// Checks that a NIC can be built from these parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found, starting with
+    /// the field's name.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_queue_pairs == 0 {
+            return Err("max_queue_pairs must be positive".into());
+        }
+        if self.bandwidth_bits_per_sec == 0 {
+            return Err("bandwidth_bits_per_sec must be positive".into());
+        }
+        Ok(())
+    }
+
     /// One-way propagation latency (half the round trip).
     #[must_use]
     pub fn one_way(&self) -> Duration {

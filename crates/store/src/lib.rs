@@ -6,7 +6,8 @@
 //! behind one [`KvStore`] trait, so the replication engine in `ddp-core`
 //! is store-agnostic:
 //!
-//! * [`HashTable`] — open addressing with Robin Hood probing;
+//! * [`HashTable`] — a Robin Hood index of 16-byte slots over dense
+//!   entries;
 //! * [`AvlMap`] — balanced ordered map (the `std::map` role);
 //! * [`BTree`] — B-tree with values in every node (the cpp-btree role);
 //! * [`BPlusTree`] — B+tree with linked leaves and range scans (TLX role);
@@ -17,8 +18,9 @@
 //! scenario:
 //!
 //! * [`LsmStore`] — Spine-style log-structured store (sorted memtable,
-//!   immutable sealed batches, leveled merge-compaction) that reports its
-//!   background work as [`LsmWork`] for the simulator to cost.
+//!   immutable sealed batches, leveled merge-compaction; runs carry keys,
+//!   values live once in an index) that reports its background work as
+//!   [`LsmWork`] for the simulator to cost.
 //!
 //! All stores are deterministic: no hashing randomness, no allocation-order
 //! dependence, which the simulator's reproducibility requires.

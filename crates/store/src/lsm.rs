@@ -3,12 +3,17 @@
 //! Writes land in a sorted mutable **memtable**. When the memtable reaches
 //! its seal threshold it becomes an immutable sorted **batch** at level 0;
 //! when a level accumulates `fanout` batches they merge into one batch at
-//! the next level, the newest value winning per key and tombstones
+//! the next level, the newest entry winning per key and tombstones
 //! surviving until the merge output is the oldest data in the store
-//! (dropping one earlier could resurrect a shadowed older value). Reads
-//! walk a merging cursor over the memtable and every batch, newest first,
-//! so the store is always consistent — the shape mirrors the DBSP Spine
-//! trace (SNIPPETS.md).
+//! (dropping one earlier could resurrect a shadowed older entry) — the
+//! shape mirrors the DBSP Spine trace (SNIPPETS.md).
+//!
+//! Runs carry keys and tombstone flags only. The newest value of each live
+//! key lives once, in a [`HashTable`] index, so a point read is one probe,
+//! an ordered walk sorts the index's keys, and a run's seal or merge moves
+//! no values. Each value is stamped with the memtable generation (the seal
+//! count) at which its key last entered the memtable, so an upsert of a
+//! key already there needs no run search.
 //!
 //! Sealing and merging are applied *eagerly* to the logical state; what is
 //! deferred is their **cost**. Each seal/merge pushes an [`LsmWork`] item
@@ -32,6 +37,7 @@
 //! assert_eq!(store.range_inclusive(5, 9).len(), 4); // 7 is gone
 //! ```
 
+use crate::hashtable::HashTable;
 use crate::traits::{Key, KvStore, OrderedKvStore};
 
 /// Default memtable seal threshold (entries).
@@ -69,174 +75,65 @@ impl LsmWork {
     }
 }
 
-/// One sorted run: a dense key array, binary-searched without touching
-/// the values, beside the values in the same order; `None` values are
-/// tombstones. The memtable is the one mutable run; sealed batches never
-/// change.
-#[derive(Clone, Debug)]
-struct Run<V> {
+/// One sorted run of keys; a set `tombstones` flag marks a delete. The
+/// memtable is the one mutable run; sealed batches never change. Runs
+/// carry no values: the newest value of every live key is held once, in
+/// the store's index.
+#[derive(Clone, Debug, Default)]
+struct Run {
     keys: Vec<Key>,
-    vals: Vec<Option<V>>,
+    tombstones: Vec<bool>,
 }
 
-impl<V> Default for Run<V> {
-    fn default() -> Self {
-        Run {
-            keys: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-}
-
-impl<V> Run<V> {
+impl Run {
     fn len(&self) -> usize {
         self.keys.len()
     }
 
-    fn find(&self, key: Key) -> Result<usize, usize> {
-        self.keys.binary_search(&key)
-    }
-
-    fn get(&self, key: Key) -> Option<&Option<V>> {
-        self.find(key).ok().map(|i| &self.vals[i])
-    }
-
-    fn insert(&mut self, i: usize, key: Key, entry: Option<V>) {
+    fn insert(&mut self, i: usize, key: Key, tombstone: bool) {
         self.keys.insert(i, key);
-        self.vals.insert(i, entry);
+        self.tombstones.insert(i, tombstone);
     }
 }
 
-/// The log-structured store: a sorted mutable memtable over leveled
-/// immutable batches. See the module docs for the lifecycle.
+/// A live value, stamped with the memtable generation (the seal count)
+/// at which its key last entered the memtable. The key is in the current
+/// memtable exactly when the stamp equals the store's seal count.
 #[derive(Clone, Debug)]
-pub struct LsmStore<V> {
-    memtable: Run<V>,
+struct Stamped<V> {
+    value: V,
+    generation: u64,
+}
+
+/// The memtable and the leveled batches, with the work their seals and
+/// merges have generated.
+#[derive(Clone, Debug)]
+struct Runs {
+    memtable: Run,
     /// `levels[0]` is the newest level; within a level, later batches are
     /// newer and shadow earlier ones.
-    levels: Vec<Vec<Run<V>>>,
+    levels: Vec<Vec<Run>>,
     memtable_cap: usize,
     fanout: usize,
-    /// Live keys (tombstones and shadowed duplicates excluded).
-    live: usize,
     work: Vec<LsmWork>,
     seals: u64,
     merges: u64,
 }
 
-impl<V> LsmStore<V> {
-    /// A store with the default seal threshold and fanout.
-    #[must_use]
-    pub fn new() -> Self {
-        LsmStore::with_thresholds(DEFAULT_MEMTABLE_ENTRIES, DEFAULT_FANOUT)
-    }
-
-    /// A store that seals at `memtable_entries` entries and merges a level
-    /// once it holds `fanout` batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `memtable_entries` is zero or `fanout < 2`.
-    #[must_use]
-    pub fn with_thresholds(memtable_entries: usize, fanout: usize) -> Self {
-        assert!(memtable_entries > 0, "memtable threshold must be non-zero");
-        assert!(fanout >= 2, "fanout below 2 merges forever");
-        LsmStore {
-            memtable: Run::default(),
-            levels: Vec::new(),
-            memtable_cap: memtable_entries,
-            fanout,
-            live: 0,
-            work: Vec::new(),
-            seals: 0,
-            merges: 0,
+impl Runs {
+    /// Writes `key`'s newest entry, a value or a tombstone, into the
+    /// memtable, sealing first if a fresh entry would overflow the
+    /// threshold. Returns the memtable generation that now holds the key.
+    fn enter(&mut self, key: Key, tombstone: bool) -> u64 {
+        match self.memtable.keys.binary_search(&key) {
+            Ok(i) => self.memtable.tombstones[i] = tombstone,
+            Err(_) if self.memtable.len() >= self.memtable_cap => {
+                self.seal();
+                self.memtable.insert(0, key, tombstone);
+            }
+            Err(i) => self.memtable.insert(i, key, tombstone),
         }
-    }
-
-    /// Drains the accumulated background work (oldest first).
-    #[must_use]
-    pub fn take_work(&mut self) -> Vec<LsmWork> {
-        std::mem::take(&mut self.work)
-    }
-
-    /// Whether undrained background work is pending.
-    #[must_use]
-    pub fn has_work(&self) -> bool {
-        !self.work.is_empty()
-    }
-
-    /// Memtable seals performed over the store's lifetime.
-    #[must_use]
-    pub fn seals(&self) -> u64 {
         self.seals
-    }
-
-    /// Level merges performed over the store's lifetime.
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Entries currently in the mutable memtable (tombstones included).
-    #[must_use]
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
-    /// Immutable batches currently alive across all levels.
-    #[must_use]
-    pub fn batch_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
-
-    /// Levels currently allocated (deepest may be empty after a merge).
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The newest entry for `key` anywhere in the store; `Some(&None)` is
-    /// a live tombstone, `None` means the key was never written (or was
-    /// merged out entirely).
-    fn lookup(&self, key: Key) -> Option<&Option<V>> {
-        self.memtable.get(key).or_else(|| self.lookup_batches(key))
-    }
-
-    /// [`Self::lookup`] below the memtable: the sealed batches, newest
-    /// first.
-    fn lookup_batches(&self, key: Key) -> Option<&Option<V>> {
-        for level in &self.levels {
-            for batch in level.iter().rev() {
-                if let Some(entry) = batch.get(key) {
-                    return Some(entry);
-                }
-            }
-        }
-        None
-    }
-
-    /// Writes `entry` into the memtable, sealing first if a fresh slot
-    /// would overflow the threshold.
-    fn insert_slot(&mut self, key: Key, entry: Option<V>) {
-        match self.memtable.find(key) {
-            Ok(i) => self.memtable.vals[i] = entry,
-            Err(i) => {
-                self.insert_fresh(i, key, entry);
-            }
-        }
-    }
-
-    /// Inserts a key the memtable lacks at its sorted position `i`,
-    /// sealing first if the memtable is full; returns the entry's index.
-    fn insert_fresh(&mut self, i: usize, key: Key, entry: Option<V>) -> usize {
-        if self.memtable.len() >= self.memtable_cap {
-            self.seal();
-            self.memtable.insert(0, key, entry);
-            0
-        } else {
-            self.memtable.insert(i, key, entry);
-            i
-        }
     }
 
     /// Seals the memtable into a level-0 batch and cascades any merges it
@@ -267,7 +164,7 @@ impl<V> LsmStore<V> {
             let input: u64 = batches.iter().map(|b| b.len() as u64).sum();
             // Tombstones may be dropped only when the merge output becomes
             // the oldest data in the store; otherwise they must keep
-            // shadowing older values below.
+            // shadowing older entries below.
             let oldest = self.levels.iter().skip(level + 1).all(Vec::is_empty);
             let merged = merge_runs(batches, oldest);
             if self.levels.len() <= level + 1 {
@@ -282,65 +179,123 @@ impl<V> LsmStore<V> {
             level += 1;
         }
     }
-
-    /// The merging cursor: visits every live key in `[lo, hi]` exactly
-    /// once, ascending, newest value winning.
-    fn visit_range<'a>(&'a self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, &'a V)) {
-        if lo > hi {
-            return;
-        }
-        // Sources in newest-to-oldest priority order: the memtable, then
-        // each level shallow-to-deep, batches within a level newest first.
-        let mut srcs: Vec<&'a Run<V>> = vec![&self.memtable];
-        for level in &self.levels {
-            srcs.extend(level.iter().rev());
-        }
-        let mut idx: Vec<usize> = srcs
-            .iter()
-            .map(|s| s.keys.partition_point(|&k| k < lo))
-            .collect();
-        loop {
-            let mut best: Option<(Key, usize)> = None;
-            for (si, s) in srcs.iter().enumerate() {
-                if let Some(&k) = s.keys.get(idx[si]) {
-                    if k <= hi && best.map_or(true, |(bk, _)| k < bk) {
-                        best = Some((k, si));
-                    }
-                }
-            }
-            let Some((k, winner)) = best else { break };
-            let entry = &srcs[winner].vals[idx[winner]];
-            for (si, s) in srcs.iter().enumerate() {
-                if s.keys.get(idx[si]) == Some(&k) {
-                    idx[si] += 1;
-                }
-            }
-            if let Some(v) = entry.as_ref() {
-                f(k, v);
-            }
-        }
-    }
 }
 
-impl<V: Clone> LsmStore<V> {
-    /// The value of `key`, inserting `fill()` if the key has no live
-    /// value, in one pass over the runs: equivalent to `contains`, then
-    /// `put` if absent, then `get_mut`, with the same state, length,
-    /// memtable and work list. A value living only in a batch is promoted
-    /// into the memtable, as [`KvStore::get_mut`] does.
-    pub fn get_or_insert_with(&mut self, key: Key, fill: impl FnOnce() -> V) -> &mut V {
-        let i = match self.memtable.find(key) {
-            Ok(i) => i,
-            Err(i) => {
-                let promoted = self.lookup_batches(key).cloned().flatten();
-                self.insert_fresh(i, key, promoted)
-            }
-        };
-        let entry = &mut self.memtable.vals[i];
-        if entry.is_none() {
-            self.live += 1;
+/// The log-structured store: a sorted mutable memtable over leveled
+/// immutable batches of keys, and an index holding each live key's newest
+/// value. See the module docs for the lifecycle.
+#[derive(Clone, Debug)]
+pub struct LsmStore<V> {
+    /// The newest value of every live key (tombstoned keys are absent).
+    values: HashTable<Stamped<V>>,
+    runs: Runs,
+}
+
+impl<V> LsmStore<V> {
+    /// A store with the default seal threshold and fanout.
+    #[must_use]
+    pub fn new() -> Self {
+        LsmStore::with_thresholds(DEFAULT_MEMTABLE_ENTRIES, DEFAULT_FANOUT)
+    }
+
+    /// A store that seals at `memtable_entries` entries and merges a level
+    /// once it holds `fanout` batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memtable_entries` is zero or `fanout < 2`.
+    #[must_use]
+    pub fn with_thresholds(memtable_entries: usize, fanout: usize) -> Self {
+        assert!(memtable_entries > 0, "memtable threshold must be non-zero");
+        assert!(fanout >= 2, "fanout below 2 merges forever");
+        LsmStore {
+            values: HashTable::new(),
+            runs: Runs {
+                memtable: Run::default(),
+                levels: Vec::new(),
+                memtable_cap: memtable_entries,
+                fanout,
+                work: Vec::new(),
+                seals: 0,
+                merges: 0,
+            },
         }
-        entry.get_or_insert_with(fill)
+    }
+
+    /// Drains the accumulated background work (oldest first).
+    #[must_use]
+    pub fn take_work(&mut self) -> Vec<LsmWork> {
+        std::mem::take(&mut self.runs.work)
+    }
+
+    /// Whether undrained background work is pending.
+    #[must_use]
+    pub fn has_work(&self) -> bool {
+        !self.runs.work.is_empty()
+    }
+
+    /// Memtable seals performed over the store's lifetime.
+    #[must_use]
+    pub fn seals(&self) -> u64 {
+        self.runs.seals
+    }
+
+    /// Level merges performed over the store's lifetime.
+    #[must_use]
+    pub fn merges(&self) -> u64 {
+        self.runs.merges
+    }
+
+    /// Entries currently in the mutable memtable (tombstones included).
+    #[must_use]
+    pub fn memtable_len(&self) -> usize {
+        self.runs.memtable.len()
+    }
+
+    /// Immutable batches currently alive across all levels.
+    #[must_use]
+    pub fn batch_count(&self) -> usize {
+        self.runs.levels.iter().map(Vec::len).sum()
+    }
+
+    /// Levels currently allocated (deepest may be empty after a merge).
+    #[must_use]
+    pub fn level_count(&self) -> usize {
+        self.runs.levels.len()
+    }
+
+    /// The value of `key`, inserting `fill()` if the key has no live
+    /// value: equivalent to `contains`, then `put` if absent, then
+    /// `get_mut`, with the same state, length, memtable and work list. A
+    /// key live in the memtable costs one index probe; a live key outside
+    /// it enters the memtable, as [`KvStore::get_mut`] promotes it.
+    pub fn get_or_insert_with(&mut self, key: Key, fill: impl FnOnce() -> V) -> &mut V {
+        let generation = self.runs.seals;
+        // A fresh value's stamp matches no generation, so it enters below.
+        let slot = self.values.get_or_insert_with(key, || Stamped {
+            value: fill(),
+            generation: u64::MAX,
+        });
+        if slot.generation != generation {
+            slot.generation = self.runs.enter(key, false);
+        }
+        &mut slot.value
+    }
+
+    /// Visits every live key in `[lo, hi]` exactly once, ascending. The
+    /// index holds exactly the live keys, so the walk sorts them instead
+    /// of merging the runs.
+    fn visit_range<'a>(&'a self, lo: Key, hi: Key, f: &mut dyn FnMut(Key, &'a V)) {
+        let mut live: Vec<(Key, &'a V)> = Vec::new();
+        self.values.for_each(&mut |k, s| {
+            if (lo..=hi).contains(&k) {
+                live.push((k, &s.value));
+            }
+        });
+        live.sort_unstable_by_key(|&(k, _)| k);
+        for (k, v) in live {
+            f(k, v);
+        }
     }
 }
 
@@ -352,25 +307,25 @@ impl<V> Default for LsmStore<V> {
 
 /// K-way merges owned runs (later = newer) into one sorted run, dropping
 /// tombstones when the output becomes the store's oldest data.
-fn merge_runs<V>(runs: Vec<Run<V>>, drop_tombstones: bool) -> Run<V> {
+fn merge_runs(runs: Vec<Run>, drop_tombstones: bool) -> Run {
     let mut srcs: Vec<_> = runs
         .into_iter()
-        .map(|r| r.keys.into_iter().zip(r.vals).peekable())
+        .map(|r| r.keys.into_iter().zip(r.tombstones).peekable())
         .collect();
     let mut out = Run::default();
     while let Some(k) = srcs.iter_mut().filter_map(|s| s.peek().map(|e| e.0)).min() {
         let mut newest = None;
         // Later sources are newer, so the last entry taken for `k` wins.
         for s in &mut srcs {
-            if let Some((_, entry)) = s.next_if(|e| e.0 == k) {
-                newest = Some(entry);
+            if let Some((_, tombstone)) = s.next_if(|e| e.0 == k) {
+                newest = Some(tombstone);
             }
         }
         match newest {
-            Some(None) if drop_tombstones => {}
-            Some(entry) => {
+            Some(true) if drop_tombstones => {}
+            Some(tombstone) => {
                 out.keys.push(k);
-                out.vals.push(entry);
+                out.tombstones.push(tombstone);
             }
             None => unreachable!("a source held the minimum key"),
         }
@@ -378,48 +333,50 @@ fn merge_runs<V>(runs: Vec<Run<V>>, drop_tombstones: bool) -> Run<V> {
     out
 }
 
-impl<V: Clone> KvStore<V> for LsmStore<V> {
+impl<V> KvStore<V> for LsmStore<V> {
     fn get(&self, key: Key) -> Option<&V> {
-        self.lookup(key).and_then(Option::as_ref)
+        self.values.get(key).map(|s| &s.value)
     }
 
     fn get_mut(&mut self, key: Key) -> Option<&mut V> {
-        // Batches are immutable: a value living only in a batch is
-        // promoted (cloned) into the memtable, where it shadows the batch
-        // copy — an LSM write, so it counts toward the seal threshold.
-        let i = match self.memtable.find(key) {
-            Ok(i) => i,
-            Err(i) => {
-                let promoted = match self.lookup_batches(key) {
-                    Some(Some(v)) => v.clone(),
-                    _ => return None,
-                };
-                self.insert_fresh(i, key, Some(promoted))
-            }
-        };
-        self.memtable.vals[i].as_mut()
+        // Batches are immutable: a key living only in a batch is promoted
+        // into the memtable, where it shadows the batch entry — an LSM
+        // write, so it counts toward the seal threshold.
+        let generation = self.runs.seals;
+        let slot = self.values.get_mut(key)?;
+        if slot.generation != generation {
+            slot.generation = self.runs.enter(key, false);
+        }
+        Some(&mut slot.value)
     }
 
     fn put(&mut self, key: Key, value: V) -> Option<V> {
-        let old = self.get(key).cloned();
-        self.insert_slot(key, Some(value));
-        if old.is_none() {
-            self.live += 1;
+        let generation = self.runs.seals;
+        match self.values.get_mut(key) {
+            Some(slot) => {
+                if slot.generation != generation {
+                    slot.generation = self.runs.enter(key, false);
+                }
+                Some(std::mem::replace(&mut slot.value, value))
+            }
+            None => {
+                let generation = self.runs.enter(key, false);
+                self.values.put(key, Stamped { value, generation });
+                None
+            }
         }
-        old
     }
 
     fn remove(&mut self, key: Key) -> Option<V> {
-        let old = self.get(key).cloned()?;
-        // A tombstone shadows every older copy until a bottom-level merge
+        let old = self.values.remove(key)?;
+        // A tombstone shadows every older entry until a bottom-level merge
         // retires it; removes of keys that were never written stay no-ops.
-        self.insert_slot(key, None);
-        self.live -= 1;
-        Some(old)
+        self.runs.enter(key, true);
+        Some(old.value)
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.values.len()
     }
 
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
@@ -427,7 +384,7 @@ impl<V: Clone> KvStore<V> for LsmStore<V> {
     }
 }
 
-impl<V: Clone> OrderedKvStore<V> for LsmStore<V> {
+impl<V> OrderedKvStore<V> for LsmStore<V> {
     fn for_each_in_order<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         self.visit_range(Key::MIN, Key::MAX, f);
     }

@@ -184,3 +184,64 @@ fn lsm_survives_crashes_mid_compaction() {
         "compaction must be active around the crash"
     );
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The store's compaction work, the simulator's only view of its runs,
+/// is pinned for a seeded Zipf stream of upserts and removes at the
+/// default thresholds: every seal and merge, in order, with its entry
+/// count. A change to how runs or values are held must not move it.
+#[test]
+fn compaction_work_of_a_zipf_stream_is_pinned() {
+    use ddp_sim::SimRng;
+    use ddp_store::{KvStore, LsmStore, LsmWork};
+    use ddp_workload::{Zipfian, YCSB_THETA};
+
+    let zipf = Zipfian::new(100_000, YCSB_THETA);
+    let mut rng = SimRng::seed_from(0x15D);
+    let mut store: LsmStore<u64> = LsmStore::new();
+    let mut work = Vec::new();
+    for i in 0..200_000u64 {
+        let key = zipf.sample(&mut rng);
+        match rng.next_below(10) {
+            0 => {
+                store.remove(key);
+            }
+            1 | 2 => {
+                store.put(key, i);
+            }
+            3 => {
+                if let Some(v) = store.get_mut(key) {
+                    *v ^= i;
+                }
+            }
+            _ => *store.get_or_insert_with(key, || i) += 1,
+        }
+        if i % 1_000 == 0 {
+            work.extend(store.take_work());
+        }
+    }
+    work.extend(store.take_work());
+    let bytes = work.iter().flat_map(|w| {
+        let (tag, level) = match *w {
+            LsmWork::Seal { .. } => (0u32, 0u32),
+            LsmWork::Merge { level, .. } => (1, level),
+        };
+        [tag, level]
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .chain(w.entries().to_le_bytes())
+    });
+    let mut live = Vec::new();
+    store.for_each(&mut |k, v| live.extend([k, *v]));
+    let live_digest = fnv1a(live.iter().flat_map(|x| x.to_le_bytes()));
+    assert_eq!(
+        (work.len(), fnv1a(bytes), store.len(), live_digest),
+        (671, 0x4ef2_bbab_fc04_d9a0, 32_215, 0x06c3_1047_ea18_7151)
+    );
+}
