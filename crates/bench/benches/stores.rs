@@ -87,11 +87,11 @@ fn replica_state_mut_lsm(c: &mut Criterion) {
     });
 }
 
-/// A node's hashtable replica store on `reads-uniform-b`'s access mix:
-/// 95 % `state` reads and 5 % `state_mut` writes, uniform over 100k keys.
-/// The store is warmed with 10k writes first, so reads mix hits on
-/// touched keys with defaults for untouched ones.
-fn replica_state_hash(c: &mut Criterion) {
+/// A node's hashtable and memcached replica stores on `reads-uniform-b`'s
+/// access mix: 95 % `state` reads and 5 % `state_mut` writes, uniform over
+/// 100k keys. Each store is warmed with 10k writes first, so reads mix
+/// hits on touched keys with defaults for untouched ones.
+fn replica_state_uniform(c: &mut Criterion) {
     const WARM: usize = 10_000;
     const KEYS: u64 = 100_000;
     let mut rng = SimRng::seed_from(4);
@@ -99,31 +99,41 @@ fn replica_state_hash(c: &mut Criterion) {
     let ops: Vec<(bool, u64)> = (0..OPS)
         .map(|_| (rng.chance(0.05), rng.next_below(KEYS)))
         .collect();
-    c.bench_function("stores/replica_state_hash_uniform_100k", |b| {
-        b.iter_batched(
-            || {
-                let mut store = ReplicaStore::new(StoreKind::HashTable);
-                for &k in &warm {
-                    store.state_mut(k).visible += 1;
-                }
-                store
-            },
-            |mut store| {
-                let mut acc = 0u64;
-                for &(write, k) in &ops {
-                    if write {
+    for (name, kind) in [
+        ("hash", StoreKind::HashTable),
+        ("memcached", StoreKind::Memcached),
+    ] {
+        c.bench_function(&format!("stores/replica_state_{name}_uniform_100k"), |b| {
+            b.iter_batched(
+                || {
+                    let mut store = ReplicaStore::new(kind);
+                    for &k in &warm {
                         store.state_mut(k).visible += 1;
-                    } else {
-                        acc = acc.wrapping_add(store.state(k).visible);
                     }
-                }
-                black_box(acc);
-                store
-            },
-            BatchSize::LargeInput,
-        );
-    });
+                    store
+                },
+                |mut store| {
+                    let mut acc = 0u64;
+                    for &(write, k) in &ops {
+                        if write {
+                            store.state_mut(k).visible += 1;
+                        } else {
+                            acc = acc.wrapping_add(store.state(k).visible);
+                        }
+                    }
+                    black_box(acc);
+                    store
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
 }
 
-criterion_group!(benches, stores, replica_state_mut_lsm, replica_state_hash);
+criterion_group!(
+    benches,
+    stores,
+    replica_state_mut_lsm,
+    replica_state_uniform
+);
 criterion_main!(benches);

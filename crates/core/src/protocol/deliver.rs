@@ -43,9 +43,10 @@ impl Cluster {
                     scope,
                 },
             ),
-            Message::Ack { write, from } => self.on_ack(ctx, node, write, from, false, true),
-            Message::AckC { write, from } => self.on_ack(ctx, node, write, from, false, false),
-            Message::AckP { write, from } => self.on_ack(ctx, node, write, from, true, false),
+            Message::Ack { write, from } | Message::AckC { write, from } => {
+                self.on_ack(ctx, node, write, from, false);
+            }
+            Message::AckP { write, from } => self.on_ack(ctx, node, write, from, true),
             Message::Val {
                 write,
                 key,
@@ -96,9 +97,7 @@ impl Cluster {
         // transient state a VAL may already have cleared); the follower
         // only re-acknowledges, in case the original ACK was lost.
         if self.faults_active && !self.nodes[node.index()].seen_invs.insert(write) {
-            if self.measuring {
-                self.stats.duplicates_suppressed += 1;
-            }
+            self.suppress_duplicate();
             self.re_ack_inv(ctx, node, write, key, version, txn.is_some());
             return;
         }
@@ -445,33 +444,15 @@ impl Cluster {
         write: WriteId,
         from: NodeId,
         is_p: bool,
-        _combined: bool,
     ) {
         debug_assert_eq!(node, write.coordinator, "ACK must reach the coordinator");
         let Some(pw) = self.nodes[node.index()].pending.get_mut(&write.seq) else {
             return;
         };
-        if self.faults_active {
-            // Per-follower bitmask: duplicated (fabric or retransmission)
-            // acknowledgments count once.
-            let bit = Self::follower_bit(from);
-            let mask = if is_p {
-                &mut pw.acked_p
-            } else {
-                &mut pw.acked_c
-            };
-            if *mask & bit != 0 {
-                if self.measuring {
-                    self.stats.duplicates_suppressed += 1;
-                }
-                return;
-            }
-            *mask |= bit;
-        }
-        if is_p {
-            pw.acks_p += 1;
-        } else {
-            pw.acks += 1;
+        let acks = if is_p { &mut pw.acks_p } else { &mut pw.acks };
+        if !acks.credit(from) {
+            self.suppress_duplicate();
+            return;
         }
         self.try_progress_write(ctx, node, write.seq);
     }

@@ -10,9 +10,10 @@
 //!
 //! 1. **Retransmission** — coordinators re-send INV/UPD and the INITX/ENDX
 //!    and scope-PERSIST round messages to followers whose ACK is overdue,
-//!    with exponential backoff up to `max_retransmits` attempts. Followers
-//!    deduplicate via [`NodeState::seen_invs`] and re-acknowledge; the
-//!    coordinator suppresses duplicate ACKs via per-round bitmasks.
+//!    with exponential backoff up to `max_retransmits` attempts, through
+//!    one [`Event::Retry`] per round. Followers deduplicate via
+//!    [`NodeState::seen_invs`] and re-acknowledge; the coordinator credits
+//!    each follower once in the round's ACK set.
 //! 2. **Transient leases** — a follower clears a key's Hermes transient
 //!    state (and lease-validates the overdue version) if the VAL has not
 //!    arrived after `transient_timeout`, bounding read stalls when a VAL
@@ -37,35 +38,28 @@ use crate::message::{Message, ScopeId, WriteId};
 use crate::model::{Consistency, Persistency};
 use crate::recovery::{recover, RecoveryPolicy};
 
-use super::{ClientPhase, Cluster, Event, NodeState};
+use super::{AckSet, ClientPhase, Cluster, Event, NodeState, Round};
 
 impl Cluster {
-    /// The bitmask slot of one follower in a round's ACK masks.
-    pub(crate) fn follower_bit(node: NodeId) -> u64 {
-        1u64 << node.index()
-    }
-
     /// True if `node` is currently crashed (always false without faults).
     pub(crate) fn is_down(&self, node: NodeId) -> bool {
         self.faults_active && !self.node_up[node.index()]
     }
 
-    /// Pre-acknowledges currently-crashed followers in a fresh round's
-    /// masks, returning `(mask, pre_acks)`. Rounds started while a node is
-    /// down must complete on the surviving quorum.
-    pub(crate) fn down_mask(&self) -> (u64, u32) {
-        if !self.faults_active {
-            return (0, 0);
+    /// The crashed nodes, one bit each: a fresh round's ACK set, since they
+    /// will never answer and the round must complete on the live ones.
+    pub(crate) fn down_mask(&self) -> u64 {
+        (0..)
+            .zip(&self.node_up)
+            .filter(|&(_, up)| !up)
+            .fold(0, |mask, (i, _)| mask | 1 << i)
+    }
+
+    /// Counts one duplicated message or acknowledgment that was absorbed.
+    pub(crate) fn suppress_duplicate(&mut self) {
+        if self.measuring {
+            self.stats.duplicates_suppressed += 1;
         }
-        let mut mask = 0u64;
-        let mut count = 0u32;
-        for (i, up) in self.node_up.iter().enumerate() {
-            if !up {
-                mask |= 1u64 << i;
-                count += 1;
-            }
-        }
-        (mask, count)
     }
 
     // ------------------------------------------------------------------
@@ -160,85 +154,125 @@ impl Cluster {
     // Retransmission.
     // ------------------------------------------------------------------
 
-    /// Coordinator ACK timeout for one write: re-send its INV/UPD to the
-    /// live followers whose acknowledgment is still missing.
-    pub(crate) fn on_write_retry(
+    /// Arms a round's ACK timeout in a fault run: attempt `attempt` fires
+    /// `ack_timeout << (attempt - 1)` after `from`. No attempt is armed past
+    /// `max_retransmits`.
+    pub(crate) fn schedule_retry(
+        &self,
+        ctx: &mut Context<'_, Event>,
+        from: SimTime,
+        node: NodeId,
+        round: Round,
+        attempt: u32,
+    ) {
+        if !self.faults_active || attempt > self.cfg.faults.max_retransmits {
+            return;
+        }
+        let wait = self.cfg.faults.ack_timeout * (1u64 << (attempt - 1));
+        ctx.schedule_at(
+            from + wait,
+            Event::Retry {
+                node,
+                round,
+                attempt,
+            },
+        );
+    }
+
+    /// A round's ACK timeout: re-send its message to the live followers
+    /// whose acknowledgment is still missing, and arm the next timeout.
+    pub(crate) fn on_retry(
         &mut self,
         ctx: &mut Context<'_, Event>,
         home: NodeId,
-        seq: u64,
+        round: Round,
         attempt: u32,
     ) {
-        if !self.faults_active || self.is_down(home) || attempt > self.cfg.faults.max_retransmits {
+        if self.is_down(home) {
             return;
         }
-        let (needs_c, needs_p) = self.write_ack_needs();
-        let Some(pw) = self.nodes[home.index()].pending.get(&seq) else {
+        let Some((msg, kind, acks)) = self.retransmission(home, round) else {
             return;
         };
-        if pw.abandoned {
-            return;
-        }
-        let done_c = !needs_c || pw.acks >= pw.needed;
-        let done_p = !needs_p || pw.acks_p >= pw.needed;
-        if done_c && done_p {
-            return;
-        }
-        let (write, key, version, value_bytes, scope, txn, acked_c, acked_p) = (
-            pw.write,
-            pw.key,
-            pw.version,
-            pw.value_bytes,
-            pw.scope,
-            pw.txn,
-            pw.acked_c,
-            pw.acked_p,
-        );
-        let cauhist = pw.cauhist.clone();
-        let (msg, kind) = match self.cons {
-            Consistency::Linearizable | Consistency::ReadEnforced | Consistency::Transactional => (
-                Message::Inv {
-                    write,
-                    key,
-                    version,
-                    value_bytes,
-                    scope,
-                    txn,
-                },
-                if self.pers == Persistency::Strict {
-                    RdmaKind::WritePersistent
-                } else {
-                    RdmaKind::WriteVolatile
-                },
-            ),
-            Consistency::Causal | Consistency::Eventual => (
-                Message::Upd {
-                    write,
-                    key,
-                    version,
-                    value_bytes,
-                    cauhist,
-                    persist_on_arrival: self.pers == Persistency::Strict,
-                    scope,
-                },
-                RdmaKind::WritePersistent,
-            ),
-        };
-        let targets: Vec<NodeId> = (0..self.cfg.nodes)
+        let missing: Vec<NodeId> = (0..self.cfg.nodes)
             .map(NodeId)
-            .filter(|&n| n != home && !self.is_down(n))
-            .filter(|&n| {
-                let bit = Self::follower_bit(n);
-                (needs_c && acked_c & bit == 0) || (needs_p && acked_p & bit == 0)
-            })
+            .filter(|&n| n != home && !acks.has(n))
             .collect();
-        for to in targets {
+        if missing.is_empty() {
+            return;
+        }
+        for to in missing {
+            // A crash credits the dead node in every open round, and a
+            // round started while it is down starts with it credited.
+            debug_assert!(!self.is_down(to), "{round:?} waits on crashed {to}");
             if self.measuring {
                 self.stats.retransmits += 1;
             }
             self.send(ctx, home, to, msg.clone(), kind);
         }
-        self.schedule_write_retry(ctx, home, seq, attempt + 1);
+        self.schedule_retry(ctx, ctx.now(), home, round, attempt + 1);
+    }
+
+    /// What a round re-sends and the followers it counts as acknowledged;
+    /// `None` once the round is gone or its client abandoned it.
+    fn retransmission(&self, home: NodeId, round: Round) -> Option<(Message, RdmaKind, AckSet)> {
+        let node = &self.nodes[home.index()];
+        match round {
+            Round::Write(seq) => {
+                let pw = node.pending.get(&seq).filter(|pw| !pw.abandoned)?;
+                // A follower is missing while either ACK the model waits
+                // for is.
+                let (needs_c, needs_p) = self.write_ack_needs();
+                let owed = |needed: bool, acks: AckSet| if needed { acks.0 } else { u64::MAX };
+                let acks = AckSet(owed(needs_c, pw.acks) & owed(needs_p, pw.acks_p));
+                let strict = self.pers == Persistency::Strict;
+                let (msg, kind) = if self.cons.uses_inv_ack_val() {
+                    let inv = Message::Inv {
+                        write: pw.write,
+                        key: pw.key,
+                        version: pw.version,
+                        value_bytes: pw.value_bytes,
+                        scope: pw.scope,
+                        txn: pw.txn,
+                    };
+                    let kind = if strict {
+                        RdmaKind::WritePersistent
+                    } else {
+                        RdmaKind::WriteVolatile
+                    };
+                    (inv, kind)
+                } else {
+                    let upd = Message::Upd {
+                        write: pw.write,
+                        key: pw.key,
+                        version: pw.version,
+                        value_bytes: pw.value_bytes,
+                        cauhist: pw.cauhist.clone(),
+                        persist_on_arrival: strict,
+                        scope: pw.scope,
+                    };
+                    (upd, RdmaKind::WritePersistent)
+                };
+                Some((msg, kind, acks))
+            }
+            Round::Txn(seq) => {
+                let r = node.txn_rounds.get(&seq)?;
+                let msg = if r.begin {
+                    Message::InitX { txn: r.txn }
+                } else {
+                    Message::EndX {
+                        txn: r.txn,
+                        writes: r.writes,
+                    }
+                };
+                Some((msg, RdmaKind::Send, r.acks))
+            }
+            Round::Scope(seq) => {
+                let scope = ScopeId { node: home, seq };
+                let r = node.scope_rounds.get(&scope)?;
+                Some((Message::Persist { scope }, RdmaKind::RemoteFlush, r.acks))
+            }
+        }
     }
 
     /// Which acknowledgments gate this model's writes: `(combined/ACK_c,
@@ -248,118 +282,6 @@ impl Cluster {
         let needs_p = (inv && self.pers == Persistency::ReadEnforced)
             || (!inv && self.pers == Persistency::Strict);
         (inv, needs_p)
-    }
-
-    /// Schedules the next ACK-timeout check for a write, with exponential
-    /// backoff (`ack_timeout << (attempt-1)`).
-    pub(crate) fn schedule_write_retry(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        home: NodeId,
-        seq: u64,
-        attempt: u32,
-    ) {
-        if attempt > self.cfg.faults.max_retransmits {
-            return;
-        }
-        let wait = self.cfg.faults.ack_timeout * (1u64 << (attempt - 1));
-        ctx.schedule_in(
-            wait,
-            Event::WriteRetry {
-                node: home,
-                seq,
-                attempt,
-            },
-        );
-    }
-
-    /// Coordinator ACK timeout for an INITX/ENDX round.
-    pub(crate) fn on_txn_round_retry(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        home: NodeId,
-        seq: u64,
-        attempt: u32,
-    ) {
-        if !self.faults_active || self.is_down(home) || attempt > self.cfg.faults.max_retransmits {
-            return;
-        }
-        let Some(round) = self.nodes[home.index()].txn_rounds.get(&seq) else {
-            return;
-        };
-        if round.acks >= round.needed {
-            return;
-        }
-        let (txn, begin, writes, acked) = (round.txn, round.begin, round.writes, round.acked);
-        let msg = if begin {
-            Message::InitX { txn }
-        } else {
-            Message::EndX { txn, writes }
-        };
-        let targets: Vec<NodeId> = (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter(|&n| n != home && !self.is_down(n) && acked & Self::follower_bit(n) == 0)
-            .collect();
-        for to in targets {
-            if self.measuring {
-                self.stats.retransmits += 1;
-            }
-            self.send(ctx, home, to, msg.clone(), RdmaKind::Send);
-        }
-        let wait = self.cfg.faults.ack_timeout * (1u64 << attempt.min(16));
-        ctx.schedule_in(
-            wait,
-            Event::TxnRoundRetry {
-                node: home,
-                seq,
-                attempt: attempt + 1,
-            },
-        );
-    }
-
-    /// Coordinator ACK timeout for a scope PERSIST round.
-    pub(crate) fn on_scope_retry(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        home: NodeId,
-        scope: ScopeId,
-        attempt: u32,
-    ) {
-        if !self.faults_active || self.is_down(home) || attempt > self.cfg.faults.max_retransmits {
-            return;
-        }
-        let Some(round) = self.nodes[home.index()].scope_rounds.get(&scope) else {
-            return;
-        };
-        if round.acks >= round.needed {
-            return;
-        }
-        let acked = round.acked;
-        let targets: Vec<NodeId> = (0..self.cfg.nodes)
-            .map(NodeId)
-            .filter(|&n| n != home && !self.is_down(n) && acked & Self::follower_bit(n) == 0)
-            .collect();
-        for to in targets {
-            if self.measuring {
-                self.stats.retransmits += 1;
-            }
-            self.send(
-                ctx,
-                home,
-                to,
-                Message::Persist { scope },
-                RdmaKind::RemoteFlush,
-            );
-        }
-        let wait = self.cfg.faults.ack_timeout * (1u64 << attempt.min(16));
-        ctx.schedule_in(
-            wait,
-            Event::ScopeRetry {
-                node: home,
-                scope,
-                attempt: attempt + 1,
-            },
-        );
     }
 
     // ------------------------------------------------------------------
@@ -527,70 +449,43 @@ impl Cluster {
         }
     }
 
-    /// Marks `crashed` as acknowledged in every live node's pending write,
-    /// transaction round, and scope round, then re-evaluates them.
+    /// Credits `crashed` in every live node's pending write, transaction
+    /// round, and scope round, then re-evaluates the ones it changed.
     fn absorb_crashed_follower(&mut self, ctx: &mut Context<'_, Event>, crashed: NodeId) {
-        let bit = Self::follower_bit(crashed);
         let peers: Vec<NodeId> = (0..self.cfg.nodes)
             .map(NodeId)
             .filter(|&p| p != crashed && self.node_up[p.index()])
             .collect();
         for peer in peers {
-            let seqs: Vec<u64> = self.nodes[peer.index()]
+            let node = &mut self.nodes[peer.index()];
+            let seqs: Vec<u64> = node
                 .pending
-                .iter()
-                .filter(|(_, pw)| pw.acked_c & bit == 0 || pw.acked_p & bit == 0)
-                .map(|(&s, _)| s)
+                .iter_mut()
+                .filter_map(|(&seq, pw)| {
+                    let fresh_c = pw.acks.credit(crashed);
+                    let fresh_p = pw.acks_p.credit(crashed);
+                    (fresh_c || fresh_p).then_some(seq)
+                })
                 .collect();
             for seq in seqs {
-                {
-                    let pw = self.nodes[peer.index()]
-                        .pending
-                        .get_mut(&seq)
-                        .expect("collected above");
-                    if pw.acked_c & bit == 0 {
-                        pw.acked_c |= bit;
-                        pw.acks += 1;
-                    }
-                    if pw.acked_p & bit == 0 {
-                        pw.acked_p |= bit;
-                        pw.acks_p += 1;
-                    }
-                }
                 self.try_progress_write(ctx, peer, seq);
             }
-            let txn_seqs: Vec<u64> = self.nodes[peer.index()]
+            let node = &mut self.nodes[peer.index()];
+            let txn_seqs: Vec<u64> = node
                 .txn_rounds
-                .iter()
-                .filter(|(_, r)| r.acked & bit == 0)
-                .map(|(&s, _)| s)
+                .iter_mut()
+                .filter_map(|(&seq, r)| r.acks.credit(crashed).then_some(seq))
                 .collect();
             for seq in txn_seqs {
-                {
-                    let r = self.nodes[peer.index()]
-                        .txn_rounds
-                        .get_mut(&seq)
-                        .expect("collected above");
-                    r.acked |= bit;
-                    r.acks += 1;
-                }
                 self.try_complete_txn_round(ctx, peer, seq);
             }
-            let scope_ids: Vec<ScopeId> = self.nodes[peer.index()]
+            let node = &mut self.nodes[peer.index()];
+            let scopes: Vec<ScopeId> = node
                 .scope_rounds
-                .iter()
-                .filter(|(_, r)| r.acked & bit == 0)
-                .map(|(&s, _)| s)
+                .iter_mut()
+                .filter_map(|(&scope, r)| r.acks.credit(crashed).then_some(scope))
                 .collect();
-            for scope in scope_ids {
-                {
-                    let r = self.nodes[peer.index()]
-                        .scope_rounds
-                        .get_mut(&scope)
-                        .expect("collected above");
-                    r.acked |= bit;
-                    r.acks += 1;
-                }
+            for scope in scopes {
                 self.try_complete_scope(ctx, peer, scope);
             }
         }

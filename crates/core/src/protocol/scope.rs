@@ -12,7 +12,7 @@ use ddp_workload::ClientId;
 
 use crate::message::{Message, ScopeId};
 
-use super::{Cluster, Event, PendingScopeRound, PersistCtx, PersistPurpose};
+use super::{AckSet, Cluster, Event, PendingScopeRound, PersistCtx, PersistPurpose, Round};
 
 impl Cluster {
     /// Starts the Persist call for the client's just-finished scope.
@@ -24,15 +24,12 @@ impl Cluster {
         // Advance to the next scope: requests issued from now on belong to it.
         self.cstate[client.index()].scope_counter += 1;
 
-        let needed = self.followers();
-        let (down_mask, down_count) = self.down_mask();
+        let acks = AckSet(self.down_mask());
         self.nodes[home.index()].scope_rounds.insert(
             scope,
             PendingScopeRound {
                 client,
-                acks: down_count,
-                acked: down_mask,
-                needed,
+                acks,
                 local_outstanding: 0,
                 local_started: false,
             },
@@ -43,16 +40,7 @@ impl Cluster {
             &Message::Persist { scope },
             RdmaKind::RemoteFlush,
         );
-        if self.faults_active {
-            ctx.schedule_in(
-                self.cfg.faults.ack_timeout,
-                Event::ScopeRetry {
-                    node: home,
-                    scope,
-                    attempt: 1,
-                },
-            );
-        }
+        self.schedule_retry(ctx, ctx.now(), home, Round::Scope(scope.seq), 1);
         self.flush_scope_local(ctx, home, scope);
         self.try_complete_scope(ctx, home, scope);
     }
@@ -101,9 +89,7 @@ impl Cluster {
         if self.faults_active {
             if let Some(buffer) = self.nodes[node.index()].scopes.get(&scope) {
                 if buffer.flushing {
-                    if self.measuring {
-                        self.stats.duplicates_suppressed += 1;
-                    }
+                    self.suppress_duplicate();
                     return;
                 }
             }
@@ -186,17 +172,10 @@ impl Cluster {
         from: NodeId,
     ) {
         if let Some(round) = self.nodes[node.index()].scope_rounds.get_mut(&scope) {
-            if self.faults_active {
-                let bit = Self::follower_bit(from);
-                if round.acked & bit != 0 {
-                    if self.measuring {
-                        self.stats.duplicates_suppressed += 1;
-                    }
-                    return;
-                }
-                round.acked |= bit;
+            if !round.acks.credit(from) {
+                self.suppress_duplicate();
+                return;
             }
-            round.acks += 1;
         }
         self.try_complete_scope(ctx, node, scope);
     }
@@ -211,7 +190,7 @@ impl Cluster {
         let Some(round) = self.nodes[node.index()].scope_rounds.get(&scope) else {
             return;
         };
-        if round.acks < round.needed || !round.local_started || round.local_outstanding > 0 {
+        if !self.all_acked(round.acks) || !round.local_started || round.local_outstanding > 0 {
             return;
         }
         let round = self.nodes[node.index()]

@@ -21,7 +21,7 @@ use ddp_workload::{ClientId, OpKind};
 use crate::message::{Message, TxnId, WriteId};
 use crate::model::Persistency;
 
-use super::{Cluster, Event, PendingTxnRound, PersistCtx, PersistPurpose};
+use super::{AckSet, Cluster, Event, PendingTxnRound, PersistCtx, PersistPurpose, Round};
 
 /// Read/write sets of one active transaction (global conflict registry).
 #[derive(Clone, Debug, Default)]
@@ -351,33 +351,21 @@ impl Cluster {
         let started_ns = self.cstate[client.index()].txn_group_started.as_nanos();
         self.active_txns.begin(txn, client.0, started_ns);
         let needs_log_persist = self.pers.persist_before_ack();
-        let needed = self.followers();
-        let (down_mask, down_count) = self.down_mask();
+        let acks = AckSet(self.down_mask());
         self.nodes[home.index()].txn_rounds.insert(
             txn.seq,
             PendingTxnRound {
                 txn,
                 client,
                 begin: true,
-                acks: down_count,
-                acked: down_mask,
-                needed,
+                acks,
                 local_persisted: !needs_log_persist,
                 local_persists_outstanding: 0,
                 writes: 0,
             },
         );
         self.broadcast(ctx, home, &Message::InitX { txn }, RdmaKind::Send);
-        if self.faults_active {
-            ctx.schedule_in(
-                self.cfg.faults.ack_timeout,
-                Event::TxnRoundRetry {
-                    node: home,
-                    seq: txn.seq,
-                    attempt: 1,
-                },
-            );
-        }
+        self.schedule_retry(ctx, ctx.now(), home, Round::Txn(txn.seq), 1);
         if needs_log_persist {
             let epoch = self.node_epoch[home.index()];
             self.issue_persist(
@@ -434,33 +422,21 @@ impl Cluster {
                 );
             }
         }
-        let needed = self.followers();
-        let (down_mask, down_count) = self.down_mask();
+        let acks = AckSet(self.down_mask());
         self.nodes[home.index()].txn_rounds.insert(
             txn.seq,
             PendingTxnRound {
                 txn,
                 client,
                 begin: false,
-                acks: down_count,
-                acked: down_mask,
-                needed,
+                acks,
                 local_persisted: true,
                 local_persists_outstanding: outstanding,
                 writes,
             },
         );
         self.broadcast(ctx, home, &Message::EndX { txn, writes }, RdmaKind::Send);
-        if self.faults_active {
-            ctx.schedule_in(
-                self.cfg.faults.ack_timeout,
-                Event::TxnRoundRetry {
-                    node: home,
-                    seq: txn.seq,
-                    attempt: 1,
-                },
-            );
-        }
+        self.schedule_retry(ctx, ctx.now(), home, Round::Txn(txn.seq), 1);
         self.try_complete_txn_round(ctx, home, txn.seq);
     }
 
@@ -468,9 +444,8 @@ impl Cluster {
     pub(crate) fn on_initx(&mut self, ctx: &mut Context<'_, Event>, node: NodeId, txn: TxnId) {
         // A retransmitted INITX re-runs the (idempotent) log persist and
         // re-acknowledges; only the statistics note the duplicate.
-        if self.faults_active && self.nodes[node.index()].txns.contains_key(&txn) && self.measuring
-        {
-            self.stats.duplicates_suppressed += 1;
+        if self.faults_active && self.nodes[node.index()].txns.contains_key(&txn) {
+            self.suppress_duplicate();
         }
         let txns = &mut self.nodes[node.index()].txns;
         if !self.faults_active {
@@ -740,17 +715,10 @@ impl Cluster {
             if round.begin != begin {
                 return;
             }
-            if self.faults_active {
-                let bit = Self::follower_bit(from);
-                if round.acked & bit != 0 {
-                    if self.measuring {
-                        self.stats.duplicates_suppressed += 1;
-                    }
-                    return;
-                }
-                round.acked |= bit;
+            if !round.acks.credit(from) {
+                self.suppress_duplicate();
+                return;
             }
-            round.acks += 1;
         }
         self.try_complete_txn_round(ctx, node, txn.seq);
     }
@@ -806,7 +774,7 @@ impl Cluster {
         let Some(round) = self.nodes[node.index()].txn_rounds.get(&seq) else {
             return;
         };
-        if round.acks < round.needed
+        if !self.all_acked(round.acks)
             || !round.local_persisted
             || round.local_persists_outstanding > 0
         {

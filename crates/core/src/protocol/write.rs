@@ -14,7 +14,8 @@ use crate::message::{Message, ScopeId, TxnId, WriteId};
 use crate::model::{Consistency, Persistency};
 
 use super::{
-    ChainedPersist, Cluster, Event, PendingWrite, PersistCtx, PersistPurpose, QueuedWrite,
+    AckSet, ChainedPersist, Cluster, Event, PendingWrite, PersistCtx, PersistPurpose, QueuedWrite,
+    Round,
 };
 
 impl Cluster {
@@ -74,7 +75,7 @@ impl Cluster {
         let key = request.key;
         let bytes = request.value_bytes;
         let addr = Self::addr(key);
-        let followers = self.followers();
+        let down = AckSet(self.down_mask());
         let (cons, pers) = (self.cons, self.pers);
 
         let node = &mut self.nodes[home.index()];
@@ -127,11 +128,8 @@ impl Cluster {
             cons_ok_at: None,
             pers_ok_at: None,
             earliest_complete: applied_at,
-            acks: 0,
-            acks_p: 0,
-            acked_c: 0,
-            acked_p: 0,
-            needed: followers,
+            acks: down,
+            acks_p: down,
             local_applied: true,
             local_persisted: false,
             client_acked: false,
@@ -160,22 +158,6 @@ impl Cluster {
             version,
             0,
         );
-
-        // Crashed followers will never answer: pre-acknowledge them so the
-        // round completes on the surviving quorum.
-        if self.faults_active {
-            let (mask, count) = self.down_mask();
-            if count > 0 {
-                let pw = self.nodes[home.index()]
-                    .pending
-                    .get_mut(&seq)
-                    .expect("just inserted");
-                pw.acked_c |= mask;
-                pw.acked_p |= mask;
-                pw.acks += count;
-                pw.acks_p += count;
-            }
-        }
 
         // Propagate to the replicas.
         match cons {
@@ -240,14 +222,7 @@ impl Cluster {
         if self.faults_active {
             let (needs_c, needs_p) = self.write_ack_needs();
             if needs_c || needs_p {
-                ctx.schedule_at(
-                    applied_at + self.cfg.faults.ack_timeout,
-                    Event::WriteRetry {
-                        node: home,
-                        seq,
-                        attempt: 1,
-                    },
-                );
+                self.schedule_retry(ctx, applied_at, home, Round::Write(seq), 1);
             }
             if inflight_set {
                 self.schedule_transient_lease(ctx, home, key, write, version);
@@ -460,8 +435,7 @@ impl Cluster {
         let Some(pw) = self.nodes[home.index()].pending.get(&seq) else {
             return;
         };
-        let needed = pw.needed;
-        let (acks, acks_p) = (pw.acks, pw.acks_p);
+        let (acked, acked_p) = (self.all_acked(pw.acks), self.all_acked(pw.acks_p));
         let (local_applied, local_persisted) = (pw.local_applied, pw.local_persisted);
         let (val_sent, val_p_sent, client_acked, abandoned) =
             (pw.val_sent, pw.val_p_sent, pw.client_acked, pw.abandoned);
@@ -474,7 +448,7 @@ impl Cluster {
         if self.per_write_vals() {
             match pers {
                 Persistency::Synchronous | Persistency::Strict => {
-                    if !val_sent && acks == needed && local_persisted {
+                    if !val_sent && acked && local_persisted {
                         self.emit_val(
                             ctx,
                             home,
@@ -488,7 +462,7 @@ impl Cluster {
                     }
                 }
                 Persistency::ReadEnforced => {
-                    if !val_p_sent && acks_p == needed && local_persisted {
+                    if !val_p_sent && acked_p && local_persisted {
                         self.emit_val_p(
                             ctx,
                             home,
@@ -502,7 +476,7 @@ impl Cluster {
                     }
                 }
                 Persistency::Scope | Persistency::Eventual => {
-                    if !val_sent && acks == needed {
+                    if !val_sent && acked {
                         self.emit_val(
                             ctx,
                             home,
@@ -520,20 +494,20 @@ impl Cluster {
 
         // --- Client acknowledgment stage. ---
         let cons_ok = match cons {
-            Consistency::Linearizable => acks == needed,
+            Consistency::Linearizable => acked,
             _ => true,
         };
         let pers_ok = match (cons, pers) {
             (Consistency::Linearizable, Persistency::Synchronous | Persistency::Strict) => {
                 local_persisted
             }
-            (_, Persistency::Strict) => acks_p == needed && local_persisted,
+            (_, Persistency::Strict) => acked_p && local_persisted,
             _ => true,
         };
         // Strict persistency over INV-based models acks through the combined
         // ACK (persist-inclusive), so `acks` already certifies durability.
         let pers_ok = if cons.uses_inv_ack_val() && pers == Persistency::Strict {
-            acks == needed && local_persisted
+            acked && local_persisted
         } else {
             pers_ok
         };

@@ -194,10 +194,12 @@ impl ReplicaStore {
     }
 
     /// Mutable state of `key`, inserting the default on first touch. The
-    /// hashtable and LSM backends find a present key in one index probe.
+    /// hashtable, memcached and LSM backends find a present key in one
+    /// index probe.
     pub fn state_mut(&mut self, key: Key) -> &mut KeyState {
         let store = match self {
             ReplicaStore::Hash(s) => return s.get_or_insert_with(key, KeyState::default),
+            ReplicaStore::Memcached(s) => return s.get_or_insert_with(key, KeyState::default),
             ReplicaStore::Lsm(s) => return s.get_or_insert_with(key, KeyState::default),
             other => other.as_store_mut(),
         };

@@ -24,27 +24,6 @@ pub enum RdmaKind {
     RemoteFlush,
 }
 
-impl RdmaKind {
-    /// Every kind, in counter-index order.
-    pub const ALL: [RdmaKind; 4] = [
-        RdmaKind::Send,
-        RdmaKind::WriteVolatile,
-        RdmaKind::WritePersistent,
-        RdmaKind::RemoteFlush,
-    ];
-
-    /// Stable index into per-kind counter arrays.
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            RdmaKind::Send => 0,
-            RdmaKind::WriteVolatile => 1,
-            RdmaKind::WritePersistent => 2,
-            RdmaKind::RemoteFlush => 3,
-        }
-    }
-}
-
 /// One NIC: models egress bandwidth as a single serializing link plus a
 /// bounded set of queue pairs.
 ///
@@ -74,12 +53,7 @@ pub struct Nic {
     /// constant), so the times are pushed sorted, earliest at the front.
     qp_busy_until: VecDeque<SimTime>,
     sent: u64,
-    sent_by_kind: [u64; 4],
-    bytes_sent: u64,
     qp_stall_total: Duration,
-    dropped: u64,
-    duplicated: u64,
-    delayed: u64,
 }
 
 impl Nic {
@@ -91,12 +65,7 @@ impl Nic {
             egress_free: SimTime::ZERO,
             qp_busy_until: VecDeque::new(),
             sent: 0,
-            sent_by_kind: [0; 4],
-            bytes_sent: 0,
             qp_stall_total: Duration::ZERO,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
         }
     }
 
@@ -113,12 +82,6 @@ impl Nic {
     /// processing overhead is pipelined and therefore adds latency without
     /// occupying the link.
     pub fn send(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.send_kind(now, bytes, RdmaKind::Send)
-    }
-
-    /// [`Nic::send`] with the RDMA command kind recorded for accounting.
-    pub fn send_kind(&mut self, now: SimTime, bytes: u64, kind: RdmaKind) -> SimTime {
-        self.sent_by_kind[kind.index()] += 1;
         let ready = self.acquire_qp(now);
         let start = self.egress_free.max(ready);
         let on_wire = start + self.params.per_message_occupancy + self.params.serialization(bytes);
@@ -126,7 +89,6 @@ impl Nic {
         let arrival = on_wire + self.params.per_message_overhead + self.params.one_way();
         self.occupy_qp(arrival);
         self.sent += 1;
-        self.bytes_sent += bytes;
         self.qp_stall_total += ready.saturating_since(now);
         arrival
     }
@@ -158,52 +120,10 @@ impl Nic {
         self.sent
     }
 
-    /// Total payload bytes sent.
-    #[must_use]
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Messages sent with the given RDMA command kind.
-    #[must_use]
-    pub fn sent_count_of(&self, kind: RdmaKind) -> u64 {
-        self.sent_by_kind[kind.index()]
-    }
-
     /// Cumulative time messages waited for a free queue pair.
     #[must_use]
     pub fn queue_pair_stall(&self) -> Duration {
         self.qp_stall_total
-    }
-
-    /// Outgoing messages the lossy fabric dropped after this NIC sent them.
-    #[must_use]
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Outgoing messages the lossy fabric delivered twice.
-    #[must_use]
-    pub fn duplicated_count(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Outgoing messages that picked up extra fabric jitter.
-    #[must_use]
-    pub fn delayed_count(&self) -> u64 {
-        self.delayed
-    }
-
-    pub(crate) fn record_dropped(&mut self) {
-        self.dropped += 1;
-    }
-
-    pub(crate) fn record_duplicated(&mut self) {
-        self.duplicated += 1;
-    }
-
-    pub(crate) fn record_delayed(&mut self) {
-        self.delayed += 1;
     }
 }
 
@@ -322,27 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn per_kind_counters_track_sends() {
-        let mut nic = Nic::new(NetworkParams::micro21());
-        nic.send_kind(SimTime::ZERO, 64, RdmaKind::Send);
-        nic.send_kind(SimTime::ZERO, 64, RdmaKind::WritePersistent);
-        nic.send_kind(SimTime::ZERO, 64, RdmaKind::WritePersistent);
-        nic.send(SimTime::ZERO, 64); // plain send defaults to RdmaKind::Send
-        assert_eq!(nic.sent_count_of(RdmaKind::Send), 2);
-        assert_eq!(nic.sent_count_of(RdmaKind::WritePersistent), 2);
-        assert_eq!(nic.sent_count_of(RdmaKind::WriteVolatile), 0);
-        assert_eq!(nic.sent_count_of(RdmaKind::RemoteFlush), 0);
-        assert_eq!(nic.sent_count(), 4);
-        assert_eq!(
-            RdmaKind::ALL
-                .iter()
-                .map(|&k| nic.sent_count_of(k))
-                .sum::<u64>(),
-            nic.sent_count()
-        );
-    }
-
-    #[test]
     fn many_queue_pairs_do_not_stall() {
         let mut nic = Nic::new(NetworkParams::micro21());
         for _ in 0..100 {
@@ -350,6 +249,5 @@ mod tests {
         }
         assert_eq!(nic.queue_pair_stall(), Duration::ZERO);
         assert_eq!(nic.sent_count(), 100);
-        assert_eq!(nic.bytes_sent(), 6_400);
     }
 }

@@ -137,7 +137,9 @@ impl<V> HashTable<V> {
         }
     }
 
-    fn find(&self, key: Key) -> Option<usize> {
+    /// The position of `key`'s entry, which stays put until the next
+    /// removal.
+    pub(crate) fn find(&self, key: Key) -> Option<usize> {
         match self.probe(key) {
             Probe::Found(idx) => Some(self.slots[idx].entry as usize),
             Probe::Vacant { .. } => None,
@@ -214,6 +216,11 @@ impl<V> HashTable<V> {
             Probe::Vacant { slot, dist } => self.insert_at(slot, dist, key, value),
             Probe::Found(_) => unreachable!("insert_new of a present key"),
         }
+    }
+
+    /// The value of the entry at `position` (see `find`).
+    pub(crate) fn at_mut(&mut self, position: usize) -> &mut V {
+        &mut self.entries[position].1
     }
 
     /// The value of `key`, inserting `fill()` first if the key is absent:

@@ -154,6 +154,48 @@ impl<V: SlabSized> SlabCache<V> {
         }
     }
 
+    /// Makes a present `key` the most recently used, returning its entry's
+    /// index position: one probe for the key, plus its LRU neighbours'
+    /// relink unless it already is the head. Leaves the same list as
+    /// `detach` then `push_front`.
+    fn promote(&mut self, key: Key) -> Option<usize> {
+        let pos = self.index.find(key)?;
+        if self.head == Some(key) {
+            return Some(pos);
+        }
+        let old_head = self.head;
+        let e = self.index.at_mut(pos);
+        let (prev, next) = (e.prev, e.next);
+        e.prev = None;
+        e.next = old_head;
+        let p = prev.expect("a non-head entry has a predecessor");
+        self.index.get_mut(p).expect("stale prev link").next = next;
+        match next {
+            Some(n) => self.index.get_mut(n).expect("stale next link").prev = prev,
+            None => self.tail = prev,
+        }
+        if let Some(h) = old_head {
+            self.index.get_mut(h).expect("stale head").prev = Some(key);
+        }
+        self.head = Some(key);
+        Some(pos)
+    }
+
+    /// The value of `key`, inserting `fill()` first, exactly as
+    /// [`KvStore::put`] would, if the key is absent. Either way the key
+    /// becomes the most recently used; a present key costs one probe (see
+    /// `promote`).
+    pub fn get_or_insert_with(&mut self, key: Key, fill: impl FnOnce() -> V) -> &mut V {
+        let pos = match self.promote(key) {
+            Some(pos) => pos,
+            None => {
+                self.put(key, fill());
+                self.index.find(key).expect("just put")
+            }
+        };
+        &mut self.index.at_mut(pos).value
+    }
+
     fn evict_one(&mut self) -> bool {
         let Some(victim) = self.tail else {
             return false;
@@ -206,11 +248,8 @@ impl<V: SlabSized> KvStore<V> for SlabCache<V> {
     }
 
     fn get_mut(&mut self, key: Key) -> Option<&mut V> {
-        if self.index.contains(key) {
-            self.detach(key);
-            self.push_front(key);
-        }
-        self.index.get_mut(key).map(|e| &mut e.value)
+        let pos = self.promote(key)?;
+        Some(&mut self.index.at_mut(pos).value)
     }
 
     fn put(&mut self, key: Key, value: V) -> Option<V> {
@@ -252,7 +291,83 @@ impl<V: SlabSized> KvStore<V> for SlabCache<V> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The LRU list from the head, checked against the walk from the tail.
+    fn lru_order(c: &SlabCache<u64>) -> Vec<Key> {
+        let walk = |start: Option<Key>, step: fn(&Entry<u64>) -> Option<Key>| {
+            std::iter::successors(start, |&k| step(c.index.get(k).expect("linked key")))
+                .collect::<Vec<Key>>()
+        };
+        let forward = walk(c.head, |e| e.next);
+        let mut backward = walk(c.tail, |e| e.prev);
+        backward.reverse();
+        assert_eq!(forward, backward, "the LRU links disagree");
+        forward
+    }
+
+    /// A most-recently-used list of `(key, value)` holding `slots` entries:
+    /// the reference the slab cache's LRU must agree with.
+    struct Mru {
+        entries: Vec<(Key, u64)>,
+        slots: usize,
+        evictions: u64,
+    }
+
+    impl Mru {
+        fn take(&mut self, key: Key) -> Option<(Key, u64)> {
+            let i = self.entries.iter().position(|&(k, _)| k == key)?;
+            Some(self.entries.remove(i))
+        }
+
+        fn put(&mut self, key: Key, value: u64) -> Option<u64> {
+            let old = self.take(key).map(|(_, v)| v);
+            if self.entries.len() == self.slots {
+                self.entries.pop();
+                self.evictions += 1;
+            }
+            self.entries.insert(0, (key, value));
+            old
+        }
+
+        fn promote(&mut self, key: Key) -> Option<u64> {
+            let entry = self.take(key)?;
+            self.entries.insert(0, entry);
+            Some(entry.1)
+        }
+    }
+
+    proptest! {
+        /// `get_mut` and `get_or_insert_with` promote a key as the
+        /// remove-and-relink of a most-recently-used list does, and insert
+        /// an absent key as `put` does: same values, evictions and order.
+        #[test]
+        fn promotion_matches_a_most_recently_used_list(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, any::<u64>()), 1..400),
+        ) {
+            let mut mru = Mru { entries: Vec::new(), slots: 6, evictions: 0 };
+            let mut c = SlabCache::with_capacity_bytes(mru.slots * MIN_CHUNK);
+            for (op, key, value) in ops {
+                match op {
+                    0 => prop_assert_eq!(c.put(key, value), mru.put(key, value)),
+                    1 => prop_assert_eq!(c.get_mut(key).copied(), mru.promote(key)),
+                    2 => {
+                        let expected = mru.promote(key).unwrap_or_else(|| {
+                            mru.put(key, value);
+                            value
+                        });
+                        prop_assert_eq!(*c.get_or_insert_with(key, || value), expected);
+                    }
+                    _ => prop_assert_eq!(c.remove(key), mru.take(key).map(|(_, v)| v)),
+                }
+                let keys: Vec<Key> = mru.entries.iter().map(|&(k, _)| k).collect();
+                prop_assert_eq!(lru_order(&c), keys);
+                prop_assert_eq!(c.evictions(), mru.evictions);
+            }
+        }
+    }
 
     #[test]
     fn lru_evicts_least_recently_used() {
