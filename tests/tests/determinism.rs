@@ -147,3 +147,55 @@ fn observation_log_is_ordered_by_completion() {
         "writes logged far out of completion order"
     );
 }
+
+#[test]
+fn fault_free_outputs_are_pinned() {
+    // Per model at `quick()` size, in `DdpModel::all()` order (paper order,
+    // consistency-major): the measured window in ns, messages sent,
+    // persists issued and reads completed. A run is compared with itself
+    // above; these pin what every fault-free model does, so a change to a
+    // protocol rule, a persist or a message that moves any model's
+    // behaviour fails here.
+    const PINNED: [[u64; 4]; 25] = [
+        [140_390, 12_331, 5_124, 963],    // <Linearizable, Strict>
+        [140_390, 12_331, 5_124, 963],    // <Linearizable, Synchronous>
+        [181_251, 16_234, 5_053, 976],    // <Linearizable, Read-Enforced>
+        [161_118, 14_371, 4_470, 976],    // <Linearizable, Scope>
+        [139_961, 12_132, 5_061, 981],    // <Linearizable, Eventual>
+        [141_190, 12_209, 5_077, 982],    // <Read-Enforced, Strict>
+        [148_085, 12_439, 5_199, 958],    // <Read-Enforced, Synchronous>
+        [171_856, 15_185, 4_807, 963],    // <Read-Enforced, Read-Enforced>
+        [166_148, 14_371, 4_687, 962],    // <Read-Enforced, Scope>
+        [142_243, 11_677, 5_034, 954],    // <Read-Enforced, Eventual>
+        [1_003_043, 34_117, 11_015, 982], // <Transactional, Strict>
+        [630_330, 35_150, 4_955, 991],    // <Transactional, Synchronous>
+        [651_023, 47_463, 10_077, 988],   // <Transactional, Read-Enforced>
+        [609_870, 34_455, 1_693, 995],    // <Transactional, Scope>
+        [607_559, 33_488, 10_791, 1_003], // <Transactional, Eventual>
+        [107_759, 8_160, 5_113, 976],     // <Causal, Strict>
+        [67_952, 4_088, 3_441, 978],      // <Causal, Synchronous>
+        [68_360, 4_080, 5_044, 980],      // <Causal, Read-Enforced>
+        [92_423, 6_290, 4_786, 993],      // <Causal, Scope>
+        [67_952, 4_088, 5_003, 978],      // <Causal, Eventual>
+        [94_943, 8_156, 5_098, 982],      // <Eventual, Strict>
+        [51_952, 4_016, 4_839, 978],      // <Eventual, Synchronous>
+        [51_896, 4_040, 4_925, 978],      // <Eventual, Read-Enforced>
+        [82_814, 6_524, 4_220, 988],      // <Eventual, Scope>
+        [51_952, 4_016, 4_433, 978],      // <Eventual, Eventual>
+    ];
+    for (model, expected) in DdpModel::all().into_iter().zip(PINNED) {
+        let st = Simulation::new(ClusterConfig::micro21(model).quick())
+            .finish()
+            .stats;
+        let got = [
+            st.measured_time.as_nanos(),
+            st.messages_sent,
+            st.persists_issued,
+            st.reads_completed,
+        ];
+        assert_eq!(
+            got, expected,
+            "{model}: [measured_ns, messages_sent, persists_issued, reads_completed]"
+        );
+    }
+}
