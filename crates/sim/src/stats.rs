@@ -277,6 +277,14 @@ impl LevelGauge {
         self.max
     }
 
+    /// The time the mean averages over: from the gauge's start to its last
+    /// `set` or `finish`. A gauge set only at non-decreasing times and
+    /// finished at the window's end observes exactly that window.
+    #[must_use]
+    pub fn observed(&self) -> Duration {
+        Duration::from_nanos(self.total_time)
+    }
+
     /// Time-weighted mean level over the observed window.
     #[must_use]
     pub fn time_weighted_mean(&self) -> f64 {

@@ -4,10 +4,11 @@
 //! itself (background seal/merge traffic on the NVM bank path).
 
 use ddp_core::{
-    ClusterConfig, CompactionConfig, Consistency, DdpModel, Persistency, Simulation, StoreKind,
-    TraceConfig, TraceEventKind,
+    ClusterConfig, CompactionConfig, Consistency, DdpModel, OpenLoopPlan, Persistency, Simulation,
+    StoreKind, TraceConfig, TraceEventKind,
 };
 use ddp_harness::{record_to_json, run_sweep, Sweep};
+use ddp_workload::WorkloadSpec;
 
 /// An aggressive tuning that seals and merges constantly, so the tests
 /// exercise real background traffic rather than an idle memtable.
@@ -145,6 +146,53 @@ fn active_compaction_gauge_matches_the_trace_on_every_model() {
             "{model}: mean {} against the trace's {mean}",
             summary.mean_active_compactions
         );
+    }
+}
+
+/// Each of the run's four level gauges averages over exactly the measured
+/// window: every `set` lands at or after the one before it. A gauge
+/// stamped ahead of the dispatch clock moves its own clock back, and the
+/// next `set` counts that span a second time.
+#[test]
+fn level_gauges_observe_exactly_the_measured_window() {
+    let mut cells = Vec::new();
+    for model in DdpModel::all() {
+        for store in [StoreKind::HashTable, StoreKind::Lsm] {
+            cells.push(ClusterConfig::micro21(model).quick().with_store(store));
+        }
+    }
+    for model in [
+        DdpModel::new(Consistency::Linearizable, Persistency::Synchronous),
+        DdpModel::new(Consistency::ReadEnforced, Persistency::ReadEnforced),
+        DdpModel::new(Consistency::Causal, Persistency::Strict),
+    ] {
+        for offered in [2e6, 2e7] {
+            cells.push(
+                ClusterConfig::micro21(model)
+                    .quick()
+                    .with_workload(WorkloadSpec::workload_w())
+                    .with_store(StoreKind::Lsm)
+                    .with_open_loop(OpenLoopPlan::poisson(offered)),
+            );
+        }
+    }
+    for cfg in cells {
+        let label = format!(
+            "{} {:?} {:?}",
+            cfg.model,
+            cfg.store,
+            cfg.open_loop.as_ref().map(|p| p.offered_per_sec)
+        );
+        let st = Simulation::new(cfg).finish().stats;
+        let gauges = [
+            ("causal_buffered", &st.causal_buffered),
+            ("admission_queue", &st.admission_queue),
+            ("nvm_bank_queue", &st.nvm_bank_queue),
+            ("compactions_active", &st.compactions_active),
+        ];
+        for (name, gauge) in gauges {
+            assert_eq!(gauge.observed(), st.measured_time, "{label}: {name}");
+        }
     }
 }
 
