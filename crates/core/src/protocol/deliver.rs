@@ -1,14 +1,36 @@
 //! Message arrival handlers for followers and coordinators.
 
-use ddp_net::NodeId;
+use ddp_net::{NodeId, RdmaKind};
 use ddp_sim::Context;
 use ddp_trace::TraceEventKind;
 
 use crate::cauhist::VectorClock;
-use crate::message::{Message, ScopeId, WriteId};
+use crate::message::{Message, ScopeId, TxnId, WriteId};
 use crate::model::{Consistency, Persistency};
 
-use super::{BufferedUpd, ChainedPersist, Cluster, Event, PersistCtx, PersistPurpose};
+use super::write::ValAt;
+use super::{BufferedUpd, Cluster, Event, PersistPurpose, Update};
+
+/// A follower's acknowledgment of one write (paper Table 3).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WriteAck {
+    /// ACK: the update is applied and durable here.
+    Ack,
+    /// ACK_c: the update is applied here.
+    AckC,
+    /// ACK_p: the update is durable here.
+    AckP,
+}
+
+/// The acknowledgments a follower sends for one write it applied (see
+/// [`Cluster::follower_acks`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FollowerAcks {
+    /// Sent once the update is applied.
+    pub on_apply: Option<WriteAck>,
+    /// Sent once the follower's persist of the update completes.
+    pub on_persist: Option<WriteAck>,
+}
 
 impl Cluster {
     /// Dispatches one delivered message.
@@ -21,7 +43,14 @@ impl Cluster {
                 value_bytes,
                 scope,
                 txn,
-            } => self.on_inv(ctx, node, write, key, version, value_bytes, scope, txn),
+            } => {
+                let update = Update {
+                    key,
+                    version,
+                    bytes: value_bytes,
+                };
+                self.on_inv(ctx, node, write, update, scope, txn);
+            }
             Message::Upd {
                 write,
                 key,
@@ -47,25 +76,23 @@ impl Cluster {
                 self.on_ack(ctx, node, write, from, false);
             }
             Message::AckP { write, from } => self.on_ack(ctx, node, write, from, true),
+            // A node receives only its model's VAL, and applies it as the
+            // coordinator did.
             Message::Val {
                 write,
                 key,
                 version,
-            } => self.on_val(ctx, node, write, key, version, true, true),
-            Message::ValC {
+            }
+            | Message::ValC {
                 write,
                 key,
                 version,
-            } => {
-                self.on_val(ctx, node, write, key, version, true, false);
             }
-            Message::ValP {
+            | Message::ValP {
                 write,
                 key,
                 version,
-            } => {
-                self.on_val(ctx, node, write, key, version, true, true);
-            }
+            } => self.apply_val(ctx, node, write, key, version, ValAt::Follower),
             Message::InitX { txn } => self.on_initx(ctx, node, txn),
             Message::EndX { txn, writes } => self.on_endx(ctx, node, txn, writes),
             Message::AckX { txn, begin, from } => self.on_ackx(ctx, node, txn, begin, from),
@@ -77,28 +104,32 @@ impl Cluster {
     }
 
     /// INV(+data) at a follower: DDIO-inject the update, apply it to the
-    /// volatile replica, then acknowledge per the persistency model.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the fields of one INV message, unpacked by the dispatcher"
-    )]
+    /// volatile replica, then acknowledge and persist it per the model.
     fn on_inv(
         &mut self,
         ctx: &mut Context<'_, Event>,
         node: NodeId,
         write: WriteId,
-        key: ddp_store::Key,
-        version: u64,
-        value_bytes: u32,
+        update: Update,
         scope: Option<ScopeId>,
-        txn: Option<crate::message::TxnId>,
+        txn: Option<TxnId>,
     ) {
+        let Update { key, version, .. } = update;
+        let acks = self.follower_acks(txn.is_some());
         // Retransmitted INV: the apply is not repeated (it would re-arm
         // transient state a VAL may already have cleared); the follower
-        // only re-acknowledges, in case the original ACK was lost.
+        // only re-acknowledges, in case the original ACK was lost. An ACK
+        // that waits for the persist is re-sent only once the version is
+        // durable here; otherwise the persist's completion sends it.
         if self.faults_active && !self.nodes[node.index()].seen_invs.insert(write) {
             self.suppress_duplicate();
-            self.re_ack_inv(ctx, node, write, key, version, txn.is_some());
+            let durable = self.nodes[node.index()].store.state(key).local_persisted >= version;
+            if let Some(ack) = acks.on_apply {
+                self.send_write_ack(ctx, node, write, ack);
+            }
+            if let Some(ack) = acks.on_persist.filter(|_| durable) {
+                self.send_write_ack(ctx, node, write, ack);
+            }
             return;
         }
 
@@ -107,7 +138,7 @@ impl Cluster {
         let st = n.store.state_mut(key);
         if version > st.visible {
             st.visible = version;
-            st.value_bytes = value_bytes;
+            st.value_bytes = update.bytes;
             st.visible_origin = write.coordinator.0;
         }
         // Hermes transient state: reads stall until the VAL under
@@ -118,160 +149,96 @@ impl Cluster {
             st.inflight_version = version;
             lease = true;
         }
+        if let Some(txn) = txn {
+            let ft = n.txns.entry(txn).or_default();
+            ft.writes_applied += 1;
+            ft.writes.push(update);
+        }
         if lease {
             self.schedule_transient_lease(ctx, node, key, write, version);
         }
         self.trace(ctx, TraceEventKind::ReplicaApply, node.0, key, version, 0);
 
-        if let Some(txn_id) = txn {
-            self.follower_txn_write(ctx, node, txn_id, write, key, version, value_bytes);
-            return;
+        if let Some(ack) = acks.on_apply {
+            self.send_write_ack(ctx, node, write, ack);
         }
-
-        let epoch = self.node_epoch[node.index()];
-        match self.pers {
-            Persistency::Synchronous | Persistency::Strict => {
-                // Persist first; the combined ACK follows from the persist
-                // completion handler.
-                self.issue_persist(
-                    ctx,
-                    node,
-                    ctx.now(),
-                    Self::addr(key),
-                    u64::from(value_bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose: PersistPurpose::FollowerInv { write, txn: None },
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::ReadEnforced => {
-                let coord = write.coordinator;
-                self.send_ack_c(ctx, node, coord, write);
-                self.issue_persist(
-                    ctx,
-                    node,
-                    ctx.now(),
-                    Self::addr(key),
-                    u64::from(value_bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose: PersistPurpose::FollowerInv { write, txn: None },
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::Scope => {
-                let coord = write.coordinator;
-                self.send_ack_c(ctx, node, coord, write);
-                let scope = scope.expect("scoped INV carries its scope");
-                self.nodes[node.index()]
-                    .scopes
-                    .entry(scope)
-                    .or_default()
-                    .writes
-                    .push((key, version, value_bytes));
-            }
-            Persistency::Eventual => {
-                let coord = write.coordinator;
-                self.send_ack_c(ctx, node, coord, write);
-                self.lazy_pending += 1;
-                self.update_buffer_gauge(ctx.now());
-                let fire = ctx.now() + self.cfg.lazy_persist_delay;
-                ctx.schedule_at(
-                    fire,
-                    Event::LazyPersist(
-                        node,
-                        super::LazyPersistCtx {
-                            key,
-                            version,
-                            bytes: value_bytes,
-                            epoch,
-                        },
-                    ),
-                );
-            }
+        if !self.persists_at_endx(txn.is_some()) {
+            // Only Strict persistency counts a transaction's persists
+            // toward its ENDX; transactional writes join no scope buffer.
+            let purpose = PersistPurpose::FollowerInv {
+                write,
+                txn: txn.filter(|_| self.pers == Persistency::Strict),
+            };
+            let scope = scope.filter(|_| txn.is_none());
+            self.persist_applied(ctx, node, ctx.now(), update, purpose, scope);
+        }
+        if let Some(txn) = txn {
+            self.check_endx_ready(ctx, node, txn);
         }
     }
 
-    /// Re-acknowledges a duplicate INV per the model's ACK discipline: the
-    /// coordinator is retransmitting, so the original ACK was likely lost.
-    /// Persist-gated ACKs are only re-sent once the version is durable here
-    /// (otherwise the original persist's completion will send them).
-    fn re_ack_inv(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        write: WriteId,
-        key: ddp_store::Key,
-        version: u64,
-        in_txn: bool,
-    ) {
-        let coord = write.coordinator;
-        let durable = self.nodes[node.index()].store.state(key).local_persisted >= version;
-        match self.pers {
-            Persistency::Strict => {
-                if durable {
-                    self.send(
-                        ctx,
-                        node,
-                        coord,
-                        Message::Ack { write, from: node },
-                        ddp_net::RdmaKind::Send,
-                    );
-                }
+    /// The ACKs a follower sends for one write it applied: the one rule
+    /// behind the INV handler, a duplicate INV's re-acknowledgment, the
+    /// persist completion and the coordinator's wait
+    /// ([`Cluster::write_ack_needs`]).
+    ///
+    /// An ACK (Strict, Synchronous) certifies the apply and the persist, so
+    /// it follows the persist; an ACK_c follows the apply and an ACK_p the
+    /// persist (Read-Enforced). Scope and Eventual persistency acknowledge
+    /// the apply only. Inside a transaction, Synchronous persistency
+    /// persists at ENDX, so the write's ACK is an ACK_c. UPDs are one-way:
+    /// only Strict persistency acknowledges them, with an ACK_p.
+    pub(crate) fn follower_acks(&self, in_txn: bool) -> FollowerAcks {
+        use WriteAck::{Ack, AckC, AckP};
+        let (on_apply, on_persist) = if !self.cons.uses_inv_ack_val() {
+            (None, (self.pers == Persistency::Strict).then_some(AckP))
+        } else if self.persists_at_endx(in_txn) {
+            (Some(AckC), None)
+        } else {
+            match self.pers {
+                Persistency::Strict | Persistency::Synchronous => (None, Some(Ack)),
+                Persistency::ReadEnforced => (Some(AckC), Some(AckP)),
+                Persistency::Scope | Persistency::Eventual => (Some(AckC), None),
             }
-            Persistency::Synchronous => {
-                if in_txn {
-                    // Transactional+Synchronous acks on volatile apply.
-                    self.send_ack_c(ctx, node, coord, write);
-                } else if durable {
-                    self.send(
-                        ctx,
-                        node,
-                        coord,
-                        Message::Ack { write, from: node },
-                        ddp_net::RdmaKind::Send,
-                    );
-                }
-            }
-            Persistency::ReadEnforced => {
-                self.send_ack_c(ctx, node, coord, write);
-                if durable {
-                    self.send(
-                        ctx,
-                        node,
-                        coord,
-                        Message::AckP { write, from: node },
-                        ddp_net::RdmaKind::Send,
-                    );
-                }
-            }
-            Persistency::Scope | Persistency::Eventual => {
-                self.send_ack_c(ctx, node, coord, write);
-            }
+        };
+        FollowerAcks {
+            on_apply,
+            on_persist,
         }
     }
 
-    fn send_ack_c(
+    /// Which acknowledgments gate a write at its coordinator: `(ACK or
+    /// ACK_c, ACK_p)`, the ones its followers send.
+    pub(crate) fn write_ack_needs(&self, in_txn: bool) -> (bool, bool) {
+        let acks = self.follower_acks(in_txn);
+        let sends = |ack| acks.on_apply == Some(ack) || acks.on_persist == Some(ack);
+        (
+            sends(WriteAck::Ack) || sends(WriteAck::AckC),
+            sends(WriteAck::AckP),
+        )
+    }
+
+    /// Whether a write's persists wait for its transaction's end: under
+    /// `<Transactional, Synchronous>` a transaction's writes persist
+    /// together at ENDX (paper Figure 4).
+    pub(crate) fn persists_at_endx(&self, in_txn: bool) -> bool {
+        in_txn && self.pers == Persistency::Synchronous
+    }
+
+    /// Sends one follower acknowledgment of `write` to its coordinator.
+    pub(crate) fn send_write_ack(
         &mut self,
         ctx: &mut Context<'_, Event>,
         from: NodeId,
-        to: NodeId,
         write: WriteId,
+        ack: WriteAck,
     ) {
-        self.send(
-            ctx,
-            from,
-            to,
-            Message::AckC { write, from },
-            ddp_net::RdmaKind::Send,
-        );
+        let msg = match ack {
+            WriteAck::Ack => Message::Ack { write, from },
+            WriteAck::AckC => Message::AckC { write, from },
+            WriteAck::AckP => Message::AckP { write, from },
+        };
+        self.send(ctx, from, write.coordinator, msg, RdmaKind::Send);
     }
 
     /// UPD(+cauhist) at a follower (Causal/Eventual consistency).
@@ -295,7 +262,6 @@ impl Cluster {
     /// Applies one UPD to the volatile replica and schedules its persist.
     fn apply_upd(&mut self, ctx: &mut Context<'_, Event>, node: NodeId, upd: BufferedUpd) {
         let origin = upd.write.coordinator;
-        let epoch = self.node_epoch[node.index()];
         let n = &mut self.nodes[node.index()];
         n.mem.ddio_inject(Self::addr(upd.key));
         let st = n.store.state_mut(upd.key);
@@ -326,92 +292,22 @@ impl Cluster {
             0,
         );
 
-        // Durability per the persistency model.
-        match self.pers {
-            Persistency::Synchronous | Persistency::Strict => {
-                let purpose = if upd.persist_on_arrival {
-                    // Strict: the coordinator waits for this persist.
-                    PersistPurpose::FollowerInv {
-                        write: upd.write,
-                        txn: None,
-                    }
-                } else {
-                    PersistPurpose::CausalApply { origin }
-                };
-                if self.cons == Consistency::Causal {
-                    // Persists respect causal order: chain per origin.
-                    self.enqueue_chained_persist(
-                        ctx,
-                        node,
-                        origin,
-                        ChainedPersist {
-                            key: upd.key,
-                            version: upd.version,
-                            bytes: upd.value_bytes,
-                            purpose,
-                        },
-                    );
-                } else {
-                    self.issue_persist(
-                        ctx,
-                        node,
-                        ctx.now(),
-                        Self::addr(upd.key),
-                        u64::from(upd.value_bytes),
-                        PersistCtx {
-                            key: upd.key,
-                            version: upd.version,
-                            purpose,
-                            epoch,
-                        },
-                        true,
-                    );
-                }
+        // Strict persistency pushes the update persistent: the
+        // coordinator waits for this persist's ACK_p.
+        let purpose = if upd.persist_on_arrival {
+            PersistPurpose::FollowerInv {
+                write: upd.write,
+                txn: None,
             }
-            Persistency::ReadEnforced => {
-                self.issue_persist(
-                    ctx,
-                    node,
-                    ctx.now(),
-                    Self::addr(upd.key),
-                    u64::from(upd.value_bytes),
-                    PersistCtx {
-                        key: upd.key,
-                        version: upd.version,
-                        purpose: PersistPurpose::Lazy,
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::Scope => {
-                if let Some(scope) = upd.scope {
-                    self.nodes[node.index()]
-                        .scopes
-                        .entry(scope)
-                        .or_default()
-                        .writes
-                        .push((upd.key, upd.version, upd.value_bytes));
-                }
-            }
-            Persistency::Eventual => {
-                self.lazy_pending += 1;
-                self.update_buffer_gauge(ctx.now());
-                let fire = ctx.now() + self.cfg.lazy_persist_delay;
-                ctx.schedule_at(
-                    fire,
-                    Event::LazyPersist(
-                        node,
-                        super::LazyPersistCtx {
-                            key: upd.key,
-                            version: upd.version,
-                            bytes: upd.value_bytes,
-                            epoch,
-                        },
-                    ),
-                );
-            }
-        }
+        } else {
+            PersistPurpose::CausalApply { origin }
+        };
+        let update = Update {
+            key: upd.key,
+            version: upd.version,
+            bytes: upd.value_bytes,
+        };
+        self.persist_applied(ctx, node, ctx.now(), update, purpose, upd.scope);
         self.wake_reads(ctx, node, upd.key);
     }
 
@@ -455,39 +351,5 @@ impl Cluster {
             return;
         }
         self.try_progress_write(ctx, node, write.seq);
-    }
-
-    /// VAL / VAL_c / VAL_p at a follower.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the fields of one VAL message, unpacked by the dispatcher"
-    )]
-    fn on_val(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        write: WriteId,
-        key: ddp_store::Key,
-        version: u64,
-        _visible: bool,
-        persisted: bool,
-    ) {
-        if self.faults_active {
-            // The write is settled: forget its duplicate-suppression entry.
-            self.nodes[node.index()].seen_invs.remove(&write);
-        }
-        let st = self.nodes[node.index()].store.state_mut(key);
-        st.global_visible = st.global_visible.max(version);
-        if persisted {
-            st.global_persisted = st.global_persisted.max(version);
-        }
-        if st.inflight() == Some(write) {
-            st.set_inflight(None);
-        }
-        self.wake_reads(ctx, node, key);
-        // Writes queued at this node behind the remote write can now start.
-        if !self.nodes[node.index()].store.state(key).is_transient() {
-            self.pop_queued_write(ctx, node, key);
-        }
     }
 }

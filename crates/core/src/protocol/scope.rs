@@ -12,7 +12,7 @@ use ddp_workload::ClientId;
 
 use crate::message::{Message, ScopeId};
 
-use super::{AckSet, Cluster, Event, PendingScopeRound, PersistCtx, PersistPurpose, Round};
+use super::{AckSet, Cluster, Event, PendingScopeRound, PersistPurpose, Round};
 
 impl Cluster {
     /// Starts the Persist call for the client's just-finished scope.
@@ -25,15 +25,6 @@ impl Cluster {
         self.cstate[client.index()].scope_counter += 1;
 
         let acks = AckSet(self.down_mask());
-        self.nodes[home.index()].scope_rounds.insert(
-            scope,
-            PendingScopeRound {
-                client,
-                acks,
-                local_outstanding: 0,
-                local_started: false,
-            },
-        );
         self.broadcast(
             ctx,
             home,
@@ -41,39 +32,26 @@ impl Cluster {
             RdmaKind::RemoteFlush,
         );
         self.schedule_retry(ctx, ctx.now(), home, Round::Scope(scope.seq), 1);
-        self.flush_scope_local(ctx, home, scope);
+        let local_outstanding = self.flush_scope(ctx, home, scope);
+        self.nodes[home.index()].scope_rounds.insert(
+            scope,
+            PendingScopeRound {
+                client,
+                acks,
+                local_outstanding,
+            },
+        );
         self.try_complete_scope(ctx, home, scope);
     }
 
-    /// Flushes the coordinator's own buffered writes of `scope`.
-    fn flush_scope_local(&mut self, ctx: &mut Context<'_, Event>, home: NodeId, scope: ScopeId) {
-        let writes = self.nodes[home.index()]
+    /// Persists every write `node` buffered for `scope`; returns how many.
+    fn flush_scope(&mut self, ctx: &mut Context<'_, Event>, node: NodeId, scope: ScopeId) -> u32 {
+        let writes = self.nodes[node.index()]
             .scopes
             .remove(&scope)
             .map(|b| b.writes)
             .unwrap_or_default();
-        let n = writes.len() as u32;
-        let epoch = self.node_epoch[home.index()];
-        if let Some(round) = self.nodes[home.index()].scope_rounds.get_mut(&scope) {
-            round.local_outstanding = n;
-            round.local_started = true;
-        }
-        for (key, version, bytes) in writes {
-            self.issue_persist(
-                ctx,
-                home,
-                ctx.now(),
-                Self::addr(key),
-                u64::from(bytes),
-                PersistCtx {
-                    key,
-                    version,
-                    purpose: PersistPurpose::ScopeFlush { scope },
-                    epoch,
-                },
-                true,
-            );
-        }
+        self.flush(ctx, node, writes, PersistPurpose::ScopeFlush { scope })
     }
 
     /// `[PERSIST]s` at a follower: flush all buffered writes of the scope.
@@ -94,35 +72,14 @@ impl Cluster {
                 }
             }
         }
-        let writes = self.nodes[node.index()]
-            .scopes
-            .remove(&scope)
-            .map(|b| b.writes)
-            .unwrap_or_default();
-        if writes.is_empty() {
+        let n = self.flush_scope(ctx, node, scope);
+        if n == 0 {
             self.send_ack_scope(ctx, node, scope);
             return;
         }
-        let epoch = self.node_epoch[node.index()];
         let buffer = self.nodes[node.index()].scopes.entry(scope).or_default();
         buffer.flushing = true;
-        buffer.flush_outstanding = writes.len() as u32;
-        for (key, version, bytes) in writes {
-            self.issue_persist(
-                ctx,
-                node,
-                ctx.now(),
-                Self::addr(key),
-                u64::from(bytes),
-                PersistCtx {
-                    key,
-                    version,
-                    purpose: PersistPurpose::ScopeFlush { scope },
-                    epoch,
-                },
-                true,
-            );
-        }
+        buffer.flush_outstanding = n;
     }
 
     /// One scope-flush persist completed.
@@ -190,7 +147,7 @@ impl Cluster {
         let Some(round) = self.nodes[node.index()].scope_rounds.get(&scope) else {
             return;
         };
-        if !self.all_acked(round.acks) || !round.local_started || round.local_outstanding > 0 {
+        if !self.all_acked(round.acks) || round.local_outstanding > 0 {
             return;
         }
         let round = self.nodes[node.index()]

@@ -18,10 +18,10 @@ use ddp_sim::{Context, SimTime};
 use ddp_store::{HashTable, Key, KvStore};
 use ddp_workload::{ClientId, OpKind};
 
-use crate::message::{Message, TxnId, WriteId};
+use crate::message::{Message, TxnId};
 use crate::model::Persistency;
 
-use super::{AckSet, Cluster, Event, PendingTxnRound, PersistCtx, PersistPurpose, Round};
+use super::{AckSet, Cluster, Event, PendingTxnRound, PersistPurpose, Round, Update};
 
 /// Read/write sets of one active transaction (global conflict registry).
 #[derive(Clone, Debug, Default)]
@@ -367,21 +367,7 @@ impl Cluster {
         self.broadcast(ctx, home, &Message::InitX { txn }, RdmaKind::Send);
         self.schedule_retry(ctx, ctx.now(), home, Round::Txn(txn.seq), 1);
         if needs_log_persist {
-            let epoch = self.node_epoch[home.index()];
-            self.issue_persist(
-                ctx,
-                home,
-                ctx.now(),
-                txn_log_addr(txn),
-                64,
-                PersistCtx {
-                    key: txn_log_addr(txn) >> 6,
-                    version: 0,
-                    purpose: PersistPurpose::TxnLog { txn, begin: true },
-                    epoch,
-                },
-                false,
-            );
+            self.persist_txn_log(ctx, home, txn);
         }
         self.try_complete_txn_round(ctx, home, txn.seq);
     }
@@ -398,30 +384,10 @@ impl Cluster {
             .iter()
             .filter(|r| r.op == OpKind::Write)
             .count() as u32;
-        let epoch = self.node_epoch[home.index()];
-        let mut outstanding = 0;
-        if self.pers == Persistency::Synchronous {
-            // <Transactional, Synchronous>: the coordinator's own txn writes
-            // persist now, bunched at the transaction end (paper Figure 4).
-            let local_writes = std::mem::take(&mut self.cstate[client.index()].txn_writes);
-            for (key, version, bytes) in local_writes {
-                outstanding += 1;
-                self.issue_persist(
-                    ctx,
-                    home,
-                    ctx.now(),
-                    Self::addr(key),
-                    u64::from(bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose: PersistPurpose::TxnEnd { txn },
-                        epoch,
-                    },
-                    true,
-                );
-            }
-        }
+        // <Transactional, Synchronous>: the coordinator's own txn writes
+        // persist now, bunched at the transaction end (paper Figure 4).
+        let local_writes = std::mem::take(&mut self.cstate[client.index()].txn_writes);
+        let outstanding = self.flush(ctx, home, local_writes, PersistPurpose::TxnEnd { txn });
         let acks = AckSet(self.down_mask());
         self.nodes[home.index()].txn_rounds.insert(
             txn.seq,
@@ -464,141 +430,10 @@ impl Cluster {
         }
         txns.entry(txn).or_default();
         if self.pers.persist_before_ack() {
-            let epoch = self.node_epoch[node.index()];
-            self.issue_persist(
-                ctx,
-                node,
-                ctx.now(),
-                txn_log_addr(txn),
-                64,
-                PersistCtx {
-                    key: txn_log_addr(txn) >> 6,
-                    version: 0,
-                    purpose: PersistPurpose::TxnLog { txn, begin: true },
-                    epoch,
-                },
-                false,
-            );
+            self.persist_txn_log(ctx, node, txn);
         } else {
             self.send_ackx(ctx, node, txn, true);
         }
-    }
-
-    /// A transaction-tagged INV at a follower.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the fields of one transaction-tagged INV message"
-    )]
-    pub(crate) fn follower_txn_write(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        txn: TxnId,
-        write: WriteId,
-        key: Key,
-        version: u64,
-        value_bytes: u32,
-    ) {
-        {
-            let ft = self.nodes[node.index()].txns.entry(txn).or_default();
-            ft.writes_applied += 1;
-            ft.writes.push((key, version, value_bytes));
-        }
-        let epoch = self.node_epoch[node.index()];
-        let coord = write.coordinator;
-        match self.pers {
-            Persistency::Strict => {
-                // Persist before the per-write ACK.
-                self.issue_persist(
-                    ctx,
-                    node,
-                    ctx.now(),
-                    Self::addr(key),
-                    u64::from(value_bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose: PersistPurpose::FollowerInv {
-                            write,
-                            txn: Some(txn),
-                        },
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::Synchronous => {
-                // ACK after the volatile apply; persists wait for ENDX.
-                self.send(
-                    ctx,
-                    node,
-                    coord,
-                    Message::AckC { write, from: node },
-                    RdmaKind::Send,
-                );
-            }
-            Persistency::ReadEnforced => {
-                self.send(
-                    ctx,
-                    node,
-                    coord,
-                    Message::AckC { write, from: node },
-                    RdmaKind::Send,
-                );
-                self.issue_persist(
-                    ctx,
-                    node,
-                    ctx.now(),
-                    Self::addr(key),
-                    u64::from(value_bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose: PersistPurpose::FollowerInv { write, txn: None },
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::Scope => {
-                self.send(
-                    ctx,
-                    node,
-                    coord,
-                    Message::AckC { write, from: node },
-                    RdmaKind::Send,
-                );
-                // Scope membership was recorded by the INV handler's caller
-                // only for non-txn writes; record it here from the write's
-                // scope tag if present. Scoped transactional writes flush at
-                // the scope's PERSIST.
-            }
-            Persistency::Eventual => {
-                self.send(
-                    ctx,
-                    node,
-                    coord,
-                    Message::AckC { write, from: node },
-                    RdmaKind::Send,
-                );
-                self.lazy_pending += 1;
-                self.update_buffer_gauge(ctx.now());
-                let fire = ctx.now() + self.cfg.lazy_persist_delay;
-                ctx.schedule_at(
-                    fire,
-                    Event::LazyPersist(
-                        node,
-                        super::LazyPersistCtx {
-                            key,
-                            version,
-                            bytes: value_bytes,
-                            epoch,
-                        },
-                    ),
-                );
-            }
-        }
-        self.check_endx_ready(ctx, node, txn);
     }
 
     /// ENDX at a follower.
@@ -641,35 +476,19 @@ impl Cluster {
                 }
                 if ft.writes_persisted < expected {
                     // Start the bunched ENDX persists once.
-                    let writes = ft.writes.clone();
-                    let remaining: Vec<_> = writes
-                        .into_iter()
+                    let remaining: Vec<Update> = ft
+                        .writes
+                        .iter()
                         .skip(ft.writes_persisted as usize)
+                        .copied()
                         .collect();
-                    let n = remaining.len() as u32;
-                    if n > 0 {
-                        let epoch = self.node_epoch[node.index()];
+                    if !remaining.is_empty() {
+                        let n = self.flush(ctx, node, remaining, PersistPurpose::TxnEnd { txn });
                         self.nodes[node.index()]
                             .txns
                             .get_mut(&txn)
                             .expect("present above")
                             .endx_persists_outstanding = n;
-                        for (key, version, bytes) in remaining {
-                            self.issue_persist(
-                                ctx,
-                                node,
-                                ctx.now(),
-                                Self::addr(key),
-                                u64::from(bytes),
-                                PersistCtx {
-                                    key,
-                                    version,
-                                    purpose: PersistPurpose::TxnEnd { txn },
-                                    epoch,
-                                },
-                                true,
-                            );
-                        }
                         return;
                     }
                 }
@@ -723,13 +542,12 @@ impl Cluster {
         self.try_complete_txn_round(ctx, node, txn.seq);
     }
 
-    /// Completion of an INITX/ENDX log or bulk persist.
+    /// Completion of a transaction's begin-log persist.
     pub(crate) fn txn_log_persist_done(
         &mut self,
         ctx: &mut Context<'_, Event>,
         node: NodeId,
         txn: TxnId,
-        begin: bool,
     ) {
         if node == txn.coordinator {
             if let Some(round) = self.nodes[node.index()].txn_rounds.get_mut(&txn.seq) {
@@ -737,7 +555,7 @@ impl Cluster {
             }
             self.try_complete_txn_round(ctx, node, txn.seq);
         } else {
-            self.send_ackx(ctx, node, txn, begin);
+            self.send_ackx(ctx, node, txn, true);
         }
     }
 
@@ -875,26 +693,6 @@ impl Cluster {
         // Closed loop: the client proceeds to its next request immediately.
         self.schedule_next_issue(ctx, client, t_done);
     }
-
-    /// Records a coordinator-local transactional write for the ENDX bulk
-    /// persist (`<Transactional, Synchronous>`).
-    pub(crate) fn note_txn_local_write(
-        &mut self,
-        client: ClientId,
-        _txn: TxnId,
-        key: Key,
-        version: u64,
-        bytes: u32,
-    ) {
-        self.cstate[client.index()]
-            .txn_writes
-            .push((key, version, bytes));
-    }
-}
-
-/// NVM address of a transaction's log record (distinct from any key).
-fn txn_log_addr(txn: TxnId) -> u64 {
-    (1 << 40) | (u64::from(txn.coordinator.0) << 32) | (txn.seq & 0xFFFF_FFFF)
 }
 
 #[cfg(test)]

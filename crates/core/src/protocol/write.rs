@@ -7,16 +7,48 @@
 
 use ddp_net::{NodeId, RdmaKind};
 use ddp_sim::{Context, Duration, SimTime};
+use ddp_store::Key;
 use ddp_trace::TraceEventKind;
 use ddp_workload::{ClientId, Request};
 
 use crate::message::{Message, ScopeId, TxnId, WriteId};
 use crate::model::{Consistency, Persistency};
 
-use super::{
-    AckSet, ChainedPersist, Cluster, Event, PendingWrite, PersistCtx, PersistPurpose, QueuedWrite,
-    Round,
-};
+use super::{AckSet, Cluster, Event, PendingWrite, PersistPurpose, QueuedWrite, Round, Update};
+
+/// The VAL a coordinator sends once one of its writes settles (paper
+/// Table 3); see [`Cluster::write_val`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WriteVal {
+    /// VAL: visible and durable everywhere (Strict and Synchronous
+    /// persistency), once every combined ACK and the local persist are in.
+    Val,
+    /// VAL_c: visible everywhere (Scope and Eventual persistency), once
+    /// every ACK_c is in.
+    ValC,
+    /// VAL_p: durable everywhere (Read-Enforced persistency), once every
+    /// ACK_p and the local persist are in.
+    ValP,
+}
+
+/// Where a per-write VAL takes effect (see [`Cluster::apply_val`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ValAt {
+    /// At the coordinator, as it sends the VAL. It starts the key's next
+    /// queued write even when a remote INV has made the key transient
+    /// again, where a follower waits; this breaks the per-key
+    /// serialization of paper §5.2 and is kept until the Linearizable
+    /// rows are revisited.
+    Coordinator,
+    /// At a follower, on the VAL's arrival.
+    Follower,
+    /// At a follower whose transient lease expired. It validates only a
+    /// version the node has applied, acts only while the write is
+    /// unsettled there (its transient set, or the version not yet
+    /// validated visible and durable everywhere), and counts as an
+    /// expiration only if it changed some state.
+    Lease,
+}
 
 impl Cluster {
     /// Entry point for a client write at its coordinator.
@@ -134,7 +166,6 @@ impl Cluster {
             local_persisted: false,
             client_acked: false,
             val_sent: false,
-            val_p_sent: false,
             lazy_upd_sent: false,
             abandoned: false,
             txn,
@@ -220,7 +251,7 @@ impl Cluster {
         // collect acknowledgments, and a transient lease on the
         // coordinator's own transient entry.
         if self.faults_active {
-            let (needs_c, needs_p) = self.write_ack_needs();
+            let (needs_c, needs_p) = self.write_ack_needs(txn.is_some());
             if needs_c || needs_p {
                 self.schedule_retry(ctx, applied_at, home, Round::Write(seq), 1);
             }
@@ -235,7 +266,8 @@ impl Cluster {
         self.try_progress_write(ctx, home, seq);
     }
 
-    /// Issues (or defers) the coordinator-local persist of a new write.
+    /// Persists the coordinator's own copy of a new write, or leaves it to
+    /// the transaction's end.
     fn schedule_local_persist(
         &mut self,
         ctx: &mut Context<'_, Event>,
@@ -243,118 +275,25 @@ impl Cluster {
         seq: u64,
         applied_at: SimTime,
     ) {
-        let (cons, pers) = (self.cons, self.pers);
-        let epoch = self.node_epoch[home.index()];
-        let (key, version, bytes) = {
-            let pw = self.nodes[home.index()]
-                .pending
-                .get(&seq)
-                .expect("just inserted");
-            (pw.key, pw.version, pw.value_bytes)
+        let pw = &self.nodes[home.index()].pending[&seq];
+        let update = Update {
+            key: pw.key,
+            version: pw.version,
+            bytes: pw.value_bytes,
         };
-        let purpose = PersistPurpose::WriteLocal { seq };
-        match pers {
-            Persistency::Synchronous | Persistency::Strict => {
-                if cons == Consistency::Transactional && pers == Persistency::Synchronous {
-                    // <Transactional, Synchronous> defers all persists to the
-                    // transaction end (paper Figure 4): record for ENDX.
-                    let (client, txn) = {
-                        let pw = self.nodes[home.index()]
-                            .pending
-                            .get_mut(&seq)
-                            .expect("just inserted");
-                        pw.local_persisted = true;
-                        (
-                            pw.client,
-                            pw.txn.expect("transactional write carries its txn"),
-                        )
-                    };
-                    self.note_txn_local_write(client, txn, key, version, bytes);
-                } else if cons == Consistency::Causal {
-                    // Causal: persists must respect the happens-before order,
-                    // so they chain per origin (here: our own chain).
-                    self.enqueue_chained_persist(
-                        ctx,
-                        home,
-                        home,
-                        ChainedPersist {
-                            key,
-                            version,
-                            bytes,
-                            purpose,
-                        },
-                    );
-                } else {
-                    self.issue_persist(
-                        ctx,
-                        home,
-                        applied_at,
-                        Self::addr(key),
-                        u64::from(bytes),
-                        PersistCtx {
-                            key,
-                            version,
-                            purpose,
-                            epoch,
-                        },
-                        true,
-                    );
-                }
-            }
-            Persistency::ReadEnforced => {
-                self.issue_persist(
-                    ctx,
-                    home,
-                    applied_at,
-                    Self::addr(key),
-                    u64::from(bytes),
-                    PersistCtx {
-                        key,
-                        version,
-                        purpose,
-                        epoch,
-                    },
-                    true,
-                );
-            }
-            Persistency::Scope => {
-                let scope = {
-                    let pw = self.nodes[home.index()]
-                        .pending
-                        .get_mut(&seq)
-                        .expect("just inserted");
-                    pw.local_persisted = true; // durability settled at scope end
-                    pw.scope.expect("scoped write carries its scope")
-                };
-                self.nodes[home.index()]
-                    .scopes
-                    .entry(scope)
-                    .or_default()
-                    .writes
-                    .push((key, version, bytes));
-            }
-            Persistency::Eventual => {
-                self.nodes[home.index()]
-                    .pending
-                    .get_mut(&seq)
-                    .expect("just inserted")
-                    .local_persisted = true; // never gates anything
-                self.lazy_pending += 1;
-                self.update_buffer_gauge(ctx.now());
-                let fire = applied_at + self.cfg.lazy_persist_delay;
-                ctx.schedule_at(
-                    fire,
-                    Event::LazyPersist(
-                        home,
-                        super::LazyPersistCtx {
-                            key,
-                            version,
-                            bytes,
-                            epoch,
-                        },
-                    ),
-                );
-            }
+        let (client, in_txn, scope) = (pw.client, pw.txn.is_some(), pw.scope);
+        let issued = if self.persists_at_endx(in_txn) {
+            self.cstate[client.index()].txn_writes.push(update);
+            false
+        } else {
+            let purpose = PersistPurpose::WriteLocal { seq };
+            self.persist_applied(ctx, home, applied_at, update, purpose, scope)
+        };
+        if !issued {
+            // Durability is settled at the transaction's or the scope's
+            // end, or never gates anything (Eventual persistency).
+            let pw = self.nodes[home.index()].pending.get_mut(&seq);
+            pw.expect("just inserted").local_persisted = true;
         }
     }
 
@@ -382,12 +321,20 @@ impl Cluster {
         self.retire_if_finished(home, seq);
     }
 
-    /// Whether the model validates each write with its own VAL (VAL_c,
-    /// VAL_p): the INV-based models, except Transactional consistency,
-    /// which validates at ENDX unless its persistency is Read-Enforced.
-    fn per_write_vals(&self) -> bool {
-        self.cons.uses_inv_ack_val()
-            && (self.cons != Consistency::Transactional || self.pers == Persistency::ReadEnforced)
+    /// The VAL a coordinator sends for each of its writes, if any: the
+    /// INV-based models send one, except Transactional consistency, which
+    /// validates at ENDX unless its persistency is Read-Enforced.
+    pub(crate) fn write_val(&self) -> Option<WriteVal> {
+        if !self.cons.uses_inv_ack_val()
+            || (self.cons == Consistency::Transactional && self.pers != Persistency::ReadEnforced)
+        {
+            return None;
+        }
+        Some(match self.pers {
+            Persistency::Strict | Persistency::Synchronous => WriteVal::Val,
+            Persistency::ReadEnforced => WriteVal::ValP,
+            Persistency::Scope | Persistency::Eventual => WriteVal::ValC,
+        })
     }
 
     /// True once no later event can act on a pending write: the client is
@@ -396,13 +343,7 @@ impl Cluster {
     /// fired (its handler reads the entry). Later ACKs and local-persist
     /// completions find nothing left to do.
     pub(crate) fn write_finished(&self, pw: &PendingWrite) -> bool {
-        let val_done = if !self.per_write_vals() {
-            true
-        } else if self.pers == Persistency::ReadEnforced {
-            pw.val_p_sent
-        } else {
-            pw.val_sent
-        };
+        let val_done = self.write_val().is_none() || pw.val_sent;
         let upd_done = self.cons != Consistency::Eventual
             || self.pers == Persistency::Strict
             || pw.lazy_upd_sent;
@@ -437,58 +378,20 @@ impl Cluster {
         };
         let (acked, acked_p) = (self.all_acked(pw.acks), self.all_acked(pw.acks_p));
         let (local_applied, local_persisted) = (pw.local_applied, pw.local_persisted);
-        let (val_sent, val_p_sent, client_acked, abandoned) =
-            (pw.val_sent, pw.val_p_sent, pw.client_acked, pw.abandoned);
-        let (key, version, write, client, issued_at) =
-            (pw.key, pw.version, pw.write, pw.client, pw.issued_at);
+        let (val_sent, client_acked, abandoned) = (pw.val_sent, pw.client_acked, pw.abandoned);
+        let (key, version, client, issued_at) = (pw.key, pw.version, pw.client, pw.issued_at);
         let earliest = pw.earliest_complete;
         let txn = pw.txn;
 
         // --- VAL stage (INV-based consistency models only). ---
-        if self.per_write_vals() {
-            match pers {
-                Persistency::Synchronous | Persistency::Strict => {
-                    if !val_sent && acked && local_persisted {
-                        self.emit_val(
-                            ctx,
-                            home,
-                            seq,
-                            Message::Val {
-                                write,
-                                key,
-                                version,
-                            },
-                        );
-                    }
-                }
-                Persistency::ReadEnforced => {
-                    if !val_p_sent && acked_p && local_persisted {
-                        self.emit_val_p(
-                            ctx,
-                            home,
-                            seq,
-                            Message::ValP {
-                                write,
-                                key,
-                                version,
-                            },
-                        );
-                    }
-                }
-                Persistency::Scope | Persistency::Eventual => {
-                    if !val_sent && acked {
-                        self.emit_val(
-                            ctx,
-                            home,
-                            seq,
-                            Message::ValC {
-                                write,
-                                key,
-                                version,
-                            },
-                        );
-                    }
-                }
+        if let Some(val) = self.write_val() {
+            let settled = match val {
+                WriteVal::Val => acked && local_persisted,
+                WriteVal::ValC => acked,
+                WriteVal::ValP => acked_p && local_persisted,
+            };
+            if settled && !val_sent {
+                self.send_val(ctx, home, seq, val);
             }
         }
 
@@ -572,50 +475,87 @@ impl Cluster {
         self.retire_if_finished(home, seq);
     }
 
-    /// Sends VAL/VAL_c for a write, applying the coordinator-local state
-    /// changes a follower would make on receiving it.
-    fn emit_val(&mut self, ctx: &mut Context<'_, Event>, home: NodeId, seq: u64, msg: Message) {
-        let combined = matches!(msg, Message::Val { .. });
-        let (key, version, write) = {
-            let pw = self.nodes[home.index()]
-                .pending
-                .get_mut(&seq)
-                .expect("caller checked");
-            pw.val_sent = true;
-            (pw.key, pw.version, pw.write)
+    /// Sends a write's VAL and applies it at the coordinator.
+    fn send_val(&mut self, ctx: &mut Context<'_, Event>, home: NodeId, seq: u64, val: WriteVal) {
+        let pw = self.nodes[home.index()]
+            .pending
+            .get_mut(&seq)
+            .expect("caller checked");
+        pw.val_sent = true;
+        let (write, key, version) = (pw.write, pw.key, pw.version);
+        let msg = match val {
+            WriteVal::Val => Message::Val {
+                write,
+                key,
+                version,
+            },
+            WriteVal::ValC => Message::ValC {
+                write,
+                key,
+                version,
+            },
+            WriteVal::ValP => Message::ValP {
+                write,
+                key,
+                version,
+            },
         };
         self.broadcast(ctx, home, &msg, RdmaKind::Send);
-        let st = self.nodes[home.index()].store.state_mut(key);
-        st.global_visible = st.global_visible.max(version);
-        if combined {
-            st.global_persisted = st.global_persisted.max(version);
-        }
-        if st.inflight() == Some(write) {
-            st.set_inflight(None);
-        }
-        self.wake_reads(ctx, home, key);
-        self.pop_queued_write(ctx, home, key);
+        self.apply_val(ctx, home, write, key, version, ValAt::Coordinator);
     }
 
-    /// Sends VAL_p, the durability validation of Read-Enforced persistency.
-    fn emit_val_p(&mut self, ctx: &mut Context<'_, Event>, home: NodeId, seq: u64, msg: Message) {
-        let (key, version, write) = {
-            let pw = self.nodes[home.index()]
-                .pending
-                .get_mut(&seq)
-                .expect("caller checked");
-            pw.val_p_sent = true;
-            (pw.key, pw.version, pw.write)
-        };
-        self.broadcast(ctx, home, &msg, RdmaKind::Send);
-        let st = self.nodes[home.index()].store.state_mut(key);
-        st.global_visible = st.global_visible.max(version);
-        st.global_persisted = st.global_persisted.max(version);
-        if st.inflight() == Some(write) {
+    /// Applies the model's per-write VAL of `write` at `node`, the same
+    /// effect at the coordinator that sends it, at a follower that receives
+    /// it and at a follower whose transient lease stands in for it: the
+    /// version becomes visible everywhere, and durable everywhere if the
+    /// VAL certifies durability (VAL and VAL_p, not VAL_c); the node's
+    /// transient for the write clears; blocked reads re-check; and the
+    /// key's next queued write starts.
+    pub(crate) fn apply_val(
+        &mut self,
+        ctx: &mut Context<'_, Event>,
+        node: NodeId,
+        write: WriteId,
+        key: Key,
+        version: u64,
+        at: ValAt,
+    ) {
+        let durable = self.write_val().is_some_and(|val| val != WriteVal::ValC);
+        let st = self.nodes[node.index()].store.state_mut(key);
+        let ours = st.inflight() == Some(write);
+        let validates = at != ValAt::Lease || st.visible >= version;
+        let unsettled =
+            ours || (validates && (st.global_visible < version || st.global_persisted < version));
+        let mut changed = ours;
+        if ours {
             st.set_inflight(None);
         }
-        self.wake_reads(ctx, home, key);
-        self.pop_queued_write(ctx, home, key);
+        if validates {
+            if st.global_visible < version {
+                st.global_visible = version;
+                changed = true;
+            }
+            if durable && st.global_persisted < version {
+                st.global_persisted = version;
+                changed = true;
+            }
+        }
+        if at == ValAt::Lease {
+            if !unsettled {
+                return;
+            }
+            if changed && self.measuring {
+                self.stats.transient_expirations += 1;
+            }
+        }
+        if self.faults_active {
+            // The write is settled: forget its duplicate-suppression entry.
+            self.nodes[node.index()].seen_invs.remove(&write);
+        }
+        self.wake_reads(ctx, node, key);
+        if at == ValAt::Coordinator || !self.nodes[node.index()].store.state(key).is_transient() {
+            self.pop_queued_write(ctx, node, key);
+        }
     }
 
     /// Starts the next queued write on a key once its predecessor validates.
@@ -645,57 +585,6 @@ impl Cluster {
             qw.txn,
             qw.scope,
         );
-    }
-
-    /// Enqueues a persist on a per-origin causal chain; starts it if the
-    /// chain is idle.
-    pub(crate) fn enqueue_chained_persist(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        origin: NodeId,
-        entry: ChainedPersist,
-    ) {
-        let n = &mut self.nodes[node.index()];
-        n.persist_chains[origin.index()].push_back(entry);
-        self.update_buffer_gauge(ctx.now());
-        self.advance_chain(ctx, node, origin);
-    }
-
-    /// Starts the next persist of a chain if none is in flight.
-    pub(crate) fn advance_chain(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        origin: NodeId,
-    ) {
-        let epoch = self.node_epoch[node.index()];
-        let entry = {
-            let n = &mut self.nodes[node.index()];
-            if n.chain_busy[origin.index()] {
-                return;
-            }
-            let Some(entry) = n.persist_chains[origin.index()].pop_front() else {
-                return;
-            };
-            n.chain_busy[origin.index()] = true;
-            entry
-        };
-        self.issue_persist(
-            ctx,
-            node,
-            ctx.now(),
-            Self::addr(entry.key),
-            u64::from(entry.bytes),
-            PersistCtx {
-                key: entry.key,
-                version: entry.version,
-                purpose: entry.purpose,
-                epoch,
-            },
-            true,
-        );
-        self.update_buffer_gauge(ctx.now());
     }
 
     /// Broadcast helper that stamps the send at `when` (e.g. after the local
