@@ -75,12 +75,32 @@ fn cache_hierarchy(c: &mut Criterion) {
     });
 }
 
+/// A run of `(node, address, inject)` cache operations over `nodes`'
+/// memory systems: a DDIO inject where `inject`, else a CPU access.
+fn replay(nodes: &mut [MemoryController], ops: &[(usize, u64, bool)]) -> u64 {
+    let mut acc = 0u64;
+    for &(node, addr, inject) in ops {
+        let mc = &mut nodes[node];
+        let lat = if inject {
+            mc.ddio_inject(addr)
+        } else {
+            mc.volatile_access(addr)
+        };
+        acc = acc.wrapping_add(lat.as_nanos());
+    }
+    acc
+}
+
 /// The cache model at the benchmark's shapes. First, a 5-node cluster's
 /// memory systems under uniform keys, as the benchmark's uniform workloads
 /// drive them: lines drawn from 100k keys, one access in five a DDIO
-/// inject (a replicated update arriving). Most accesses are cold, so this
-/// times the fill path. Second, the 40 nodes of one 8-shard fleet, built
-/// and dropped.
+/// inject (a replicated update arriving). From empty hierarchies most
+/// accesses are cold, so the first case times the fill path and directory
+/// growth. The warm case replays the same stream after it has run once, so
+/// every line it touches is resident: L1 and L2 miss and the LLC hits (92 %
+/// of its accesses), as in `reads-uniform-b`'s run phase. Each of its
+/// iterations is the next tenth of the stream. Last, the 40 nodes of one
+/// 8-shard fleet, built and dropped.
 fn cache_at_benchmark_shapes(c: &mut Criterion) {
     const KEYS: u64 = 100_000;
     const NODES: usize = 5;
@@ -91,28 +111,23 @@ fn cache_at_benchmark_shapes(c: &mut Criterion) {
             (node, rng.next_below(KEYS) << 6, rng.next_below(5) == 0)
         })
         .collect();
+    let fresh = || -> Vec<MemoryController> {
+        (0..NODES)
+            .map(|_| MemoryController::new(MemoryParams::micro21()))
+            .collect()
+    };
     c.bench_function("mem/volatile_access_uniform_100k_keys_5_nodes", |b| {
         b.iter_batched(
-            || -> Vec<MemoryController> {
-                (0..NODES)
-                    .map(|_| MemoryController::new(MemoryParams::micro21()))
-                    .collect()
-            },
-            |mut nodes| {
-                let mut acc = 0u64;
-                for &(node, addr, inject) in &ops {
-                    let mc = &mut nodes[node];
-                    let lat = if inject {
-                        mc.ddio_inject(addr)
-                    } else {
-                        mc.volatile_access(addr)
-                    };
-                    acc = acc.wrapping_add(lat.as_nanos());
-                }
-                acc
-            },
+            fresh,
+            |mut nodes| replay(&mut nodes, &ops),
             BatchSize::SmallInput,
         );
+    });
+    let mut warm = fresh();
+    replay(&mut warm, &ops);
+    let mut tenths = ops.chunks(ops.len() / 10).cycle();
+    c.bench_function("mem/volatile_access_uniform_100k_keys_5_nodes_warm", |b| {
+        b.iter(|| replay(&mut warm, tenths.next().expect("a cycle never ends")));
     });
     c.bench_function("mem/new_40_controllers", |b| {
         b.iter(|| -> Vec<MemoryController> {

@@ -8,6 +8,7 @@ use ddp_trace::TraceConfig;
 use ddp_workload::{ArrivalProcess, WorkloadSpec};
 
 use crate::model::DdpModel;
+use crate::protocol::Cluster;
 
 /// One scheduled node failure: the node crashes `at` into the run (losing
 /// all volatile state, keeping its NVM image) and rejoins `down_for` later
@@ -567,7 +568,7 @@ impl ClusterConfig {
             .validate()
             .map_err(|e| format!("network.{e}"))?;
         self.workload
-            .validate()
+            .validate(Cluster::max_key_space(&self.memory))
             .map_err(|e| format!("workload: {e}"))?;
         if self.txn_size == 0 {
             return Err("transaction size must be positive".into());
@@ -668,6 +669,25 @@ mod tests {
         let mut cfg = base();
         cfg.workload.key_space = 0;
         bad.push(("key_space", cfg));
+        // The largest L1 and key space that the cache directory's 32-bit
+        // set keys and tags can hold build and run; one more is rejected.
+        // Unchecked, the L1 panics in `Simulation::new` and the keys alias
+        // lower keys' cache lines. Table 5's L1 has 8 ways of 64-byte
+        // lines, and its 128 sets of 2^32 tags reach 2^39 records.
+        let mut big_l1 = base().with_clients(10);
+        big_l1.memory.l1.capacity_bytes = (u64::from(u32::MAX) + 1) * 8 * 64 - 1;
+        let mut big_keys = base().with_clients(10);
+        big_keys.workload.key_space = 1 << 39;
+        big_keys.workload.zipf_theta = None;
+        for cfg in [&big_l1, &big_keys] {
+            assert_eq!(cfg.validate(), Ok(()));
+            let report = crate::Simulation::new(cfg.clone().quick()).run();
+            assert!(report.summary.throughput > 0.0, "the edge config runs");
+        }
+        big_l1.memory.l1.capacity_bytes += 1;
+        bad.push(("memory.l1.capacity_bytes", big_l1));
+        big_keys.workload.key_space += 1;
+        bad.push(("key_space", big_keys));
         let mut cfg = ClusterConfig::micro21(DdpModel::new(
             Consistency::Transactional,
             Persistency::Synchronous,
@@ -725,6 +745,12 @@ mod tests {
         let mut cfg = base();
         cfg.memory.llc_per_core.ways = 1;
         bad.push(("memory.ddio_fraction", cfg));
+        let mut cfg = base();
+        cfg.memory.l2.capacity_bytes = 8 * 64 - 1;
+        bad.push(("memory.l2.capacity_bytes", cfg));
+        let mut cfg = base();
+        cfg.memory.llc_per_core.capacity_bytes = u64::MAX / 16;
+        bad.push(("memory.llc_per_core.capacity_bytes", cfg));
         let mut cfg = base();
         cfg.memory.nvm.channels = 0;
         bad.push(("memory.nvm.channels", cfg));

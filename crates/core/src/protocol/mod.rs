@@ -34,7 +34,7 @@ mod write;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use ddp_mem::MemoryController;
+use ddp_mem::{MemoryController, MemoryParams};
 use ddp_net::{Fabric, FaultProfile, NodeId, RdmaKind};
 use ddp_sim::{Context, Duration, Engine, Model, SimTime};
 use ddp_store::{Key, LsmWork, StoreKind};
@@ -54,6 +54,10 @@ use ddp_trace::{
 pub use admission::OpenLoopAccounting;
 use admission::OpenLoopState;
 use write::ValAt;
+
+/// log2 of the bytes between consecutive keys' records: each key has one
+/// 64-byte cache line.
+const RECORD_SHIFT: u32 = 6;
 
 /// Simulation events dispatched by the engine.
 ///
@@ -698,7 +702,14 @@ impl Cluster {
 
     /// Address of a key's record, for cache and NVM placement.
     pub(crate) fn addr(key: Key) -> u64 {
-        key << 6
+        key << RECORD_SHIFT
+    }
+
+    /// The most keys whose records the caches of `memory` can address:
+    /// the last key's record must lie at or below
+    /// [`MemoryParams::max_addr`], which also keeps `addr` from wrapping.
+    pub(crate) fn max_key_space(memory: &MemoryParams) -> u64 {
+        (memory.max_addr() >> RECORD_SHIFT) + 1
     }
 
     /// Sends one message; returns nothing (a Deliver event is scheduled).

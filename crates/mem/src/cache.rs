@@ -23,104 +23,132 @@ pub enum HitLevel {
     Memory,
 }
 
-/// Tags a set's first fill reserves (fewer if the level has fewer ways).
-const SMALL_BLOCK: usize = 4;
+/// The most sets a level can have: a directory key is the set index + 1,
+/// in 32 bits.
+pub(crate) const MAX_SETS: u64 = u32::MAX as u64;
 
-/// Directory slots a level starts with; a power of two.
+/// The highest address a level of this geometry tells apart from every
+/// lower one. A line's tag is its line number divided by the set count, in
+/// 32 bits, so each set holds 2^32 distinct lines.
+pub(crate) fn max_addr(level: &CacheParams) -> u64 {
+    let bytes = (u128::from(level.sets()) * u128::from(level.line_bytes)) << 32;
+    u64::try_from(bytes - 1).unwrap_or(u64::MAX)
+}
+
+/// Tags a directory entry holds inline.
+const INLINE: usize = 2;
+
+/// Directory entries a hashed directory starts with; a power of two.
 const FIRST_DIRECTORY: usize = 16;
 
 /// Fibonacci-hashing multiplier: spreads neighbouring set keys over the
 /// directory.
 const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A directory slot: one filled set, or free.
+/// A directory entry: one set's key, length and tags.
 #[derive(Clone, Copy, Debug, Default)]
 struct Entry {
-    /// Set index + 1, or 0 if the slot is free.
+    /// Set index + 1, or 0 while the set has never been filled.
     key: u32,
-    /// Index of the set's first tag in the level's arena.
-    base: u32,
-    /// Valid tags (front of the block = MRU).
+    /// Valid tags (front = MRU).
     len: u8,
-    /// Tags the set's block holds: the small size, or `ways`.
-    cap: u8,
+    /// Whether the set's tags live in the spill arena, at the block whose
+    /// index `tags[0]` holds, rather than inline.
+    spilled: bool,
+    /// The set's tags, MRU first, while it is not spilled.
+    tags: [u32; INLINE],
 }
 
-/// A line a lookup missed, with its set's directory slot (the set's entry,
-/// or the free slot the set would take), so that the fill that follows the
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+/// A line a lookup missed, with its set's directory entry (the set's own,
+/// or the free one the set would take), so that the fill that follows the
 /// miss does not probe again. Valid until the level next changes.
 #[derive(Clone, Copy, Debug)]
 struct Miss {
-    line: u64,
     key: u32,
+    tag: u32,
     slot: usize,
 }
 
 /// One set-associative cache level with LRU replacement.
 ///
-/// Tags are full line addresses; the structure stores no data, only presence,
-/// because the simulator is a timing model. Host memory follows the sets a
-/// run fills, not the level's geometry: an open-addressing directory maps
-/// each filled set to a block of tags in the level's arena, and a block is
-/// sized to its set's occupancy. A set's first fill takes a small block of
-/// `min(4, ways)` tags; a set that outgrows it moves once to a block of
-/// `ways` tags, and the next set filled reuses the small block. Key-derived
-/// lines spread thinly over a large LLC (100k keys never put more than 3
-/// lines in one of its 40,960 sets), so most sets never move.
+/// The structure stores no data, only presence, because the simulator is a
+/// timing model. A set's lines are told apart by a 32-bit tag, the line
+/// number divided by the set count. Host memory follows the sets a run
+/// fills, not the level's geometry, and a lookup reads one directory
+/// entry:
+/// - each 16-byte entry holds its set's key and length and up to two tags
+///   inline; a set that outgrows them moves once to a block of `ways` tags
+///   in the level's spill arena, and stays there;
+/// - the directory maps each filled set to its entry by open addressing,
+///   until a doubling would reach the level's set count. It then becomes
+///   exactly `sets` entries, indexed by set, with no hash and no probe.
+///
+/// Key-derived lines spread thinly over a large LLC (100k keys never put
+/// more than 3 lines in one of its 40,960 sets), so most sets never spill.
 #[derive(Clone, Debug)]
 struct CacheLevel {
-    /// Filled sets, found by linear probing from a hash of the set key; a
-    /// power of two long and at most half full.
+    /// Filled sets, found by linear probing from a hash of the set key (a
+    /// power of two long and at most half full); or one entry per set,
+    /// indexed by set, once `dir.len() == sets`.
     dir: Vec<Entry>,
-    /// Occupied directory slots.
+    /// Filled sets.
     filled: usize,
-    /// `64 - log2(dir.len())`: turns a spread key into a directory slot.
+    /// `64 - log2(dir.len())`: turns a spread key into a hashed slot.
     dir_shift: u32,
-    /// Tag arena holding every filled set's block.
-    tags: Vec<u64>,
-    /// Small blocks left behind by sets that moved to a full block.
-    free_small: Vec<u32>,
+    /// Blocks of `ways` tags, one for each set that outgrew its entry.
+    spill: Vec<u32>,
     sets: u64,
     ways: usize,
-    small: usize,
     line_shift: u32,
 }
 
 impl CacheLevel {
-    fn new(params: &CacheParams) -> Self {
-        let sets = params.sets().max(1);
+    /// A level with `params`' sets and lines, and `ways` ways.
+    fn new(params: &CacheParams, ways: u32) -> Self {
+        let sets = params.sets();
         assert!(
-            u8::try_from(params.ways).is_ok(),
-            "{} ways overflow the per-set length",
-            params.ways
+            (1..=MAX_SETS).contains(&sets),
+            "{sets} sets outside the directory's 1..={MAX_SETS}"
         );
         assert!(
-            sets < u64::from(u32::MAX),
-            "{sets} sets overflow the directory key"
+            u8::try_from(ways).is_ok(),
+            "{ways} ways overflow the per-set length"
         );
-        let ways = params.ways as usize;
+        // A level no larger than the first hashed directory starts indexed.
+        let first = FIRST_DIRECTORY.min(sets as usize);
         CacheLevel {
-            dir: vec![Entry::default(); FIRST_DIRECTORY],
+            dir: vec![Entry::default(); first],
             filled: 0,
             dir_shift: 64 - FIRST_DIRECTORY.trailing_zeros(),
-            tags: Vec::new(),
-            free_small: Vec::new(),
+            spill: Vec::new(),
             sets,
-            ways,
-            small: ways.min(SMALL_BLOCK),
+            ways: ways as usize,
             line_shift: params.line_bytes.trailing_zeros(),
         }
     }
 
-    /// The line address of `addr` and its set's directory key.
-    fn line_and_key(&self, addr: u64) -> (u64, u32) {
-        let line = addr >> self.line_shift;
-        (line, (line % self.sets) as u32 + 1)
+    /// Whether the directory holds one entry per set.
+    fn indexed(&self) -> bool {
+        self.dir.len() as u64 == self.sets
     }
 
-    /// The directory slot holding `key`, or the free slot that ends its
-    /// probe sequence.
-    fn probe(&self, key: u32) -> usize {
+    /// The directory key and the tag of `addr`'s line.
+    fn key_and_tag(&self, addr: u64) -> (u32, u32) {
+        let line = addr >> self.line_shift;
+        let tag = u32::try_from(line / self.sets)
+            .expect("address beyond the level's 32-bit tags (MemoryParams::max_addr)");
+        ((line % self.sets) as u32 + 1, tag)
+    }
+
+    /// The directory entry of the set with `key`: its own in an indexed
+    /// directory; otherwise the entry holding `key`, or the free entry
+    /// that ends its probe sequence.
+    fn slot(&self, key: u32) -> usize {
+        if self.indexed() {
+            return key as usize - 1;
+        }
         let mask = self.dir.len() - 1;
         let mut slot = (u64::from(key).wrapping_mul(SPREAD) >> self.dir_shift) as usize;
         while self.dir[slot].key != key && self.dir[slot].key != 0 {
@@ -130,24 +158,29 @@ impl CacheLevel {
     }
 
     /// The valid tags of the set at directory `slot`, MRU first (empty for
-    /// a free slot).
-    fn set(&mut self, slot: usize) -> &mut [u64] {
-        let Entry { base, len, .. } = self.dir[slot];
-        let base = base as usize;
-        &mut self.tags[base..base + usize::from(len)]
+    /// a free entry).
+    fn tags(&mut self, slot: usize) -> &mut [u32] {
+        let entry = &mut self.dir[slot];
+        let len = usize::from(entry.len);
+        if entry.spilled {
+            let base = entry.tags[0] as usize;
+            &mut self.spill[base..base + len]
+        } else {
+            &mut entry.tags[..len]
+        }
     }
 
     /// Looks up the line; on hit, promotes it to MRU.
     fn lookup(&mut self, addr: u64) -> Result<(), Miss> {
-        let (line, key) = self.line_and_key(addr);
-        let slot = self.probe(key);
-        let set = self.set(slot);
-        match set.iter().position(|&t| t == line) {
+        let (key, tag) = self.key_and_tag(addr);
+        let slot = self.slot(key);
+        let tags = self.tags(slot);
+        match tags.iter().position(|&t| t == tag) {
             Some(pos) => {
-                set[..=pos].rotate_right(1);
+                tags[..=pos].rotate_right(1);
                 Ok(())
             }
-            None => Err(Miss { line, key, slot }),
+            None => Err(Miss { key, tag, slot }),
         }
     }
 
@@ -172,73 +205,65 @@ impl CacheLevel {
             0 => self.insert(miss.key, miss.slot),
             _ => miss.slot,
         };
-        let Entry { base, len, cap, .. } = self.dir[slot];
-        let (mut base, len) = (base as usize, usize::from(len));
-        if len == usize::from(cap) && len < self.ways {
-            // The set outgrew its small block: move it to a full one.
-            let full = self.tags.len();
-            self.tags.extend_from_within(base..base + len);
-            self.tags.resize(full + self.ways, 0);
-            self.free_small.push(self.dir[slot].base);
-            self.dir[slot].base = arena_index(full);
-            self.dir[slot].cap = self.ways as u8;
-            base = full;
+        let entry = &mut self.dir[slot];
+        let len = usize::from(entry.len);
+        if len == INLINE && !entry.spilled && len < self.ways {
+            // The set outgrew its entry: move it to a block of its own.
+            let base = self.spill.len();
+            self.spill.extend_from_slice(&entry.tags);
+            self.spill.resize(base + self.ways, 0);
+            entry.tags[0] = u32::try_from(base).expect("spill arena overflow");
+            entry.spilled = true;
         }
-        let end = if len < self.ways {
-            self.dir[slot].len += 1;
-            len + 1
-        } else {
-            len
-        };
-        // The slot at `end - 1` (the LRU victim or a free slot) takes the
-        // line, then rotates to the front.
-        let set = &mut self.tags[base..base + end];
-        set[end - 1] = miss.line;
-        set.rotate_right(1);
+        if len < self.ways {
+            entry.len += 1;
+        }
+        // The last tag (the LRU victim or a free one) takes the line, then
+        // rotates to the front.
+        let tags = self.tags(slot);
+        let last = tags.len() - 1;
+        tags[last] = miss.tag;
+        tags.rotate_right(1);
     }
 
-    /// Enters `key` in the directory with a small block, at its free probe
-    /// `slot` unless the directory has to grow first; returns its slot.
+    /// Enters `key` in the directory, at its free `slot` unless the
+    /// directory has to grow first; returns its slot.
     fn insert(&mut self, key: u32, slot: usize) -> usize {
-        let slot = if 2 * (self.filled + 1) > self.dir.len() {
+        self.filled += 1;
+        let slot = if !self.indexed() && 2 * self.filled > self.dir.len() {
             self.grow();
-            self.probe(key)
+            self.slot(key)
         } else {
             slot
         };
-        let base = self.free_small.pop().unwrap_or_else(|| {
-            let base = arena_index(self.tags.len());
-            self.tags.resize(self.tags.len() + self.small, 0);
-            base
-        });
-        self.dir[slot] = Entry {
-            key,
-            base,
-            len: 0,
-            cap: self.small as u8,
-        };
-        self.filled += 1;
+        self.dir[slot].key = key;
         slot
     }
 
-    /// Doubles the directory and re-enters every filled set.
+    /// Doubles the hashed directory, or makes it indexed if a doubling
+    /// would reach the set count, and re-enters every filled set.
     fn grow(&mut self) {
-        let doubled = vec![Entry::default(); 2 * self.dir.len()];
-        let old = std::mem::replace(&mut self.dir, doubled);
+        let doubled = 2 * self.dir.len();
+        let len = if doubled as u64 >= self.sets {
+            self.sets as usize
+        } else {
+            doubled
+        };
+        let old = std::mem::replace(&mut self.dir, vec![Entry::default(); len]);
         self.dir_shift -= 1;
         for entry in old.into_iter().filter(|e| e.key != 0) {
-            let slot = self.probe(entry.key);
+            let slot = self.slot(entry.key);
             self.dir[slot] = entry;
         }
     }
 
     /// Removes the line if present (invalidation).
     fn invalidate(&mut self, addr: u64) {
-        let (line, key) = self.line_and_key(addr);
-        let slot = self.probe(key);
-        let set = self.set(slot);
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set[pos..].rotate_left(1);
+        let (key, tag) = self.key_and_tag(addr);
+        let slot = self.slot(key);
+        let tags = self.tags(slot);
+        if let Some(pos) = tags.iter().position(|&t| t == tag) {
+            tags[pos..].rotate_left(1);
             self.dir[slot].len -= 1;
         }
     }
@@ -247,23 +272,7 @@ impl CacheLevel {
     #[cfg(test)]
     fn host_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.dir.capacity() * size_of::<Entry>()
-            + self.tags.capacity() * size_of::<u64>()
-            + self.free_small.capacity() * size_of::<u32>()
-    }
-}
-
-/// `index` as a tag-arena offset.
-fn arena_index(index: usize) -> u32 {
-    u32::try_from(index).expect("tag arena overflow")
-}
-
-/// The share of `total` that `ways` of its ways hold, at the same set count.
-fn partition(total: &CacheParams, ways: u32) -> CacheParams {
-    CacheParams {
-        ways,
-        capacity_bytes: total.capacity_bytes * u64::from(ways) / u64::from(total.ways),
-        ..*total
+        self.dir.capacity() * size_of::<Entry>() + self.spill.capacity() * size_of::<u32>()
     }
 }
 
@@ -296,15 +305,20 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds the hierarchy for the given parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level's set count is outside what
+    /// [`MemoryParams::validate`] accepts.
     #[must_use]
     pub fn new(params: &MemoryParams) -> Self {
         let llc_total = params.llc_total();
         let ddio_ways = params.ddio_ways();
         CacheHierarchy {
-            l1: CacheLevel::new(&params.l1),
-            l2: CacheLevel::new(&params.l2),
-            llc: CacheLevel::new(&partition(&llc_total, llc_total.ways - ddio_ways)),
-            ddio: CacheLevel::new(&partition(&llc_total, ddio_ways)),
+            l1: CacheLevel::new(&params.l1, params.l1.ways),
+            l2: CacheLevel::new(&params.l2, params.l2.ways),
+            llc: CacheLevel::new(&llc_total, llc_total.ways - ddio_ways),
+            ddio: CacheLevel::new(&llc_total, ddio_ways),
             l1_lat: params.l1.round_trip(),
             l2_lat: params.l2.round_trip(),
             llc_lat: llc_total.round_trip(),
@@ -315,6 +329,10 @@ impl CacheHierarchy {
 
     /// Performs a CPU load/store to `addr`; returns where it hit and the
     /// access latency. Fills all levels on the way back (inclusive model).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is above [`MemoryParams::max_addr`].
     pub fn access(&mut self, addr: u64) -> (HitLevel, Duration) {
         if self.l1.hit_or_fill(addr) {
             (HitLevel::L1, self.l1_lat)
@@ -335,6 +353,10 @@ impl CacheHierarchy {
     /// Injects a line arriving from the NIC directly into the DDIO partition
     /// of the LLC (Data Direct I/O). Private caches are invalidated so the
     /// next CPU access sees the new data at LLC latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is above [`MemoryParams::max_addr`].
     pub fn ddio_inject(&mut self, addr: u64) -> Duration {
         self.ddio.hit_or_fill(addr);
         self.l1.invalidate(addr);
@@ -352,6 +374,8 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
+
+    use ddp_sim::SimRng;
 
     use super::*;
 
@@ -424,10 +448,10 @@ mod tests {
         assert_eq!((c.llc.sets, c.ddio.sets), (40_960, 40_960));
     }
 
-    /// A hierarchy with a handful of sets per level, so random addresses
-    /// reuse, evict and invalidate constantly. L1, L2 and the main LLC
-    /// partition have more ways than a small block holds.
-    fn tiny_hierarchy() -> CacheHierarchy {
+    /// A hierarchy of `l1`, `l2` and `llc` sets of 6, 8 and 16 ways (the
+    /// LLC's two of them DDIO). L1, L2 and the main LLC partition have
+    /// more ways than an entry holds inline.
+    fn small_hierarchy(l1: u64, l2: u64, llc: u64) -> CacheHierarchy {
         let line = |sets: u64, ways: u32, cycles: u64| CacheParams {
             capacity_bytes: sets * u64::from(ways) * 64,
             ways,
@@ -436,9 +460,9 @@ mod tests {
         };
         CacheHierarchy::new(&MemoryParams {
             cores: 1,
-            l1: line(4, 6, 2),
-            l2: line(8, 8, 12),
-            llc_per_core: line(8, 16, 38),
+            l1: line(l1, 6, 2),
+            l2: line(l2, 8, 12),
+            llc_per_core: line(llc, 16, 38),
             ..MemoryParams::micro21()
         })
     }
@@ -495,83 +519,160 @@ mod tests {
             }
         }
 
-        fn tags(&mut self, addr: u64) -> Vec<u64> {
+        fn lines(&mut self, addr: u64) -> Vec<u64> {
             self.set(addr).0.iter().copied().collect()
         }
     }
 
-    /// The valid tags of `addr`'s set, MRU first.
-    fn tags(level: &mut CacheLevel, addr: u64) -> Vec<u64> {
-        let slot = level.probe(level.line_and_key(addr).1);
-        level.set(slot).to_vec()
+    /// The reference model of a whole hierarchy.
+    struct RefHierarchy {
+        l1: RefLevel,
+        l2: RefLevel,
+        llc: RefLevel,
+        ddio: RefLevel,
     }
 
-    /// Whether some set of the level has moved to a full block.
-    fn has_grown(level: &CacheLevel) -> bool {
-        level.dir.iter().any(|e| usize::from(e.cap) > level.small)
-    }
+    impl RefHierarchy {
+        fn like(c: &CacheHierarchy) -> Self {
+            RefHierarchy {
+                l1: RefLevel::like(&c.l1),
+                l2: RefLevel::like(&c.l2),
+                llc: RefLevel::like(&c.llc),
+                ddio: RefLevel::like(&c.ddio),
+            }
+        }
 
-    #[test]
-    fn arena_lru_matches_vecdeque_reference() {
-        let mut c = tiny_hierarchy();
-        let mut l1 = RefLevel::like(&c.l1);
-        let mut l2 = RefLevel::like(&c.l2);
-        let mut llc = RefLevel::like(&c.llc);
-        let mut ddio = RefLevel::like(&c.ddio);
-        let mut hits = [0u64; 4];
-        let mut rng = ddp_sim::SimRng::seed_from(0xCAC4E);
-        for step in 0..200_000 {
-            // 160 distinct lines over at most 8 sets per level.
-            let addr = rng.next_below(160) * 64 + rng.next_below(64);
+        /// Applies one random operation on `addr` to `c` and to the model:
+        /// an access (7 in 10), a DDIO inject (2 in 10) or the invalidation
+        /// of one level. Checks an access's level and latency, then the MRU
+        /// order of `addr`'s set at every level; returns where an access hit.
+        fn step(
+            &mut self,
+            c: &mut CacheHierarchy,
+            rng: &mut SimRng,
+            addr: u64,
+            step: u32,
+        ) -> Option<HitLevel> {
+            let mut hit = None;
             match rng.next_below(10) {
                 0..=6 => {
-                    let want = if l1.access(addr) {
+                    let want = if self.l1.access(addr) {
                         (HitLevel::L1, c.l1_lat)
-                    } else if l2.access(addr) {
-                        l1.fill(addr);
+                    } else if self.l2.access(addr) {
+                        self.l1.fill(addr);
                         (HitLevel::L2, c.l2_lat)
-                    } else if llc.access(addr) || ddio.access(addr) {
-                        l1.fill(addr);
-                        l2.fill(addr);
+                    } else if self.llc.access(addr) || self.ddio.access(addr) {
+                        self.l1.fill(addr);
+                        self.l2.fill(addr);
                         (HitLevel::Llc, c.llc_lat)
                     } else {
-                        l1.fill(addr);
-                        l2.fill(addr);
-                        llc.fill(addr);
+                        self.l1.fill(addr);
+                        self.l2.fill(addr);
+                        self.llc.fill(addr);
                         (HitLevel::Memory, c.mem_lat)
                     };
-                    hits[want.0 as usize] += 1;
                     assert_eq!(c.access(addr), want, "step {step}");
+                    hit = Some(want.0);
                 }
                 7 | 8 => {
-                    ddio.fill(addr);
-                    l1.invalidate(addr);
-                    l2.invalidate(addr);
+                    self.ddio.fill(addr);
+                    self.l1.invalidate(addr);
+                    self.l2.invalidate(addr);
                     assert_eq!(c.ddio_inject(addr), c.llc_lat);
                 }
                 _ => {
                     let (level, reference) = match rng.next_below(4) {
-                        0 => (&mut c.l1, &mut l1),
-                        1 => (&mut c.l2, &mut l2),
-                        2 => (&mut c.llc, &mut llc),
-                        _ => (&mut c.ddio, &mut ddio),
+                        0 => (&mut c.l1, &mut self.l1),
+                        1 => (&mut c.l2, &mut self.l2),
+                        2 => (&mut c.llc, &mut self.llc),
+                        _ => (&mut c.ddio, &mut self.ddio),
                     };
                     level.invalidate(addr);
                     reference.invalidate(addr);
                 }
             }
-            assert_eq!(tags(&mut c.l1, addr), l1.tags(addr), "L1 at step {step}");
-            assert_eq!(tags(&mut c.l2, addr), l2.tags(addr), "L2 at step {step}");
-            assert_eq!(tags(&mut c.llc, addr), llc.tags(addr), "LLC at step {step}");
-            assert_eq!(
-                tags(&mut c.ddio, addr),
-                ddio.tags(addr),
-                "DDIO at step {step}"
-            );
+            for (name, level, reference) in [
+                ("L1", &mut c.l1, &mut self.l1),
+                ("L2", &mut c.l2, &mut self.l2),
+                ("LLC", &mut c.llc, &mut self.llc),
+                ("DDIO", &mut c.ddio, &mut self.ddio),
+            ] {
+                let want = reference.lines(addr);
+                assert_eq!(lines(level, addr), want, "{name} at step {step}");
+            }
+            hit
+        }
+    }
+
+    /// The valid lines of `addr`'s set, MRU first.
+    fn lines(level: &mut CacheLevel, addr: u64) -> Vec<u64> {
+        let (key, _) = level.key_and_tag(addr);
+        let (sets, set) = (level.sets, u64::from(key - 1));
+        let slot = level.slot(key);
+        level
+            .tags(slot)
+            .iter()
+            .map(|&tag| u64::from(tag) * sets + set)
+            .collect()
+    }
+
+    /// Sets of the level that moved to the spill arena.
+    fn spilled(level: &CacheLevel) -> usize {
+        level.dir.iter().filter(|e| e.spilled).count()
+    }
+
+    #[test]
+    fn arena_lru_matches_vecdeque_reference() {
+        // At most 8 sets per level: every directory is indexed from the
+        // start.
+        let mut c = small_hierarchy(4, 8, 8);
+        let mut model = RefHierarchy::like(&c);
+        let mut hits = [0u64; 4];
+        let mut rng = SimRng::seed_from(0xCAC4E);
+        for step in 0..200_000 {
+            // 160 distinct lines over at most 8 sets per level.
+            let addr = rng.next_below(160) * 64 + rng.next_below(64);
+            if let Some(level) = model.step(&mut c, &mut rng, addr, step) {
+                hits[level as usize] += 1;
+            }
         }
         assert!(hits.iter().all(|&h| h > 1_000), "mix too narrow: {hits:?}");
         for (name, level) in [("L1", &c.l1), ("L2", &c.l2), ("LLC", &c.llc)] {
-            assert!(has_grown(level), "no {name} set outgrew its small block");
+            assert!(level.indexed(), "{name}");
+            assert!(spilled(level) > 0, "no {name} set outgrew its entry");
+        }
+    }
+
+    #[test]
+    fn directory_switch_keeps_vecdeque_reference_order() {
+        // 64, 128 and 256 sets: each directory starts hashed, and turns
+        // indexed once a quarter to a half of its sets are filled.
+        let mut c = small_hierarchy(64, 128, 256);
+        let mut model = RefHierarchy::like(&c);
+        let mut rng = SimRng::seed_from(0x5E75);
+        // First lines of 8 sets, then of all 256 LLC sets; 20 lines per
+        // LLC set, so L1, L2 and the LLC evict and spill in both phases.
+        for (phase, sets) in [8, 256].into_iter().enumerate() {
+            let mut hits = [0u64; 4];
+            for step in 0..100_000 {
+                let line = rng.next_below(sets) + 256 * rng.next_below(20);
+                let addr = line * 64 + rng.next_below(64);
+                if let Some(level) = model.step(&mut c, &mut rng, addr, step) {
+                    hits[level as usize] += 1;
+                }
+            }
+            assert!(hits.iter().all(|&h| h > 1_000), "mix too narrow: {hits:?}");
+            for (name, level) in [("L1", &c.l1), ("L2", &c.l2), ("LLC", &c.llc)] {
+                if phase == 0 {
+                    assert!(!level.indexed(), "{name} indexed at {} sets", level.filled);
+                    assert_eq!(spilled(level), 8, "{name}");
+                } else {
+                    // Every set spilled, most after the switch.
+                    assert!(level.indexed(), "{name}");
+                    assert_eq!(spilled(level) as u64, level.sets, "{name}");
+                }
+            }
+            assert_eq!(c.ddio.indexed(), phase == 1);
         }
     }
 
@@ -597,60 +698,83 @@ mod tests {
     }
 
     #[test]
-    fn touched_sets_cost_one_entry_and_one_small_block_each() {
-        for k in [1usize, 10, 100] {
+    fn filled_sets_cost_at_most_four_entries_each_in_either_directory() {
+        let mut seen = [false; 2];
+        for k in [1usize, 10, 100, 1_000] {
             let mut c = hierarchy();
-            // Lines 0..k land in k distinct sets of every level (L1 has the
-            // fewest, 128); refilling or re-accessing them allocates
-            // nothing more.
+            // Lines 0..k, each accessed three times and injected once, land
+            // in k distinct LLC sets and in up to 128 and 1,024 of L1's and
+            // L2's.
             for round in 0..3 {
                 for line in 0..k as u64 {
                     c.access(line * 64 + round);
                 }
             }
-            // L1, L2 and the main LLC have 8, 8 and 14 ways; DDIO has 2.
-            for level in [&c.l1, &c.l2, &c.llc] {
-                assert_eq!(level.filled, k);
-                assert_eq!(level.tags.len(), k * SMALL_BLOCK);
-                assert!(level.dir.len() <= (4 * k).max(FIRST_DIRECTORY));
-            }
             assert_eq!(c.ddio.filled, 0, "CPU accesses never fill DDIO ways");
             for line in 0..k as u64 {
                 c.ddio_inject(line * 64);
             }
-            assert_eq!(c.ddio.filled, k);
-            assert_eq!(c.ddio.tags.len(), k * 2);
+            for level in [&c.l1, &c.l2, &c.llc, &c.ddio] {
+                let sets = level.sets as usize;
+                let filled = k.min(sets);
+                assert_eq!(level.filled, filled);
+                // A hashed directory is at most half full and doubles; it
+                // turns indexed when a doubling would reach `sets`, so past
+                // the first 16 entries it costs at most four 16-byte
+                // entries per filled set either way.
+                if level.indexed() {
+                    assert!(4 * filled > sets, "indexed at {filled} of {sets}");
+                } else {
+                    assert!(2 * filled <= level.dir.len() && level.dir.len() < sets);
+                }
+                assert!(level.dir.len() <= (4 * filled).max(FIRST_DIRECTORY));
+                seen[usize::from(level.indexed())] = true;
+                // Only a set that held more than two lines takes a block of
+                // `ways` tags.
+                let spills = (0..filled)
+                    .filter(|&s| level.ways > INLINE && (k - s).div_ceil(sets) > INLINE)
+                    .count();
+                assert_eq!(spilled(level), spills, "{k} lines over {sets} sets");
+                assert_eq!(level.spill.len(), spills * level.ways);
+            }
         }
+        assert_eq!(seen, [true, true], "both directory regimes");
     }
 
     #[test]
-    fn grown_shrunk_and_refilled_set_keeps_lru_order() {
+    fn spilled_set_keeps_lru_order() {
         let mut c = hierarchy();
-        // L1 has 128 sets of 8 ways and small blocks of 4; lines 128 apart
-        // share set 0.
+        // L1 has 128 sets of 8 ways; lines 128 apart share set 0.
         let l1 = &mut c.l1;
         let addr = |i: u64| i * 128 * 64;
         let set0 = |l1: &mut CacheLevel| -> Vec<u64> {
-            tags(l1, 0).into_iter().map(|line| line / 128).collect()
+            lines(l1, 0).into_iter().map(|line| line / 128).collect()
         };
-        for i in 0..6 {
+        for i in 0..2 {
+            l1.hit_or_fill(addr(i));
+        }
+        assert_eq!(set0(l1), [1, 0]);
+        assert!(l1.spill.is_empty(), "two tags fit inline");
+        for i in 2..6 {
             l1.hit_or_fill(addr(i));
         }
         assert_eq!(set0(l1), [5, 4, 3, 2, 1, 0]);
-        assert_eq!(l1.tags.len(), l1.small + l1.ways, "moved once");
-        assert_eq!(l1.free_small.len(), 1);
-        for i in [4, 0, 2] {
+        assert_eq!(l1.spill.len(), l1.ways, "moved once, to a block of 8");
+        for i in [4, 0, 2, 5] {
             l1.invalidate(addr(i));
         }
-        assert_eq!(set0(l1), [5, 3, 1]);
+        assert_eq!(set0(l1), [3, 1]);
         assert!(l1.hit_or_fill(addr(1)), "promoted, not refilled");
-        for i in 6..12 {
+        for i in 6..13 {
             l1.hit_or_fill(addr(i));
         }
-        assert_eq!(set0(l1), [11, 10, 9, 8, 7, 6, 1, 5], "3 evicted as LRU");
-        // The next set filled takes the freed small block.
-        l1.hit_or_fill(64);
-        assert_eq!(l1.tags.len(), l1.small + l1.ways);
-        assert!(l1.free_small.is_empty());
+        assert_eq!(set0(l1), [12, 11, 10, 9, 8, 7, 6, 1], "3 evicted as LRU");
+        assert_eq!(l1.spill.len(), l1.ways, "a shrunk set keeps its block");
+        // The next set to outgrow its entry takes a block of its own.
+        for i in 0..3 {
+            l1.hit_or_fill(64 + addr(i));
+        }
+        assert_eq!(l1.spill.len(), 2 * l1.ways);
+        assert_eq!(spilled(l1), 2);
     }
 }

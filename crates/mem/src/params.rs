@@ -2,6 +2,8 @@
 
 use ddp_sim::Duration;
 
+use crate::cache::{self, MAX_SETS};
+
 /// Clock frequency of the modeled cores, in GHz (Table 5: 2 GHz).
 pub const CORE_GHZ: f64 = 2.0;
 
@@ -147,6 +149,17 @@ impl MemoryParams {
         ((f64::from(self.llc_per_core.ways) * self.ddio_fraction).round() as u32).max(1)
     }
 
+    /// The highest address the cache hierarchy models, for parameters that
+    /// pass [`validate`](Self::validate). A level tells the lines of a set
+    /// apart by a 32-bit tag, the line number divided by its set count, so
+    /// a higher address would share a tag with a lower one.
+    #[must_use]
+    pub fn max_addr(&self) -> u64 {
+        cache::max_addr(&self.l1)
+            .min(cache::max_addr(&self.l2))
+            .min(cache::max_addr(&self.llc_total()))
+    }
+
     /// Checks that a cache hierarchy and an NVM device can be built from
     /// these parameters.
     ///
@@ -175,6 +188,25 @@ impl MemoryParams {
                     "{name}.line_bytes must be a power of two, got {}",
                     level.line_bytes
                 ));
+            }
+        }
+        if self
+            .llc_per_core
+            .capacity_bytes
+            .checked_mul(u64::from(self.cores))
+            .is_none()
+        {
+            return Err("llc_per_core.capacity_bytes times cores overflows 64 bits".into());
+        }
+        for (name, level) in [
+            ("l1.capacity_bytes", self.l1),
+            ("l2.capacity_bytes", self.l2),
+            ("llc_per_core.capacity_bytes times cores", self.llc_total()),
+        ] {
+            // A directory key is the set index + 1, in 32 bits.
+            let sets = level.sets();
+            if !(1..=MAX_SETS).contains(&sets) {
+                return Err(format!("{name} gives {sets} sets, outside 1..={MAX_SETS}"));
             }
         }
         if !(0.0..=1.0).contains(&self.ddio_fraction) || self.ddio_ways() >= self.llc_per_core.ways

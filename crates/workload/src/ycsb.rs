@@ -134,16 +134,20 @@ impl WorkloadSpec {
         self
     }
 
-    /// Validates the specification: a non-empty key space, a read ratio
-    /// in `[0, 1]`, and a Zipf skew in `[0, 1)` (what [`Zipfian::new`]
-    /// accepts).
+    /// Validates the specification: a key space of 1 to `max_key_space`
+    /// keys (as many as the caller can place; for a cluster, what its
+    /// memory system can address), a read ratio in `[0, 1]`, and a Zipf
+    /// skew in `[0, 1)` (what [`Zipfian::new`] accepts).
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.key_space == 0 {
-            return Err("key_space must be positive".into());
+    pub fn validate(&self, max_key_space: u64) -> Result<(), String> {
+        if !(1..=max_key_space).contains(&self.key_space) {
+            return Err(format!(
+                "key_space must be within 1..={max_key_space}, got {}",
+                self.key_space
+            ));
         }
         if !(0.0..=1.0).contains(&self.read_ratio) {
             return Err(format!(
