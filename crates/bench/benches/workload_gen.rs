@@ -37,7 +37,9 @@ fn request_stream(c: &mut Criterion) {
 }
 
 /// Set-up of the paper's client population: 100 YCSB-A clients over 5
-/// nodes and 100k Zipf keys.
+/// nodes and 100k Zipf keys. The process sums each Zipf normaliser once,
+/// so every iteration reads it from the memo, as every cell of a sweep
+/// after the first does.
 fn client_pool(c: &mut Criterion) {
     c.bench_function("workload/client_pool_100c_100k_zipf", |b| {
         let spec = WorkloadSpec::ycsb_a();
@@ -45,5 +47,24 @@ fn client_pool(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, zipfian_sampling, request_stream, client_pool);
+/// The cold normaliser sum: each iteration builds over a key space that
+/// no earlier iteration used (`100_000 + i`), so every build misses the
+/// memo.
+fn zipfian_new_miss(c: &mut Criterion) {
+    let mut n = 100_000;
+    c.bench_function("zipfian/new_miss_100k", |b| {
+        b.iter(|| {
+            n += 1;
+            Zipfian::new(n, 0.99)
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    zipfian_sampling,
+    request_stream,
+    client_pool,
+    zipfian_new_miss
+);
 criterion_main!(benches);

@@ -1242,6 +1242,11 @@ impl Simulation {
     /// Runs the experiment to completion and returns its report.
     ///
     /// Calling `run` again returns the same report without re-running.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event queue drains before `measured_requests`
+    /// complete, since such a run has no measured window to report.
     pub fn run(&mut self) -> RunReport {
         self.run_to_end();
         RunReport {
@@ -1253,6 +1258,10 @@ impl Simulation {
     /// Runs the simulation if it has not run, then drops the cluster and
     /// keeps its [`RunOutcome`]: the statistics move out rather than being
     /// copied, and the trace ring and timeline are drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Simulation::run`] does.
     #[must_use]
     pub fn finish(mut self) -> RunOutcome {
         self.run_to_end();
@@ -1291,6 +1300,13 @@ impl Simulation {
                     .schedule(down + c.down_for, Event::NodeRecover(NodeId(c.node)));
             }
             self.engine.run(&mut self.cluster);
+            assert!(
+                self.cluster.done,
+                "{}: the event queue drained after {} of {} measured requests",
+                self.cluster.cfg.model,
+                self.cluster.measured_completed,
+                self.cluster.cfg.measured_requests
+            );
             let now = self.engine.now();
             self.cluster.stats.causal_buffered.finish(now);
             self.cluster.stats.admission_queue.finish(now);
@@ -1373,6 +1389,15 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::model::DdpModel;
+
+    #[test]
+    #[should_panic(expected = "the event queue drained after 0 of 2000 measured requests")]
+    fn a_run_that_drains_before_its_quota_panics() {
+        let mut sim = Simulation::new(ClusterConfig::micro21(DdpModel::baseline()).quick());
+        // No client ever issues, so the queue starts empty.
+        sim.cluster.cfg.clients = 0;
+        let _ = sim.run();
+    }
 
     #[test]
     fn fault_free_runs_keep_only_in_flight_bookkeeping() {

@@ -164,8 +164,10 @@ impl WorkloadSpec {
     }
 
     /// Builds the key chooser this workload draws from. A Zipfian chooser
-    /// costs an O(`key_space`) normaliser sum, so a client pool builds it
-    /// once and shares clones across its streams.
+    /// costs an O(`key_space`) normaliser sum the first time the process
+    /// builds one over this key space and skew, and a table lookup and a
+    /// few `powf`s after that, so a client pool builds it once and shares
+    /// clones across its streams.
     #[must_use]
     pub fn key_chooser(&self) -> KeyChooser {
         match self.zipf_theta {

@@ -5,10 +5,19 @@
 //! uses: draws from `[0, n)` where item rank `i` has probability
 //! proportional to `1 / (i+1)^theta`.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use ddp_sim::SimRng;
 
 /// YCSB's default skew constant.
 pub const YCSB_THETA: f64 = 0.99;
+
+/// Every `zeta(n, theta)` this process has summed, keyed by
+/// `(n, theta.to_bits())`. An entry holds exactly what `Zipfian::zeta`
+/// returned, so a hit gives the same bits as a fresh sum. Nothing is
+/// evicted: an entry is a few dozen bytes, and only an O(n) sum adds one.
+static ZETA_N: Mutex<BTreeMap<(u64, u64), f64>> = Mutex::new(BTreeMap::new());
 
 /// A bounded Zipfian distribution over `[0, n)`.
 ///
@@ -46,7 +55,11 @@ impl Zipfian {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "empty key space");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
-        let zeta_n = Self::zeta(n, theta);
+        Self::with_zeta_n(n, theta, Self::zeta_n(n, theta))
+    }
+
+    /// The distribution over `[0, n)` whose normaliser is `zeta_n`.
+    fn with_zeta_n(n: u64, theta: f64, zeta_n: f64) -> Self {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zeta_n);
@@ -58,6 +71,28 @@ impl Zipfian {
             eta,
             zeta2,
         }
+    }
+
+    /// `zeta(n, theta)`, summed once per process: every later
+    /// client pool, stream and shard over the same key space and skew
+    /// reads the stored value instead of repeating the O(n) sum. The lock
+    /// is not held while summing, so two threads that miss together both
+    /// sum and store the same bits.
+    fn zeta_n(n: u64, theta: f64) -> f64 {
+        let key = (n, theta.to_bits());
+        let hit = ZETA_N
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        hit.unwrap_or_else(|| {
+            let zeta_n = Self::zeta(n, theta);
+            ZETA_N
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(key, zeta_n);
+            zeta_n
+        })
     }
 
     /// Harmonic-like normalizer `zeta(n, theta) = sum_{i=1..n} 1/i^theta`.
@@ -210,6 +245,46 @@ mod tests {
         let large = Zipfian::new(100_000_000, 0.99);
         assert!(large.zeta_n.is_finite());
         assert!(large.zeta_n > small.zeta_n);
+    }
+
+    #[test]
+    fn memoized_normaliser_matches_the_direct_sum() {
+        // 1,000 keys at two skews tells the skews apart; 99,991 keys is
+        // built by no other test, so its first build sums; 1,000,001 takes
+        // the head-plus-tail branch.
+        for (n, theta) in [
+            (1, 0.99),
+            (2, 0.99),
+            (1_000, 0.0),
+            (1_000, 0.5),
+            (99_991, 0.99),
+            (1_000_001, 0.99),
+        ] {
+            let direct = Zipfian::with_zeta_n(n, theta, Zipfian::zeta(n, theta));
+            for build in 0..2 {
+                let z = Zipfian::new(n, theta);
+                for (field, got, want) in [
+                    ("zeta_n", z.zeta_n, direct.zeta_n),
+                    ("eta", z.eta, direct.eta),
+                    ("alpha", z.alpha, direct.alpha),
+                    ("zeta2", z.zeta2, direct.zeta2),
+                ] {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "({n}, {theta}) build {build}: {field} {got} != {want}"
+                    );
+                }
+                let (mut a, mut b) = (SimRng::seed_from(29), SimRng::seed_from(29));
+                for draw in 0..1_000 {
+                    assert_eq!(
+                        z.sample(&mut a),
+                        direct.sample(&mut b),
+                        "({n}, {theta}) build {build}: draw {draw}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
