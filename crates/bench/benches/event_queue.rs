@@ -7,8 +7,10 @@ use ddp_sim::{Context, Duration, Engine, EventQueue, Model, SimRng, SimTime};
 /// of a cluster run moves or stores one of these.
 const EVENT_WORDS: usize = std::mem::size_of::<ddp_core::protocol::Event>() / 8;
 
-/// Every push is at least 1 ms ahead of the clock, beyond the calendar
-/// wheel's 8,192 ns reach, so this case times the overflow heap alone.
+/// Every push is 1-2 ms ahead of the clock: past the near level's two
+/// 8,192-ns blocks and well inside the far level's 67 ms, so this case
+/// times the far level, whose lists move to the near level one block at a
+/// time as the pops reach them.
 fn queue_push_pop(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_10k", |b| {
         b.iter_batched(
@@ -30,26 +32,21 @@ fn queue_push_pop(c: &mut Criterion) {
 /// The hold model: `depth` pending events of the simulator's event size,
 /// pushed at the first `depth` delays from time zero; each step pops the
 /// earliest and pushes its successor the next delay later, so the depth
-/// stands.
+/// stands. Every iteration runs 10k steps on the same queue, which stays
+/// warm as a simulation's does: a queue built per iteration would time
+/// cold caches and the queue's deallocation instead.
 fn hold(c: &mut Criterion, name: &str, depth: usize, delays: &[u64]) {
+    let mut q = EventQueue::with_capacity(depth + 1);
+    for (i, &d) in delays.iter().cycle().take(depth).enumerate() {
+        q.push(SimTime::from_nanos(d), [i as u64; EVENT_WORDS]);
+    }
     c.bench_function(name, |b| {
-        b.iter_batched(
-            || {
-                let mut q = EventQueue::with_capacity(depth + 1);
-                for (i, &d) in delays.iter().cycle().take(depth).enumerate() {
-                    q.push(SimTime::from_nanos(d), [i as u64; EVENT_WORDS]);
-                }
-                q
-            },
-            |mut q| {
-                for &d in delays {
-                    let (t, e) = q.pop().expect("the queue stands at its depth");
-                    q.push(t + Duration::from_nanos(d), e);
-                }
-                q
-            },
-            BatchSize::SmallInput,
-        );
+        b.iter(|| {
+            for &d in delays {
+                let (t, e) = q.pop().expect("the queue stands at its depth");
+                q.push(t + Duration::from_nanos(d), e);
+            }
+        });
     });
 }
 
@@ -81,8 +78,9 @@ fn queue_hold_closed_loop(c: &mut Criterion) {
 
 /// An open-loop overload cell's shape (`writes-openloop-lsm` at 1.5x
 /// `<Causal,Sync>` peaks at 29k pending and pushes 51 % of its events
-/// past the wheel): 15k pending; half the delays go beyond the wheel's
-/// reach, with a tail to ~0.5 ms, so those events take the overflow heap.
+/// 8,192 ns or more ahead): 15k pending; half the delays are under
+/// 8,000 ns, the rest 8,192 ns or more with a tail to ~0.5 ms, so those
+/// events wait in the far level.
 fn queue_hold_open_loop(c: &mut Criterion) {
     let mut rng = SimRng::seed_from(13);
     let delays: Vec<u64> = (0..10_000)
@@ -99,6 +97,30 @@ fn queue_hold_open_loop(c: &mut Criterion) {
         c,
         "event_queue/hold_10k_open_loop_15k_pending_tail_500us",
         15_000,
+        &delays,
+    );
+}
+
+/// The deepest backlog's shape: `writes-openloop-lsm`'s `<Eventual,Eventual>`
+/// at 1.5x peaks at ~52k pending, nearly all of them due 8 µs to 0.5 ms
+/// ahead. 50k pending; 95 % of the delays are 8,192 ns to ~0.5 ms, the
+/// rest under 8,000 ns.
+fn queue_hold_overload(c: &mut Criterion) {
+    let mut rng = SimRng::seed_from(17);
+    let delays: Vec<u64> = (0..10_000)
+        .map(|_| {
+            if rng.chance(0.05) {
+                1 + rng.next_below(8_000)
+            } else {
+                let u = rng.next_below(1_000);
+                8_192 + u * u / 2
+            }
+        })
+        .collect();
+    hold(
+        c,
+        "event_queue/hold_10k_overload_50k_pending_95pct_8us_to_500us",
+        50_000,
         &delays,
     );
 }
@@ -135,6 +157,7 @@ criterion_group!(
     queue_hold_event_sized,
     queue_hold_closed_loop,
     queue_hold_open_loop,
+    queue_hold_overload,
     engine_dispatch
 );
 criterion_main!(benches);

@@ -255,6 +255,7 @@ impl Cluster {
             self.drain_upd_buffer(ctx, node);
         } else {
             self.nodes[node.index()].upd_buffer.push(upd);
+            self.causal_held += 1;
             self.update_buffer_gauge(ctx.now());
         }
     }
@@ -324,6 +325,7 @@ impl Cluster {
             match idx {
                 Some(i) => {
                     let upd = self.nodes[node.index()].upd_buffer.swap_remove(i);
+                    self.causal_held -= 1;
                     self.update_buffer_gauge(ctx.now());
                     self.apply_upd(ctx, node, upd);
                 }

@@ -349,7 +349,8 @@ impl Cluster {
         let next_seq = self.nodes[node.index()].next_seq;
         let mut fresh = NodeState::new(node, &self.cfg);
         fresh.next_seq = next_seq;
-        self.nodes[node.index()] = fresh;
+        let wiped = std::mem::replace(&mut self.nodes[node.index()], fresh);
+        self.causal_held -= wiped.causal_held();
         self.update_buffer_gauge(ctx.now());
 
         // Survivors drop transients coordinated by the dead node — the VAL

@@ -335,10 +335,15 @@ pub(crate) struct BufferedUpd {
 
 /// One entry of a per-origin causal persist chain: applied updates whose
 /// persists must respect causal order (Synchronous/Strict persistency).
+/// The chain's node, origin and persistency give the persist's purpose
+/// (`Cluster::chained_purpose`), so an entry keeps only the write's
+/// sequence number beside the update: 32 bytes an entry, where overload
+/// holds tens of thousands.
 #[derive(Debug)]
 pub(crate) struct ChainedPersist {
     pub update: Update,
-    pub purpose: PersistPurpose,
+    /// The write's coordinator-local sequence number.
+    pub seq: u64,
 }
 
 /// Scope bookkeeping at one node: buffered unpersisted writes and, once the
@@ -428,6 +433,16 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
+    /// Entries in the node's causal UPD buffer and persist chains.
+    pub(crate) fn causal_held(&self) -> u64 {
+        self.upd_buffer.len() as u64
+            + self
+                .persist_chains
+                .iter()
+                .map(|c| c.len() as u64)
+                .sum::<u64>()
+    }
+
     fn new(id: NodeId, cfg: &ClusterConfig) -> Self {
         let n = cfg.nodes as usize;
         let _ = id;
@@ -583,6 +598,10 @@ pub struct Cluster {
     pub(crate) active_txns: txn::TxnRegistry,
     /// Updates whose lazy persist has not completed (buffer-gauge input).
     pub(crate) lazy_pending: u64,
+    /// Entries in every node's causal UPD buffer and persist chains
+    /// (buffer-gauge input), kept where entries are pushed, drained,
+    /// popped or wiped by a crash.
+    pub(crate) causal_held: u64,
     pub(crate) done: bool,
     /// Open-loop arrival and admission state (`None` on closed loops).
     pub(crate) ol: Option<OpenLoopState>,
@@ -676,6 +695,7 @@ impl Cluster {
             observations: ObservationLog::default(),
             active_txns: txn::TxnRegistry::default(),
             lazy_pending: 0,
+            causal_held: 0,
             done: false,
             ol,
             faults_active: cfg.faults.active(),
@@ -799,16 +819,14 @@ impl Cluster {
 
     /// Updates the causal-buffer occupancy gauge.
     pub(crate) fn update_buffer_gauge(&mut self, now: SimTime) {
-        let count: u64 = self
-            .nodes
-            .iter()
-            .map(|n| {
-                n.upd_buffer.len() as u64
-                    + n.persist_chains.iter().map(|c| c.len() as u64).sum::<u64>()
-            })
-            .sum::<u64>()
-            + self.lazy_pending;
-        self.stats.causal_buffered.set(now, count);
+        debug_assert_eq!(
+            self.causal_held,
+            self.nodes.iter().map(NodeState::causal_held).sum::<u64>(),
+            "the running count of causal buffer and chain entries"
+        );
+        self.stats
+            .causal_buffered
+            .set(now, self.causal_held + self.lazy_pending);
     }
 
     /// Updates the cluster NVM bank-queue gauge with node `node`'s exact
@@ -1389,6 +1407,18 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::model::DdpModel;
+
+    /// The records an overload backlog holds by the tens of thousands: one
+    /// `Event` per pending event, whose `Option` takes the enum's niche so
+    /// that the event queue's record adds 8 bytes to it (`ddp_sim`'s
+    /// `a_record_adds_8_bytes_to_a_96_byte_event`), and one
+    /// `ChainedPersist` per chained causal persist.
+    #[test]
+    fn backlog_records_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<Event>(), 96);
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 96);
+        assert_eq!(std::mem::size_of::<ChainedPersist>(), 32);
+    }
 
     #[test]
     #[should_panic(expected = "the event queue drained after 0 of 2000 measured requests")]

@@ -5,7 +5,7 @@ use ddp_net::NodeId;
 use ddp_sim::{Context, Duration, SimTime};
 use ddp_trace::TraceEventKind;
 
-use crate::message::{ScopeId, TxnId};
+use crate::message::{ScopeId, TxnId, WriteId};
 use crate::model::{Consistency, Persistency};
 
 use super::{ChainedPersist, Cluster, Event, LazyPersistCtx, PersistCtx, PersistPurpose, Update};
@@ -55,8 +55,15 @@ impl Cluster {
             Persistency::Strict | Persistency::Synchronous | Persistency::ReadEnforced => {
                 match self.persist_chain(node, purpose) {
                     Some(origin) => {
-                        let entry = ChainedPersist { update, purpose };
+                        let seq = match purpose {
+                            PersistPurpose::WriteLocal { seq } => seq,
+                            PersistPurpose::FollowerInv { write, .. } => write.seq,
+                            _ => 0,
+                        };
+                        debug_assert_eq!(self.chained_purpose(node, origin, seq), purpose);
+                        let entry = ChainedPersist { update, seq };
                         self.nodes[node.index()].persist_chains[origin.index()].push_back(entry);
+                        self.causal_held += 1;
                         self.update_buffer_gauge(ctx.now());
                         self.advance_chain(ctx, node, origin);
                     }
@@ -83,6 +90,27 @@ impl Cluster {
         }
     }
 
+    /// The purpose of a chained persist of write `seq` on `origin`'s chain
+    /// at `node`: the node's own write on its own chain; on another
+    /// origin's, a UPD that Strict persistency persists on arrival (its
+    /// coordinator waits for the ACK_p), else a causal apply that nothing
+    /// waits for. Causal consistency has no transactions.
+    fn chained_purpose(&self, node: NodeId, origin: NodeId, seq: u64) -> PersistPurpose {
+        if origin == node {
+            PersistPurpose::WriteLocal { seq }
+        } else if self.pers == Persistency::Strict {
+            PersistPurpose::FollowerInv {
+                write: WriteId {
+                    coordinator: origin,
+                    seq,
+                },
+                txn: None,
+            }
+        } else {
+            PersistPurpose::CausalApply { origin }
+        }
+    }
+
     /// Starts the next persist of a causal chain if none is in flight.
     fn advance_chain(&mut self, ctx: &mut Context<'_, Event>, node: NodeId, origin: NodeId) {
         let n = &mut self.nodes[node.index()];
@@ -93,7 +121,9 @@ impl Cluster {
             return;
         };
         n.chain_busy[origin.index()] = true;
-        self.persist(ctx, node, ctx.now(), entry.update, entry.purpose);
+        self.causal_held -= 1;
+        let purpose = self.chained_purpose(node, origin, entry.seq);
+        self.persist(ctx, node, ctx.now(), entry.update, purpose);
         self.update_buffer_gauge(ctx.now());
     }
 

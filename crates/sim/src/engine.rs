@@ -1,8 +1,16 @@
 //! The simulation driver: repeatedly pops the earliest event and hands it to
 //! the model, until a stop condition is met.
 
+use std::fmt::Debug;
+
 use crate::queue::EventQueue;
 use crate::time::SimTime;
+
+/// The most events [`Engine::run_until`] dispatches in a row at one
+/// instant before it panics: a model that keeps re-arming events at the
+/// current instant never advances the clock, so its run would not end.
+/// DESIGN.md §3c gives the longest run any in-repo model reaches.
+const SAME_INSTANT_LIMIT: u64 = 1_000_000;
 
 /// A simulation model: application state plus an event handler.
 ///
@@ -110,6 +118,8 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     dispatched: u64,
+    /// Events dispatched in a row at `now`.
+    at_now: u64,
 }
 
 impl<E> Engine<E> {
@@ -120,6 +130,7 @@ impl<E> Engine<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
+            at_now: 0,
         }
     }
 
@@ -160,7 +171,14 @@ impl<E> Engine<E> {
     /// Runs until the queue drains or the model requests a stop.
     ///
     /// Returns the final simulated time.
-    pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) -> SimTime {
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Engine::run_until`] does.
+    pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) -> SimTime
+    where
+        E: Debug,
+    {
         self.run_until(model, SimTime::MAX)
     }
 
@@ -170,15 +188,29 @@ impl<E> Engine<E> {
     ///
     /// Returns the final simulated time: the time of the last dispatched
     /// event, or `deadline` if the run was cut off by it while events remain.
-    pub fn run_until<M: Model<Event = E>>(&mut self, model: &mut M, deadline: SimTime) -> SimTime {
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the instant and the next event, when more than a
+    /// million events in a row would dispatch at one instant: a model that
+    /// keeps re-arming events at the current instant would never end.
+    pub fn run_until<M: Model<Event = E>>(&mut self, model: &mut M, deadline: SimTime) -> SimTime
+    where
+        E: Debug,
+    {
         let mut stop = false;
         while !stop {
             let Some((t, event)) = self.queue.pop_due(deadline) else {
                 if !self.queue.is_empty() {
                     self.now = deadline;
+                    self.at_now = 0;
                 }
                 break;
             };
+            self.at_now = if t == self.now { self.at_now + 1 } else { 1 };
+            if self.at_now > SAME_INSTANT_LIMIT {
+                same_instant_livelock(t, &event);
+            }
             self.now = t;
             self.dispatched += 1;
             let mut ctx = Context {
@@ -191,6 +223,17 @@ impl<E> Engine<E> {
         }
         self.now
     }
+}
+
+/// The panic of a run that dispatched `SAME_INSTANT_LIMIT` events in a row
+/// at `at` and would dispatch `next` there too.
+#[cold]
+#[inline(never)]
+fn same_instant_livelock<E: Debug>(at: SimTime, next: &E) -> ! {
+    panic!(
+        "{SAME_INSTANT_LIMIT} events dispatched in a row at {at:?} without the clock advancing; \
+         the next is {next:?}"
+    )
 }
 
 impl<E> Default for Engine<E> {
@@ -306,6 +349,27 @@ mod tests {
                 ctx.schedule_in(Duration::from_nanos(5), hop + 1);
             }
         }
+    }
+
+    /// Re-arms itself at the current instant, forever.
+    struct Rearm;
+    impl Model for Rearm {
+        type Event = &'static str;
+        fn handle(&mut self, ctx: &mut Context<'_, &'static str>, _ev: &'static str) {
+            let now = ctx.now();
+            ctx.schedule_at(now, "rearm");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "1000000 events dispatched in a row at 7ns without the clock \
+                               advancing; the next is \"rearm\""
+    )]
+    fn a_model_that_rearms_at_the_same_instant_panics() {
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_nanos(7), "first");
+        e.run(&mut Rearm);
     }
 
     #[test]
