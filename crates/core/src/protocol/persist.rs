@@ -261,12 +261,14 @@ impl Cluster {
                 );
             }
         }
-        // The key is now durable locally up to this version.
-        {
+        // The key is now durable locally up to this version. A
+        // transaction-log record's key is its log address, not a client
+        // key, so it leaves the replica store and parked reads alone.
+        if !matches!(pctx.purpose, PersistPurpose::TxnLog { .. }) {
             let st = self.nodes[node.index()].store.state_mut(pctx.key);
             st.local_persisted = st.local_persisted.max(pctx.version);
+            self.wake_reads(ctx, node, pctx.key);
         }
-        self.wake_reads(ctx, node, pctx.key);
 
         match pctx.purpose {
             PersistPurpose::WriteLocal { seq } => {

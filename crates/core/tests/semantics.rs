@@ -2,7 +2,8 @@
 //! each model, checked against the run's own history.
 
 use ddp_core::{
-    ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation, VectorClock,
+    ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation, StoreKind,
+    VectorClock,
 };
 use proptest::prelude::*;
 
@@ -93,6 +94,30 @@ fn transactional_runs_commit_every_measured_request() {
         "only {} commits for 2000 requests",
         stats.txns_committed
     );
+}
+
+/// A transaction's begin-log record persists at a log address, not at a
+/// client key, so after a run of every Transactional model each node's
+/// replica store holds only keys of the workload's key space.
+#[test]
+fn transaction_logs_leave_the_replica_stores_to_client_keys() {
+    for store in [StoreKind::HashTable, StoreKind::Lsm] {
+        for p in Persistency::ALL {
+            let model = DdpModel::new(Consistency::Transactional, p);
+            let cfg = ClusterConfig::micro21(model).quick().with_store(store);
+            let key_space = cfg.workload.key_space;
+            let mut sim = Simulation::new(cfg);
+            sim.run();
+            for (node, replica) in sim.cluster().node_stores_public().enumerate() {
+                replica.for_each(&mut |key, _| {
+                    assert!(
+                        key < key_space,
+                        "{model} on {store}: node {node} holds key {key:#x}"
+                    );
+                });
+            }
+        }
+    }
 }
 
 proptest! {
