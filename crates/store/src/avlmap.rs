@@ -4,7 +4,7 @@
 //! role). An AVL tree keeps lookups and updates at O(log n) with strict
 //! balance, which also makes its worst-case shape easy to test.
 
-use crate::traits::{Key, KvStore, OrderedKvStore};
+use crate::traits::{Key, KvStore};
 
 #[derive(Clone, Debug)]
 struct Node<V> {
@@ -110,75 +110,20 @@ fn insert<V>(node: Option<Box<Node<V>>>, key: Key, value: V) -> (Box<Node<V>>, O
     }
 }
 
-/// Removes the minimum node of a subtree, returning (rest, min_node).
-fn take_min<V>(mut node: Box<Node<V>>) -> (Option<Box<Node<V>>>, Box<Node<V>>) {
-    match node.left.take() {
-        None => {
-            let right = node.right.take();
-            (right, node)
-        }
-        Some(left) => {
-            let (rest, min) = take_min(left);
-            node.left = rest;
-            (Some(rebalance(node)), min)
-        }
-    }
-}
-
-fn remove<V>(node: Option<Box<Node<V>>>, key: Key) -> (Option<Box<Node<V>>>, Option<V>) {
-    match node {
-        None => (None, None),
-        Some(mut n) => {
-            if key < n.key {
-                let (child, old) = remove(n.left.take(), key);
-                n.left = child;
-                (Some(rebalance(n)), old)
-            } else if key > n.key {
-                let (child, old) = remove(n.right.take(), key);
-                n.right = child;
-                (Some(rebalance(n)), old)
-            } else {
-                let value;
-                let replacement = match (n.left.take(), n.right.take()) {
-                    (None, None) => {
-                        value = n.value;
-                        None
-                    }
-                    (Some(l), None) => {
-                        value = n.value;
-                        Some(l)
-                    }
-                    (None, Some(r)) => {
-                        value = n.value;
-                        Some(r)
-                    }
-                    (Some(l), Some(r)) => {
-                        // Replace with the in-order successor.
-                        let (rest, mut successor) = take_min(r);
-                        successor.left = Some(l);
-                        successor.right = rest;
-                        value = n.value;
-                        Some(rebalance(successor))
-                    }
-                };
-                (replacement, Some(value))
-            }
-        }
-    }
-}
-
 /// A balanced ordered map keyed by [`Key`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ddp_store::{AvlMap, KvStore, OrderedKvStore};
+/// use ddp_store::{AvlMap, KvStore};
 ///
 /// let mut m = AvlMap::new();
 /// for k in [5u64, 1, 9, 3] {
 ///     m.put(k, k * 10);
 /// }
-/// assert_eq!(m.keys_in_order(), vec![1, 3, 5, 9]);
+/// let mut keys = Vec::new();
+/// m.for_each(&mut |k, _| keys.push(k)); // in key order
+/// assert_eq!(keys, vec![1, 3, 5, 9]);
 /// assert_eq!(m.get(3), Some(&30));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -263,26 +208,12 @@ impl<V> KvStore<V> for AvlMap<V> {
         old
     }
 
-    fn remove(&mut self, key: Key) -> Option<V> {
-        let (root, old) = remove(self.root.take(), key);
-        self.root = root;
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
     fn len(&self) -> usize {
         self.len
     }
 
+    /// Visits every entry in ascending key order (an in-order walk).
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
-        self.for_each_in_order(f);
-    }
-}
-
-impl<V> OrderedKvStore<V> for AvlMap<V> {
-    fn for_each_in_order<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         fn walk<'a, V>(node: &'a Option<Box<Node<V>>>, f: &mut dyn FnMut(Key, &'a V)) {
             if let Some(n) = node {
                 walk(&n.left, f);
@@ -292,39 +223,18 @@ impl<V> OrderedKvStore<V> for AvlMap<V> {
         }
         walk(&self.root, f);
     }
-
-    fn range_inclusive(&self, lo: Key, hi: Key) -> Vec<(Key, &V)> {
-        // Tree-native bounded walk: subtrees entirely outside [lo, hi] are
-        // pruned, so the cost is O(log n + matches) instead of O(n).
-        fn walk<'a, V>(
-            node: &'a Option<Box<Node<V>>>,
-            lo: Key,
-            hi: Key,
-            out: &mut Vec<(Key, &'a V)>,
-        ) {
-            if let Some(n) = node {
-                if n.key > lo {
-                    walk(&n.left, lo, hi, out);
-                }
-                if n.key >= lo && n.key <= hi {
-                    out.push((n.key, &n.value));
-                }
-                if n.key < hi {
-                    walk(&n.right, lo, hi, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        if lo <= hi {
-            walk(&self.root, lo, hi, &mut out);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The keys `for_each` visits, in visit order.
+    fn keys<V>(m: &AvlMap<V>) -> Vec<Key> {
+        let mut out = Vec::new();
+        m.for_each(&mut |k, _| out.push(k));
+        out
+    }
 
     #[test]
     fn insert_and_in_order_iteration() {
@@ -332,7 +242,7 @@ mod tests {
         for k in [50u64, 20, 80, 10, 30, 70, 90] {
             m.put(k, ());
         }
-        assert_eq!(m.keys_in_order(), vec![10, 20, 30, 50, 70, 80, 90]);
+        assert_eq!(keys(&m), vec![10, 20, 30, 50, 70, 80, 90]);
         m.assert_invariants();
     }
 
@@ -356,22 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_leaf_internal_and_root() {
-        let mut m = AvlMap::new();
-        for k in [50u64, 20, 80, 10, 30, 70, 90] {
-            m.put(k, k);
-        }
-        assert_eq!(m.remove(10), Some(10)); // leaf
-        m.assert_invariants();
-        assert_eq!(m.remove(20), Some(20)); // internal with one child
-        m.assert_invariants();
-        assert_eq!(m.remove(50), Some(50)); // root with two children
-        m.assert_invariants();
-        assert_eq!(m.keys_in_order(), vec![30, 70, 80, 90]);
-        assert_eq!(m.remove(12345), None);
-    }
-
-    #[test]
     fn random_workout_matches_model() {
         use std::collections::BTreeMap;
         let mut m = AvlMap::new();
@@ -385,7 +279,7 @@ mod tests {
                     assert_eq!(m.put(key, state), model.insert(key, state));
                 }
                 1 => {
-                    assert_eq!(m.remove(key), model.remove(&key));
+                    assert_eq!(m.get_mut(key), model.get_mut(&key));
                 }
                 _ => {
                     assert_eq!(m.get(key), model.get(&key));
@@ -393,45 +287,8 @@ mod tests {
             }
         }
         assert_eq!(m.len(), model.len());
-        let keys: Vec<_> = model.keys().copied().collect();
-        assert_eq!(m.keys_in_order(), keys);
+        let model_keys: Vec<_> = model.keys().copied().collect();
+        assert_eq!(keys(&m), model_keys);
         m.assert_invariants();
-    }
-
-    #[test]
-    fn range_inclusive_filters() {
-        let mut m = AvlMap::new();
-        for k in 0..20u64 {
-            m.put(k, k);
-        }
-        let r = m.range_inclusive(5, 8);
-        let keys: Vec<_> = r.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![5, 6, 7, 8]);
-        assert!(m.range_inclusive(8, 5).is_empty(), "inverted bounds");
-    }
-
-    #[test]
-    fn native_range_matches_the_trait_default_oracle() {
-        let mut m = AvlMap::new();
-        let mut state = 0x9e37_79b9_u64;
-        for _ in 0..300 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            m.put((state >> 40) % 200, state);
-        }
-        for (lo, hi) in [(0u64, 199u64), (37, 91), (150, 150), (190, 500)] {
-            // The O(n) trait default is the oracle for the pruned walk.
-            let mut oracle = Vec::new();
-            m.for_each_in_order(&mut |k, v| {
-                if k >= lo && k <= hi {
-                    oracle.push((k, *v));
-                }
-            });
-            let native: Vec<(Key, u64)> = m
-                .range_inclusive(lo, hi)
-                .into_iter()
-                .map(|(k, v)| (k, *v))
-                .collect();
-            assert_eq!(native, oracle, "range [{lo}, {hi}]");
-        }
     }
 }

@@ -1,11 +1,11 @@
-//! A B+tree: values only in leaves, leaves linked for fast range scans.
+//! A B+tree: values only in leaves, leaves linked in key order.
 //!
 //! This is the "BPlusTree" store of the paper's evaluation (the TLX role).
 //! The implementation keeps an explicit leaf level as a `Vec` of leaf
 //! nodes addressed by index, which gives the linked-leaf property without
-//! unsafe pointer chasing.
+//! unsafe pointer chasing; `for_each` walks the leaf links.
 
-use crate::traits::{Key, KvStore, OrderedKvStore};
+use crate::traits::{Key, KvStore};
 
 /// Maximum entries per leaf and maximum keys per branch.
 const FANOUT: usize = 16;
@@ -33,15 +33,17 @@ enum Branch {
 /// # Examples
 ///
 /// ```
-/// use ddp_store::{BPlusTree, KvStore, OrderedKvStore};
+/// use ddp_store::{BPlusTree, KvStore};
 ///
 /// let mut t = BPlusTree::new();
-/// for k in 0..64u64 {
-///     t.put(k, k);
+/// for k in (0..64u64).rev() {
+///     t.put(k, k * 2);
 /// }
-/// // Range scans walk the linked leaf level.
-/// let sum: u64 = t.scan(10, 19).iter().map(|(_, v)| **v).sum();
-/// assert_eq!(sum, (10..=19).sum());
+/// assert_eq!(t.get(10), Some(&20));
+/// // `for_each` walks the linked leaf level, in key order.
+/// let mut keys = Vec::new();
+/// t.for_each(&mut |k, _| keys.push(k));
+/// assert_eq!(keys, (0..64).collect::<Vec<_>>());
 /// ```
 #[derive(Clone, Debug)]
 pub struct BPlusTree<V> {
@@ -146,32 +148,6 @@ impl<V> BPlusTree<V> {
             }
         }
     }
-
-    /// Returns all entries with keys in `[lo, hi]` by walking linked leaves.
-    pub fn scan(&self, lo: Key, hi: Key) -> Vec<(Key, &V)> {
-        let mut out = Vec::new();
-        let mut idx = Some(self.leaf_for(lo));
-        while let Some(i) = idx {
-            let leaf = &self.leaves[i];
-            for (k, v) in leaf.keys.iter().zip(&leaf.values) {
-                if *k > hi {
-                    return out;
-                }
-                if *k >= lo {
-                    out.push((*k, v));
-                }
-            }
-            idx = leaf.next;
-        }
-        out
-    }
-
-    /// Number of leaves currently allocated (including empty ones left by
-    /// deletions); exposed for structural tests.
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
-    }
 }
 
 impl<V> Default for BPlusTree<V> {
@@ -213,36 +189,12 @@ impl<V> KvStore<V> for BPlusTree<V> {
         old
     }
 
-    fn remove(&mut self, key: Key) -> Option<V> {
-        // Deletion uses relaxed rebalancing: entries are removed from their
-        // leaf, and empty leaves are skipped by iteration. This keeps reads
-        // correct (the index still routes to the right leaf) at the cost of
-        // some slack, which suits a store whose workload is read/update
-        // dominated.
-        let idx = self.leaf_for(key);
-        let leaf = &mut self.leaves[idx];
-        match leaf.keys.binary_search(&key) {
-            Ok(pos) => {
-                leaf.keys.remove(pos);
-                let v = leaf.values.remove(pos);
-                self.len -= 1;
-                Some(v)
-            }
-            Err(_) => None,
-        }
-    }
-
     fn len(&self) -> usize {
         self.len
     }
 
+    /// Visits every entry in ascending key order, along the leaf links.
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
-        self.for_each_in_order(f);
-    }
-}
-
-impl<V> OrderedKvStore<V> for BPlusTree<V> {
-    fn for_each_in_order<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         let mut idx = Some(self.first_leaf);
         while let Some(i) = idx {
             let leaf = &self.leaves[i];
@@ -252,30 +204,28 @@ impl<V> OrderedKvStore<V> for BPlusTree<V> {
             idx = leaf.next;
         }
     }
-
-    fn range_inclusive(&self, lo: Key, hi: Key) -> Vec<(Key, &V)> {
-        // The linked-leaf scan starts at lo's leaf and stops past hi:
-        // O(log n + matches), not the trait default's full O(n) walk.
-        if lo > hi {
-            return Vec::new();
-        }
-        self.scan(lo, hi)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The keys `for_each` visits, in visit order.
+    fn keys<V>(t: &BPlusTree<V>) -> Vec<Key> {
+        let mut out = Vec::new();
+        t.for_each(&mut |k, _| out.push(k));
+        out
+    }
+
     #[test]
     fn basic_crud() {
         let mut t = BPlusTree::new();
+        assert!(t.is_empty());
         assert_eq!(t.put(1, "one"), None);
         assert_eq!(t.put(1, "uno"), Some("one"));
         assert_eq!(t.get(1), Some(&"uno"));
-        assert_eq!(t.remove(1), Some("uno"));
-        assert_eq!(t.get(1), None);
-        assert!(t.is_empty());
+        assert_eq!(t.get(2), None);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -284,37 +234,8 @@ mod tests {
         for k in (0..2_000u64).rev() {
             t.put(k, k);
         }
-        assert_eq!(t.keys_in_order(), (0..2_000).collect::<Vec<_>>());
-        assert!(t.leaf_count() > 1, "tree should have split");
-    }
-
-    #[test]
-    fn scan_crosses_leaf_boundaries() {
-        let mut t = BPlusTree::new();
-        for k in 0..500u64 {
-            t.put(k, k * 3);
-        }
-        let got = t.scan(100, 199);
-        assert_eq!(got.len(), 100);
-        assert!(got
-            .iter()
-            .enumerate()
-            .all(|(i, (k, v))| { *k == 100 + i as u64 && **v == (100 + i as u64) * 3 }));
-    }
-
-    #[test]
-    fn scan_with_sparse_keys() {
-        let mut t = BPlusTree::new();
-        for k in (0..1_000u64).step_by(7) {
-            t.put(k, k);
-        }
-        let got = t.scan(50, 100);
-        let keys: Vec<u64> = got.iter().map(|(k, _)| *k).collect();
-        let expect: Vec<u64> = (0..1_000)
-            .step_by(7)
-            .filter(|k| (50..=100).contains(k))
-            .collect();
-        assert_eq!(keys, expect);
+        assert_eq!(keys(&t), (0..2_000).collect::<Vec<_>>());
+        assert!(t.leaves.len() > 1, "tree should have split");
     }
 
     #[test]
@@ -328,50 +249,11 @@ mod tests {
             let key = (state >> 33) % 800;
             match state % 4 {
                 0 | 1 => assert_eq!(t.put(key, step), model.insert(key, step)),
-                2 => assert_eq!(t.remove(key), model.remove(&key)),
+                2 => assert_eq!(t.get_mut(key), model.get_mut(&key)),
                 _ => assert_eq!(t.get(key), model.get(&key)),
             }
         }
         assert_eq!(t.len(), model.len());
-        assert_eq!(t.keys_in_order(), model.keys().copied().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn native_range_matches_the_trait_default_oracle() {
-        let mut t = BPlusTree::new();
-        for k in (0..600u64).step_by(3) {
-            t.put(k, k * 2);
-        }
-        for (lo, hi) in [(0u64, 599u64), (91, 347), (300, 300), (598, 9999), (5, 4)] {
-            // The O(n) trait default is the oracle for the leaf-linked scan.
-            let mut oracle = Vec::new();
-            t.for_each_in_order(&mut |k, v| {
-                if k >= lo && k <= hi {
-                    oracle.push((k, *v));
-                }
-            });
-            let native: Vec<(Key, u64)> = t
-                .range_inclusive(lo, hi)
-                .into_iter()
-                .map(|(k, v)| (k, *v))
-                .collect();
-            assert_eq!(native, oracle, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn reinsert_after_remove() {
-        let mut t = BPlusTree::new();
-        for k in 0..100u64 {
-            t.put(k, k);
-        }
-        for k in 0..100u64 {
-            t.remove(k);
-        }
-        for k in 0..100u64 {
-            assert_eq!(t.put(k, k + 1), None);
-        }
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.get(42), Some(&43));
+        assert_eq!(keys(&t), model.keys().copied().collect::<Vec<_>>());
     }
 }

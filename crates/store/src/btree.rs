@@ -4,7 +4,7 @@
 //! role): values live in every node, and nodes are wide to stay cache
 //! friendly.
 
-use crate::traits::{Key, KvStore, OrderedKvStore};
+use crate::traits::{Key, KvStore};
 
 /// Minimum degree `t`: nodes hold between `t-1` and `2t-1` keys
 /// (except the root, which may hold fewer).
@@ -103,149 +103,6 @@ impl<V> Node<V> {
         }
     }
 
-    fn min_keys() -> usize {
-        T - 1
-    }
-
-    /// Removes `key` from this subtree; `self` must have > min keys unless
-    /// it is the root.
-    fn remove(&mut self, key: Key) -> Option<V> {
-        match self.keys.binary_search(&key) {
-            Ok(pos) => {
-                if self.is_leaf() {
-                    self.keys.remove(pos);
-                    Some(self.values.remove(pos))
-                } else {
-                    self.remove_internal(pos)
-                }
-            }
-            Err(pos) => {
-                if self.is_leaf() {
-                    return None;
-                }
-                self.ensure_child_can_lose(pos);
-                // After rebalancing, the separator may have moved.
-                match self.keys.binary_search(&key) {
-                    Ok(p) => self.remove_internal(p),
-                    Err(p) => self.children[p].remove(key),
-                }
-            }
-        }
-    }
-
-    /// Removes the key at `pos` of an internal node.
-    fn remove_internal(&mut self, pos: usize) -> Option<V> {
-        if self.children[pos].keys.len() > Self::min_keys() {
-            // Replace with predecessor from the left subtree.
-            let (pk, pv) = self.children[pos].take_max();
-            self.keys[pos] = pk;
-            Some(std::mem::replace(&mut self.values[pos], pv))
-        } else if self.children[pos + 1].keys.len() > Self::min_keys() {
-            let (sk, sv) = self.children[pos + 1].take_min();
-            self.keys[pos] = sk;
-            Some(std::mem::replace(&mut self.values[pos], sv))
-        } else {
-            // Merge the two children around the key, then recurse.
-            let key = self.keys[pos];
-            self.merge_children(pos);
-            self.children[pos].remove(key)
-        }
-    }
-
-    fn take_max(&mut self) -> (Key, V) {
-        if self.is_leaf() {
-            let k = self.keys.pop().expect("nonempty by invariant");
-            let v = self.values.pop().expect("parallel to keys");
-            (k, v)
-        } else {
-            let last = self.children.len() - 1;
-            self.ensure_child_can_lose(last);
-            let last = self.children.len() - 1;
-            self.children[last].take_max()
-        }
-    }
-
-    fn take_min(&mut self) -> (Key, V) {
-        if self.is_leaf() {
-            let k = self.keys.remove(0);
-            let v = self.values.remove(0);
-            (k, v)
-        } else {
-            self.ensure_child_can_lose(0);
-            self.children[0].take_min()
-        }
-    }
-
-    /// Guarantees `children[i]` has more than the minimum number of keys,
-    /// borrowing from a sibling or merging as needed. May shrink
-    /// `self.children`; callers must re-derive indices afterwards.
-    fn ensure_child_can_lose(&mut self, i: usize) {
-        if self.children[i].keys.len() > Self::min_keys() {
-            return;
-        }
-        if i > 0 && self.children[i - 1].keys.len() > Self::min_keys() {
-            // Rotate from the left sibling through the separator.
-            let (lk, lv) = {
-                let left = &mut self.children[i - 1];
-                let k = left.keys.pop().expect("has spare");
-                let v = left.values.pop().expect("parallel");
-                (k, v)
-            };
-            let sep_k = std::mem::replace(&mut self.keys[i - 1], lk);
-            let sep_v = std::mem::replace(&mut self.values[i - 1], lv);
-            let moved_child = if !self.children[i - 1].is_leaf() {
-                self.children[i - 1].children.pop()
-            } else {
-                None
-            };
-            let child = &mut self.children[i];
-            child.keys.insert(0, sep_k);
-            child.values.insert(0, sep_v);
-            if let Some(mc) = moved_child {
-                child.children.insert(0, mc);
-            }
-        } else if i + 1 < self.children.len() && self.children[i + 1].keys.len() > Self::min_keys()
-        {
-            // Rotate from the right sibling through the separator.
-            let (rk, rv) = {
-                let right = &mut self.children[i + 1];
-                let k = right.keys.remove(0);
-                let v = right.values.remove(0);
-                (k, v)
-            };
-            let sep_k = std::mem::replace(&mut self.keys[i], rk);
-            let sep_v = std::mem::replace(&mut self.values[i], rv);
-            let moved_child = if !self.children[i + 1].is_leaf() {
-                Some(self.children[i + 1].children.remove(0))
-            } else {
-                None
-            };
-            let child = &mut self.children[i];
-            child.keys.push(sep_k);
-            child.values.push(sep_v);
-            if let Some(mc) = moved_child {
-                child.children.push(mc);
-            }
-        } else if i + 1 < self.children.len() {
-            self.merge_children(i);
-        } else {
-            self.merge_children(i - 1);
-        }
-    }
-
-    /// Merges `children[i]`, the separator at `i`, and `children[i+1]`.
-    fn merge_children(&mut self, i: usize) {
-        let right = self.children.remove(i + 1);
-        let sep_k = self.keys.remove(i);
-        let sep_v = self.values.remove(i);
-        let left = &mut self.children[i];
-        left.keys.push(sep_k);
-        left.values.push(sep_v);
-        left.keys.extend(right.keys);
-        left.values.extend(right.values);
-        left.children.extend(right.children);
-    }
-
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         if self.is_leaf() {
             for (k, v) in self.keys.iter().zip(&self.values) {
@@ -269,14 +126,16 @@ impl<V> Node<V> {
 /// # Examples
 ///
 /// ```
-/// use ddp_store::{BTree, KvStore, OrderedKvStore};
+/// use ddp_store::{BTree, KvStore};
 ///
 /// let mut t = BTree::new();
 /// for k in (0..100u64).rev() {
 ///     t.put(k, k);
 /// }
 /// assert_eq!(t.len(), 100);
-/// assert_eq!(t.keys_in_order(), (0..100).collect::<Vec<_>>());
+/// let mut keys = Vec::new();
+/// t.for_each(&mut |k, _| keys.push(k)); // in key order
+/// assert_eq!(keys, (0..100).collect::<Vec<_>>());
 /// ```
 #[derive(Clone, Debug)]
 pub struct BTree<V> {
@@ -362,57 +221,15 @@ impl<V> KvStore<V> for BTree<V> {
         old
     }
 
-    fn remove(&mut self, key: Key) -> Option<V> {
-        let old = self.root.remove(key);
-        if old.is_some() {
-            self.len -= 1;
-        }
-        if self.root.keys.is_empty() && !self.root.is_leaf() {
-            self.root = self.root.children.remove(0);
-        }
-        old
-    }
-
     fn len(&self) -> usize {
         self.len
     }
 
+    /// Visits every entry in ascending key order (an in-order walk).
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
-        self.for_each_in_order(f);
-    }
-}
-
-impl<V> OrderedKvStore<V> for BTree<V> {
-    fn for_each_in_order<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         if self.len > 0 {
             self.root.for_each(f);
         }
-    }
-
-    fn range_inclusive(&self, lo: Key, hi: Key) -> Vec<(Key, &V)> {
-        // Tree-native bounded walk: binary search positions the slot
-        // bounds in every node, and only child subtrees overlapping
-        // [lo, hi] descend — O(log n + matches) instead of O(n).
-        fn walk<'a, V>(node: &'a Node<V>, lo: Key, hi: Key, out: &mut Vec<(Key, &'a V)>) {
-            let start = node.keys.partition_point(|&k| k < lo);
-            let end = node.keys.partition_point(|&k| k <= hi);
-            if node.is_leaf() {
-                for i in start..end {
-                    out.push((node.keys[i], &node.values[i]));
-                }
-            } else {
-                for i in start..end {
-                    walk(&node.children[i], lo, hi, out);
-                    out.push((node.keys[i], &node.values[i]));
-                }
-                walk(&node.children[end], lo, hi, out);
-            }
-        }
-        let mut out = Vec::new();
-        if self.len > 0 && lo <= hi {
-            walk(&self.root, lo, hi, &mut out);
-        }
-        out
     }
 }
 
@@ -420,20 +237,27 @@ impl<V> OrderedKvStore<V> for BTree<V> {
 mod tests {
     use super::*;
 
+    /// The keys `for_each` visits, in visit order.
+    fn keys<V>(t: &BTree<V>) -> Vec<Key> {
+        let mut out = Vec::new();
+        t.for_each(&mut |k, _| out.push(k));
+        out
+    }
+
     #[test]
     fn ascending_and_descending_inserts() {
         for rev in [false, true] {
             let mut t = BTree::new();
-            let keys: Vec<u64> = if rev {
+            let keys_in: Vec<u64> = if rev {
                 (0..500).rev().collect()
             } else {
                 (0..500).collect()
             };
-            for &k in &keys {
+            for &k in &keys_in {
                 t.put(k, k);
                 t.assert_invariants();
             }
-            assert_eq!(t.keys_in_order(), (0..500).collect::<Vec<_>>());
+            assert_eq!(keys(&t), (0..500).collect::<Vec<_>>());
         }
     }
 
@@ -450,32 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_all_orders() {
-        let mut t = BTree::new();
-        for k in 0..300u64 {
-            t.put(k, k);
-        }
-        // Remove in an interleaved order to exercise borrow and merge paths.
-        let mut order: Vec<u64> = (0..300).collect();
-        order.sort_by_key(|k| (k % 7, *k));
-        for &k in &order {
-            assert_eq!(t.remove(k), Some(k), "removing {k}");
-            t.assert_invariants();
-        }
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn remove_missing_returns_none() {
-        let mut t = BTree::new();
-        for k in 0..100u64 {
-            t.put(k, k);
-        }
-        assert_eq!(t.remove(1000), None);
-        assert_eq!(t.len(), 100);
-    }
-
-    #[test]
     fn random_workout_matches_model() {
         use std::collections::BTreeMap;
         let mut t = BTree::new();
@@ -488,13 +286,13 @@ mod tests {
             let key = (state >> 33) % 700;
             match state % 4 {
                 0 | 1 => assert_eq!(t.put(key, step), model.insert(key, step)),
-                2 => assert_eq!(t.remove(key), model.remove(&key)),
+                2 => assert_eq!(t.get_mut(key), model.get_mut(&key)),
                 _ => assert_eq!(t.get(key), model.get(&key)),
             }
         }
         t.assert_invariants();
         assert_eq!(t.len(), model.len());
-        assert_eq!(t.keys_in_order(), model.keys().copied().collect::<Vec<_>>());
+        assert_eq!(keys(&t), model.keys().copied().collect::<Vec<_>>());
     }
 
     #[test]
@@ -503,31 +301,5 @@ mod tests {
         t.put(5, vec![1]);
         t.get_mut(5).unwrap().push(2);
         assert_eq!(t.get(5), Some(&vec![1, 2]));
-    }
-
-    #[test]
-    fn native_range_matches_the_trait_default_oracle() {
-        let mut t = BTree::new();
-        let mut state = 0x5ca1_ab1e_u64;
-        for _ in 0..800 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            t.put((state >> 40) % 1_000, state);
-        }
-        t.assert_invariants();
-        for (lo, hi) in [(0u64, 999u64), (123, 789), (500, 500), (990, 5000), (7, 6)] {
-            // The O(n) trait default is the oracle for the pruned walk.
-            let mut oracle = Vec::new();
-            t.for_each_in_order(&mut |k, v| {
-                if k >= lo && k <= hi {
-                    oracle.push((k, *v));
-                }
-            });
-            let native: Vec<(Key, u64)> = t
-                .range_inclusive(lo, hi)
-                .into_iter()
-                .map(|(k, v)| (k, *v))
-                .collect();
-            assert_eq!(native, oracle, "range [{lo}, {hi}]");
-        }
     }
 }

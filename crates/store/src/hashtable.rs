@@ -223,6 +223,37 @@ impl<V> HashTable<V> {
         &mut self.entries[position].1
     }
 
+    /// Removes `key`, returning its value if present. Backward-shift
+    /// deletion leaves no tombstone; the last entry moves into the removed
+    /// entry's place. The slab cache's replacement and eviction and
+    /// `ddp-core`'s transaction registry call it; no replica store does.
+    pub fn remove(&mut self, key: Key) -> Option<V> {
+        let Probe::Found(idx) = self.probe(key) else {
+            return None;
+        };
+        let entry = self.slots[idx].entry as usize;
+        // Backward-shift deletion keeps probe sequences tombstone-free.
+        let mask = self.mask();
+        let mut hole = idx;
+        let mut next = (idx + 1) & mask;
+        while !self.slots[next].is_empty() && self.slots[next].probe_len > 0 {
+            self.slots[hole] = self.slots[next];
+            self.slots[hole].probe_len -= 1;
+            hole = next;
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = EMPTY;
+        let (_, value) = self.entries.swap_remove(entry);
+        // The last entry moved into the hole: repoint its slot.
+        if let Some(&(moved, _)) = self.entries.get(entry) {
+            let Probe::Found(at) = self.probe(moved) else {
+                unreachable!("moved entry {moved} is indexed");
+            };
+            self.slots[at].entry = entry as u32;
+        }
+        Some(value)
+    }
+
     /// The value of `key`, inserting `fill()` first if the key is absent:
     /// the same table, and the same slot order, as `contains`, then `put`
     /// if absent, then `get_mut`, in one probe when the key is present.
@@ -273,33 +304,6 @@ impl<V> KvStore<V> for HashTable<V> {
                 None
             }
         }
-    }
-
-    fn remove(&mut self, key: Key) -> Option<V> {
-        let Probe::Found(idx) = self.probe(key) else {
-            return None;
-        };
-        let entry = self.slots[idx].entry as usize;
-        // Backward-shift deletion keeps probe sequences tombstone-free.
-        let mask = self.mask();
-        let mut hole = idx;
-        let mut next = (idx + 1) & mask;
-        while !self.slots[next].is_empty() && self.slots[next].probe_len > 0 {
-            self.slots[hole] = self.slots[next];
-            self.slots[hole].probe_len -= 1;
-            hole = next;
-            next = (next + 1) & mask;
-        }
-        self.slots[hole] = EMPTY;
-        let (_, value) = self.entries.swap_remove(entry);
-        // The last entry moved into the hole: repoint its slot.
-        if let Some(&(moved, _)) = self.entries.get(entry) {
-            let Probe::Found(at) = self.probe(moved) else {
-                unreachable!("moved entry {moved} is indexed");
-            };
-            self.slots[at].entry = entry as u32;
-        }
-        Some(value)
     }
 
     fn len(&self) -> usize {

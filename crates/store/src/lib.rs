@@ -4,13 +4,18 @@
 //! memcached and several simpler in-memory stores: HashTable, Map, B-Tree,
 //! and B+Tree (§7). This crate implements all five shapes from scratch
 //! behind one [`KvStore`] trait, so the replication engine in `ddp-core`
-//! is store-agnostic:
+//! is store-agnostic. The trait holds only what the engine's YCSB-style
+//! traffic performs: point reads and upserts (`get`, `get_mut`, `put`),
+//! `len`, and a whole-store walk (`for_each`) for crash snapshots; the
+//! hash-indexed stores add a one-probe `get_or_insert_with`. No store
+//! operation deletes a key or scans a range; [`HashTable::remove`] serves
+//! the slab cache's eviction and `ddp-core`'s transaction registry:
 //!
 //! * [`HashTable`] — a Robin Hood index of 16-byte slots over dense
 //!   entries;
 //! * [`AvlMap`] — balanced ordered map (the `std::map` role);
 //! * [`BTree`] — B-tree with values in every node (the cpp-btree role);
-//! * [`BPlusTree`] — B+tree with linked leaves and range scans (TLX role);
+//! * [`BPlusTree`] — B+tree with linked leaves (the TLX role);
 //! * [`SlabCache`] — memcached-like bounded cache with slab classes and
 //!   LRU eviction.
 //!
@@ -42,7 +47,7 @@ pub use btree::BTree;
 pub use hashtable::HashTable;
 pub use lsm::{LsmStore, LsmWork, DEFAULT_FANOUT, DEFAULT_MEMTABLE_ENTRIES};
 pub use slab::{SlabCache, SlabClassStats, SlabSized};
-pub use traits::{Key, KvStore, OrderedKvStore};
+pub use traits::{Key, KvStore};
 
 /// The store shapes evaluated in the paper, for configuration surfaces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,8 +130,9 @@ mod tests {
             }
             assert_eq!(s.len(), 100);
             assert_eq!(s.get(50), Some(&51));
-            assert_eq!(s.remove(50), Some(51));
-            assert!(!s.contains(50));
+            *s.get_mut(50).expect("present") += 1;
+            assert_eq!(s.put(50, 0), Some(52));
+            assert!(!s.contains(100));
         }
     }
 
