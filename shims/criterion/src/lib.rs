@@ -134,7 +134,10 @@ impl Bencher {
         }
     }
 
-    /// Times `routine` over fresh inputs built by `setup` (setup untimed).
+    /// Times `routine` over fresh inputs built by `setup`. Neither `setup`
+    /// nor dropping the routine's outputs is timed: a sample's inputs are
+    /// built before its clock starts, and its outputs are kept until the
+    /// sample is recorded.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -142,15 +145,18 @@ impl Bencher {
     {
         let input = setup();
         let start = Instant::now();
-        black_box(routine(input));
+        let output = black_box(routine(input));
         self.size_samples(start.elapsed());
+        drop(output);
+        let n = self.iters_per_sample as usize;
+        let mut inputs: Vec<I> = Vec::with_capacity(n);
+        let mut outputs: Vec<O> = Vec::with_capacity(n);
         for _ in 0..SAMPLE_COUNT {
-            let inputs: Vec<I> = (0..self.iters_per_sample).map(|_| setup()).collect();
+            inputs.extend((0..n).map(|_| setup()));
             let start = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
+            outputs.extend(inputs.drain(..).map(|input| black_box(routine(input))));
             self.record(start.elapsed());
+            outputs.clear();
         }
     }
 }
@@ -219,6 +225,35 @@ mod tests {
             b.iter_batched(|| vec![1u8; 8], |v| v.len(), BatchSize::SmallInput);
         });
         group.finish();
+    }
+
+    /// Outputs are dropped only between samples: while a sample is timed,
+    /// each routine call sees the drop count its sample's last `setup`
+    /// saw.
+    #[test]
+    fn batched_outputs_are_not_dropped_while_a_sample_is_timed() {
+        use std::cell::Cell;
+        struct Counted<'a>(&'a Cell<u64>);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = Cell::new(0);
+        let seen_at_setup = Cell::new(0);
+        let calls = Cell::new(0);
+        let mut b = Bencher::default();
+        b.iter_batched(
+            || seen_at_setup.set(drops.get()),
+            |()| {
+                assert_eq!(drops.get(), seen_at_setup.get(), "dropped mid-sample");
+                calls.set(calls.get() + 1);
+                Counted(&drops)
+            },
+            BatchSize::SmallInput,
+        );
+        assert!(b.iters_per_sample > 1, "a sample must time several calls");
+        assert_eq!(drops.get(), calls.get(), "every output is dropped");
     }
 
     #[test]
