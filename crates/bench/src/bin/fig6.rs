@@ -7,7 +7,10 @@
 //! models, and the bars within a group are persistency models.
 
 use ddp_core::{Consistency, Persistency, RunSummary};
-use ddp_harness::{figure_config, print_row, print_rule, ratio, Harness, ModelGrid, Sweep};
+use ddp_harness::{
+    figure_config, print_persistency_header, print_row, print_rule, ratio, Harness, ModelGrid,
+    Sweep,
+};
 
 /// Extracts one plotted metric from a run summary.
 type Metric = fn(&RunSummary) -> f64;
@@ -35,11 +38,7 @@ fn main() {
 
     for (title, metric) in plots {
         println!("{title}");
-        print!("{:<28}", "");
-        for p in Persistency::ALL {
-            print!(" {:>8}", abbreviate(p));
-        }
-        println!();
+        print_persistency_header();
         print_rule(5);
         for c in Consistency::ALL {
             let values: Vec<f64> = Persistency::ALL
@@ -54,14 +53,4 @@ fn main() {
     println!("               (b) Read-Enforced persistency raises read latency (NVM pressure);");
     println!("               (c) Causal/Eventual writes far below 1.0; Strict persistency ~1.0.");
     harness.finish();
-}
-
-fn abbreviate(p: Persistency) -> &'static str {
-    match p {
-        Persistency::Strict => "Strict",
-        Persistency::Synchronous => "Sync",
-        Persistency::ReadEnforced => "RdEnf",
-        Persistency::Scope => "Scope",
-        Persistency::Eventual => "Evntl",
-    }
 }
