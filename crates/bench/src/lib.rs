@@ -21,11 +21,7 @@
 //! `--quick` (smoke-test request counts); see [`ddp_harness`].
 //!
 //! The sweep machinery itself — grid building, the parallel executor, the
-//! JSON-lines writer, and the table helpers — lives in [`ddp_harness`];
-//! this crate re-exports the pieces the binaries and external callers use
-//! so existing `ddp_bench::...` imports keep working.
+//! JSON-lines writer, and the table helpers — lives in [`ddp_harness`].
 //!
 //! The `benches/` directory holds Criterion microbenchmarks of the
 //! substrate crates (`cargo bench --workspace`).
-
-pub use ddp_harness::{bar, figure_config, measure, measure_sim, print_row, print_rule};

@@ -607,9 +607,6 @@ impl ClusterConfig {
         if self.trace.timeline_window == Some(Duration::ZERO) {
             return Err("trace timeline_window must be positive".into());
         }
-        if self.trace.timeline_window.is_some() && self.trace.timeline_max_windows == 0 {
-            return Err("trace timeline_max_windows must be positive".into());
-        }
         Ok(())
     }
 }
@@ -809,11 +806,6 @@ mod tests {
 
         let mut bad = ClusterConfig::micro21(DdpModel::baseline());
         bad.trace.timeline_window = Some(Duration::ZERO);
-        assert!(bad.validate().is_err());
-
-        let mut bad = ClusterConfig::micro21(DdpModel::baseline());
-        bad.trace.timeline_window = Some(Duration::from_micros(50));
-        bad.trace.timeline_max_windows = 0;
         assert!(bad.validate().is_err());
     }
 

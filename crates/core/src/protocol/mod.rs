@@ -1361,12 +1361,6 @@ impl Simulation {
     pub fn take_timeline(&mut self) -> Option<TimelineDump> {
         self.cluster.take_timeline()
     }
-
-    /// Mutable cluster access (failure injection).
-    #[must_use]
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
 }
 
 /// Convenience: build, run, and report in one call.

@@ -96,12 +96,6 @@ impl SeedStat {
     pub fn spread(&self) -> f64 {
         self.max - self.min
     }
-
-    /// `mean ±stddev` formatted for tables, e.g. `"12.3 ±0.4"`.
-    #[must_use]
-    pub fn pm(&self) -> String {
-        format!("{:.1} \u{b1}{:.1}", self.mean, self.stddev)
-    }
 }
 
 /// One grid cell's metrics condensed across its seed replicas.

@@ -363,12 +363,6 @@ impl CacheHierarchy {
         self.l2.invalidate(addr);
         self.llc_lat
     }
-
-    /// Latency of an LLC round trip, used for protocol bookkeeping updates.
-    #[must_use]
-    pub fn llc_latency(&self) -> Duration {
-        self.llc_lat
-    }
 }
 
 #[cfg(test)]

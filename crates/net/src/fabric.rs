@@ -1,4 +1,4 @@
-//! The cluster fabric: node addressing, unicast, and broadcast.
+//! The cluster fabric: node addressing and unicast delivery.
 
 use ddp_sim::{Duration, SimRng, SimTime};
 
@@ -58,8 +58,9 @@ pub struct Delivery {
 /// use ddp_sim::SimTime;
 ///
 /// let mut fabric = Fabric::new(5, NetworkParams::micro21());
-/// let deliveries = fabric.broadcast(SimTime::ZERO, NodeId(0), 64, RdmaKind::Send);
-/// assert_eq!(deliveries.len(), 4); // everyone but the sender
+/// let d = fabric.unicast(SimTime::ZERO, NodeId(0), NodeId(3), 64, RdmaKind::Send);
+/// assert_eq!(d.to, NodeId(3));
+/// assert!(d.arrival > SimTime::ZERO); // after the wire and NIC time
 /// ```
 #[derive(Debug)]
 pub struct Fabric {
@@ -116,17 +117,6 @@ impl Fabric {
     #[must_use]
     pub fn fault_profile(&self) -> Option<&FaultProfile> {
         self.faults.as_ref().map(|l| &l.profile)
-    }
-
-    /// Number of nodes on the fabric.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// All node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nics.len() as u8).map(NodeId)
     }
 
     /// The fabric parameters.
@@ -221,25 +211,6 @@ impl Fabric {
         }
     }
 
-    /// Broadcasts `bytes` from `from` to every other node.
-    ///
-    /// The copies serialize on the sender's egress link, so each follower
-    /// sees a slightly later arrival — exactly the cost the paper's
-    /// broadcast-based protocols pay per write.
-    pub fn broadcast(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        bytes: u64,
-        kind: RdmaKind,
-    ) -> Vec<Delivery> {
-        let targets: Vec<NodeId> = self.nodes().filter(|&n| n != from).collect();
-        targets
-            .into_iter()
-            .map(|to| self.unicast(now, from, to, bytes, kind))
-            .collect()
-    }
-
     /// The NIC of `node`, for statistics.
     #[must_use]
     pub fn nic(&self, node: NodeId) -> &Nic {
@@ -260,21 +231,31 @@ mod tests {
         assert!(d.arrival >= SimTime::ZERO + NetworkParams::micro21().one_way());
     }
 
-    #[test]
-    fn broadcast_reaches_everyone_else() {
-        let mut f = Fabric::new(5, NetworkParams::micro21());
-        let ds = f.broadcast(SimTime::ZERO, NodeId(2), 64, RdmaKind::WriteVolatile);
-        let mut tos: Vec<u8> = ds.iter().map(|d| d.to.0).collect();
-        tos.sort_unstable();
-        assert_eq!(tos, vec![0, 1, 3, 4]);
+    /// A write's copies go to every follower by one unicast each, as the
+    /// protocol sends them.
+    fn unicast_to_followers(f: &mut Fabric, from: NodeId, bytes: u64) -> Vec<Delivery> {
+        (0..5u8)
+            .map(NodeId)
+            .filter(|&to| to != from)
+            .map(|to| f.unicast(SimTime::ZERO, from, to, bytes, RdmaKind::WriteVolatile))
+            .collect()
     }
 
     #[test]
-    fn broadcast_copies_serialize() {
+    fn unicast_to_followers_reaches_everyone_else() {
         let mut f = Fabric::new(5, NetworkParams::micro21());
-        let ds = f.broadcast(SimTime::ZERO, NodeId(0), 64 * 1024, RdmaKind::WriteVolatile);
-        let mut arrivals: Vec<SimTime> = ds.iter().map(|d| d.arrival).collect();
-        arrivals.sort_unstable();
+        let ds = unicast_to_followers(&mut f, NodeId(2), 64);
+        let tos: Vec<u8> = ds.iter().map(|d| d.to.0).collect();
+        assert_eq!(tos, vec![0, 1, 3, 4]);
+    }
+
+    /// The copies serialize on the sender's egress link, so each follower
+    /// sees a later arrival than the one before it.
+    #[test]
+    fn unicast_copies_serialize_on_egress() {
+        let mut f = Fabric::new(5, NetworkParams::micro21());
+        let ds = unicast_to_followers(&mut f, NodeId(0), 64 * 1024);
+        let arrivals: Vec<SimTime> = ds.iter().map(|d| d.arrival).collect();
         assert!(arrivals.windows(2).all(|w| w[0] < w[1]));
     }
 

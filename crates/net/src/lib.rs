@@ -7,8 +7,9 @@
 //! those command types so receivers can honor their placement guarantees.
 //!
 //! Like `ddp-mem`, this crate is a pure timing model: [`Fabric::unicast`]
-//! and [`Fabric::broadcast`] return arrival times, and the protocol engine
-//! in `ddp-core` turns them into simulator events.
+//! and [`Fabric::transmit`] return arrival times, and the protocol engine
+//! in `ddp-core` turns them into simulator events (a broadcast is one
+//! unicast per follower, serialized on the sender's egress link).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

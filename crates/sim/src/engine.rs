@@ -101,13 +101,6 @@ impl<E> Context<'_, E> {
     pub fn request_stop(&mut self) {
         *self.stop = true;
     }
-
-    /// Returns the number of pending events (excluding the one being
-    /// handled).
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// The discrete-event simulation engine.

@@ -58,12 +58,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the instant as (fractional) microseconds since simulation start.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns the instant as (fractional) seconds since simulation start.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -140,12 +134,6 @@ impl Duration {
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the span as (fractional) microseconds.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Returns the span as (fractional) seconds.

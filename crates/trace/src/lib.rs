@@ -55,10 +55,11 @@ pub struct TraceConfig {
     /// Aggregate a windowed metrics [`Timeline`] with this window width;
     /// `None` disables the timeline.
     pub timeline_window: Option<Duration>,
-    /// Maximum timeline windows kept per run (later events fold into the
-    /// final window and are counted as clipped).
-    pub timeline_max_windows: usize,
 }
+
+/// Maximum timeline windows kept per run (later events fold into the final
+/// window and are counted as clipped).
+const TIMELINE_MAX_WINDOWS: usize = 1 << 12;
 
 impl Default for TraceConfig {
     fn default() -> Self {
@@ -66,7 +67,6 @@ impl Default for TraceConfig {
             events: false,
             ring_capacity: 1 << 20,
             timeline_window: None,
-            timeline_max_windows: 1 << 12,
         }
     }
 }
@@ -93,7 +93,7 @@ impl TraceConfig {
     #[must_use]
     pub fn build_timeline(&self) -> Timeline {
         match self.timeline_window {
-            Some(window) => Timeline::new(window, self.timeline_max_windows),
+            Some(window) => Timeline::new(window, TIMELINE_MAX_WINDOWS),
             None => Timeline::disabled(),
         }
     }
@@ -110,7 +110,6 @@ mod tests {
         assert!(cfg.timeline_window.is_none());
         assert!(!cfg.build_timeline().is_enabled());
         assert!(cfg.ring_capacity > 0);
-        assert!(cfg.timeline_max_windows > 0);
     }
 
     #[test]
