@@ -116,14 +116,6 @@ impl SimRng {
         lo + self.next_below(span + 1)
     }
 
-    /// Shuffles a slice in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     ///
     /// # Panics
@@ -213,16 +205,6 @@ mod tests {
             }
         }
         assert!(lo_seen && hi_seen);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

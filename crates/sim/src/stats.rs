@@ -110,13 +110,6 @@ impl Histogram {
         Duration::from_nanos((self.sum / u128::from(self.count)) as u64)
     }
 
-    /// Sum of all recorded samples in nanoseconds (exact — kept at full
-    /// width, unlike the bucketed percentiles).
-    #[must_use]
-    pub fn sum_nanos(&self) -> u128 {
-        self.sum
-    }
-
     /// Smallest recorded sample, or zero if empty.
     #[must_use]
     pub fn min(&self) -> Duration {
@@ -247,16 +240,6 @@ impl LevelGauge {
         self.last_change = now;
         self.current = level;
         self.max = self.max.max(level);
-    }
-
-    /// Adjusts the level by a signed delta at time `now`.
-    pub fn adjust(&mut self, now: crate::time::SimTime, delta: i64) {
-        let next = if delta >= 0 {
-            self.current + delta as u64
-        } else {
-            self.current.saturating_sub((-delta) as u64)
-        };
-        self.set(now, next);
     }
 
     /// Closes the measurement window at `now`, accounting the final span.
@@ -401,19 +384,12 @@ mod tests {
     fn gauge_tracks_max_and_mean() {
         let mut g = LevelGauge::new();
         g.set(SimTime::from_nanos(0), 4);
-        g.adjust(SimTime::from_nanos(5), 4); // -> 8
-        g.adjust(SimTime::from_nanos(10), -8); // -> 0
+        g.set(SimTime::from_nanos(5), 8);
+        g.set(SimTime::from_nanos(10), 0);
         g.finish(SimTime::from_nanos(20));
         assert_eq!(g.max(), 8);
         // 4 for 5ns, 8 for 5ns, 0 for 10ns => (20+40)/20 = 3.
         assert!((g.time_weighted_mean() - 3.0).abs() < 1e-9);
-        assert_eq!(g.current(), 0);
-    }
-
-    #[test]
-    fn gauge_adjust_saturates_at_zero() {
-        let mut g = LevelGauge::new();
-        g.adjust(SimTime::from_nanos(1), -5);
         assert_eq!(g.current(), 0);
     }
 }

@@ -49,7 +49,6 @@ enum Branch {
 pub struct BPlusTree<V> {
     leaves: Vec<Leaf<V>>,
     root: Branch,
-    first_leaf: usize,
     len: usize,
 }
 
@@ -64,7 +63,6 @@ impl<V> BPlusTree<V> {
                 next: None,
             }],
             root: Branch::Leaf(0),
-            first_leaf: 0,
             len: 0,
         }
     }
@@ -194,8 +192,10 @@ impl<V> KvStore<V> for BPlusTree<V> {
     }
 
     /// Visits every entry in ascending key order, along the leaf links.
+    /// Leaf 0 is always the leftmost: a split keeps the left half in place
+    /// and appends the right half.
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
-        let mut idx = Some(self.first_leaf);
+        let mut idx = Some(0);
         while let Some(i) = idx {
             let leaf = &self.leaves[i];
             for (k, v) in leaf.keys.iter().zip(&leaf.values) {

@@ -152,12 +152,6 @@ impl ArrivalGen {
         }
     }
 
-    /// The process this generator samples.
-    #[must_use]
-    pub fn process(&self) -> ArrivalProcess {
-        self.process
-    }
-
     /// Inter-arrival times produced so far.
     #[must_use]
     pub fn produced(&self) -> u64 {
