@@ -113,12 +113,6 @@ impl Fabric {
         };
     }
 
-    /// The installed fault profile, if a non-trivial one is active.
-    #[must_use]
-    pub fn fault_profile(&self) -> Option<&FaultProfile> {
-        self.faults.as_ref().map(|l| &l.profile)
-    }
-
     /// The fabric parameters.
     #[must_use]
     pub fn params(&self) -> &NetworkParams {
