@@ -407,10 +407,6 @@ pub struct ClusterConfig {
     pub warmup_requests: u64,
     /// Number of measured client requests after warm-up.
     pub measured_requests: u64,
-    /// Record per-operation observations (read/write log) for the
-    /// consistency/durability checkers. Off by default: the log grows with
-    /// the run length.
-    pub record_observations: bool,
     /// Open-loop arrival mode; `None` keeps the paper's closed-loop
     /// clients. When set, `clients` becomes the number of concurrent
     /// session slots (maximum in-service requests) rather than a closed
@@ -449,7 +445,6 @@ impl ClusterConfig {
             seed: 0xDD9,
             warmup_requests: 2_000,
             measured_requests: 20_000,
-            record_observations: false,
             open_loop: None,
             faults: FaultPlan::none(),
             compaction: CompactionConfig::default(),
@@ -497,13 +492,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables the per-operation observation log (checker support).
-    #[must_use]
-    pub fn with_observations(mut self) -> Self {
-        self.record_observations = true;
         self
     }
 

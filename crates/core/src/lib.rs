@@ -77,8 +77,7 @@ pub use fleet::{
 pub use message::{Message, ScopeId, TxnId, WriteId};
 pub use model::{Consistency, DdpModel, Persistency};
 pub use protocol::{
-    run_experiment, Cluster, ObservationLog, OpenLoopAccounting, ReadObservation, RunOutcome,
-    RunReport, Simulation, WriteObservation,
+    run_experiment, Cluster, OpenLoopAccounting, RunOutcome, RunReport, Simulation,
 };
 pub use recovery::{recover, RecoveredState, RecoveryPolicy};
 pub use recovery_time::{estimate_recovery, RecoveryEstimate};

@@ -295,7 +295,6 @@ impl Cluster {
             cr.op_token = cr.op_token.wrapping_add(1);
             cr.op_token
         };
-        self.clients.client_mut(client).complete_one();
         // One arrival is one logical session: a single request, or a whole
         // transaction, or the requests-plus-Persist of a scope. The slot
         // is held until the session's remaining protocol steps finish.

@@ -4,14 +4,14 @@
 use ddp_net::NodeId;
 use ddp_sim::{Context, LevelGauge, SimTime};
 use ddp_store::Key;
-use ddp_trace::TraceEventKind;
+use ddp_trace::{TraceEventKind, TraceRecord};
 use ddp_workload::{ClientId, OpKind, Request};
 
 use crate::message::{ScopeId, TxnId};
 use crate::model::{Consistency, Persistency};
 use crate::stats::RunStats;
 
-use super::{ClientPhase, Cluster, Event, ObservationLog, ReadObservation, WriteObservation};
+use super::{ClientPhase, Cluster, Event};
 
 impl Cluster {
     /// The node that coordinates a client's requests.
@@ -31,7 +31,6 @@ impl Cluster {
             // A dead home node cannot coordinate anything: park the client
             // and probe again, rather than timing out request by request.
             if self.is_down(self.home_of(client)) {
-                self.clients.client_mut(client).note_deferred();
                 ctx.schedule_in(self.cfg.faults.op_timeout, Event::Issue(client, token));
                 return;
             }
@@ -196,7 +195,21 @@ impl Cluster {
         } else {
             TraceEventKind::WriteComplete
         };
-        self.trace_at(ctx, t_done, kind, node.0, key, version, latency.as_nanos());
+        // The history checker reads what clients observed from these
+        // records, so unlike every other trace call this one fills in the
+        // client.
+        if self.tracer.is_enabled() {
+            self.tracer.push(TraceRecord {
+                seq: ctx.dispatch_seq(),
+                at_ns: t_done.as_nanos(),
+                a: key,
+                b: version,
+                c: latency.as_nanos(),
+                kind,
+                node: node.0,
+                client: client.0,
+            });
+        }
         if self.measuring {
             if is_read {
                 self.stats.reads_completed += 1;
@@ -213,24 +226,12 @@ impl Cluster {
                     w.writes_completed += 1;
                 }
             }
-            self.measured_completed += 1;
-        }
-        if self.cfg.record_observations {
-            record_observation(
-                &mut self.observations,
-                client,
-                node,
-                is_read,
-                key,
-                version,
-                t_done,
-            );
         }
         self.total_completed += 1;
         if !self.measuring && self.total_completed >= self.cfg.warmup_requests {
             self.begin_measurement(ctx.now());
         }
-        if self.measuring && self.measured_completed >= self.cfg.measured_requests {
+        if self.measuring && self.stats.completed() >= self.cfg.measured_requests {
             self.done = true;
             ctx.request_stop();
         }
@@ -284,34 +285,5 @@ impl Cluster {
             cr.op_token
         };
         ctx.schedule_at(at, Event::Issue(client, token));
-        self.clients.client_mut(client).complete_one();
-    }
-}
-
-/// Appends one observation to the log.
-fn record_observation(
-    log: &mut ObservationLog,
-    client: ClientId,
-    node: NodeId,
-    is_read: bool,
-    key: Key,
-    version: u64,
-    t_done: SimTime,
-) {
-    if is_read {
-        log.reads.push(ReadObservation {
-            client: client.0,
-            node: node.0,
-            key,
-            version,
-            completed_at: t_done,
-        });
-    } else {
-        log.writes.push(WriteObservation {
-            client: client.0,
-            key,
-            version,
-            completed_at: t_done,
-        });
     }
 }

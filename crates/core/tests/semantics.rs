@@ -3,17 +3,21 @@
 
 use ddp_core::{
     ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation, StoreKind,
-    VectorClock,
+    TraceConfig, VectorClock,
 };
 use proptest::prelude::*;
 
-fn observed(model: DdpModel, requests: u64) -> Simulation {
-    let mut cfg = ClusterConfig::micro21(model).with_observations();
+/// Runs `model` for `requests` requests with event tracing on; returns the
+/// finished simulation and the client history its trace holds.
+fn observed(model: DdpModel, requests: u64) -> (Simulation, HistoryChecker) {
+    let mut cfg = ClusterConfig::micro21(model).with_trace(TraceConfig::enabled());
     cfg.warmup_requests = 0;
     cfg.measured_requests = requests;
     let mut sim = Simulation::new(cfg);
     sim.run();
-    sim
+    let trace = sim.take_trace().expect("event tracing is on");
+    let history = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
+    (sim, history)
 }
 
 #[test]
@@ -21,18 +25,18 @@ fn linearizable_reads_are_fresh() {
     // Under Linearizable consistency a read never returns a version older
     // than a write that completed before the read began; freshness measured
     // at read completion should be essentially perfect.
-    let sim = observed(DdpModel::baseline(), 4_000);
-    let fresh = HistoryChecker::new(sim.cluster().observations().clone()).fresh_read_fraction();
+    let (_, history) = observed(DdpModel::baseline(), 4_000);
+    let fresh = history.fresh_read_fraction();
     assert!(fresh > 0.99, "linearizable freshness {fresh:.4}");
 }
 
 #[test]
 fn eventual_reads_are_visibly_stale() {
-    let sim = observed(
+    let (_, history) = observed(
         DdpModel::new(Consistency::Eventual, Persistency::Eventual),
         4_000,
     );
-    let fresh = HistoryChecker::new(sim.cluster().observations().clone()).fresh_read_fraction();
+    let fresh = history.fresh_read_fraction();
     assert!(
         fresh < 0.99,
         "eventual consistency should show stale reads, freshness {fresh:.4}"
@@ -44,18 +48,17 @@ fn causal_reads_under_sync_never_exceed_local_durability() {
     // §5.2(f): <Causal, Synchronous> reads return the latest *persisted*
     // version. Any version a read returned must therefore be durable
     // somewhere by the end of the run.
-    let sim = observed(
+    let (sim, history) = observed(
         DdpModel::new(Consistency::Causal, Persistency::Synchronous),
         4_000,
     );
     let snap = ddp_core::crash_snapshot(sim.cluster());
-    for r in &sim.cluster().observations().reads {
-        if r.version > 0 {
+    for r in history.reads() {
+        let (key, version) = (r.a, r.b);
+        if version > 0 {
             assert!(
-                snap.max_persisted(r.key) >= r.version,
-                "read of key {} returned unpersisted v{}",
-                r.key,
-                r.version
+                snap.max_persisted(key) >= version,
+                "read of key {key} returned unpersisted v{version}"
             );
         }
     }
@@ -65,14 +68,15 @@ fn causal_reads_under_sync_never_exceed_local_durability() {
 fn versions_per_key_grow_monotonically_in_write_log() {
     // The coordinator's version allocator is global and monotone; per-key
     // acknowledged-write versions must strictly increase.
-    let sim = observed(DdpModel::baseline(), 4_000);
+    let (_, history) = observed(DdpModel::baseline(), 4_000);
     let mut last: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for w in &sim.cluster().observations().writes {
-        if let Some(&prev) = last.get(&w.key) {
-            assert_ne!(prev, w.version, "duplicate version acknowledged");
+    for w in history.writes() {
+        let (key, version) = (w.a, w.b);
+        if let Some(&prev) = last.get(&key) {
+            assert_ne!(prev, version, "duplicate version acknowledged");
         }
-        let e = last.entry(w.key).or_insert(0);
-        *e = (*e).max(w.version);
+        let e = last.entry(key).or_insert(0);
+        *e = (*e).max(version);
     }
 }
 

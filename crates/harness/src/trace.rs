@@ -108,6 +108,7 @@ mod tests {
             c: 250,
             kind,
             node: 2,
+            client: 0,
         }
     }
 

@@ -32,9 +32,11 @@ pub enum TraceEventKind {
     WriteDp = 5,
     /// A client read began executing at its coordinator (`a`=key).
     ReadIssue = 6,
-    /// A client read completed (`a`=key, `c`=latency in ns).
+    /// A client read completed (`a`=key, `b`=version returned, `c`=latency
+    /// in ns; [`TraceRecord::client`] is the reading client).
     ReadComplete = 7,
-    /// A client write completed (`a`=key, `b`=version, `c`=latency ns).
+    /// A client write completed (`a`=key, `b`=version, `c`=latency ns;
+    /// [`TraceRecord::client`] is the writing client).
     WriteComplete = 8,
     /// A read stalled (`a`=key, `b`=blocking version, `c`=cause bits:
     /// [`StallCause`]).
@@ -141,6 +143,13 @@ pub struct TraceRecord {
     pub kind: TraceEventKind,
     /// Node the event happened at (coordinator for client-side events).
     pub node: u8,
+    /// The client a [`ReadComplete`] or [`WriteComplete`] completed for;
+    /// 0 for every other kind. It fills what would be padding, so the
+    /// record stays 48 bytes.
+    ///
+    /// [`ReadComplete`]: TraceEventKind::ReadComplete
+    /// [`WriteComplete`]: TraceEventKind::WriteComplete
+    pub client: u32,
 }
 
 #[cfg(test)]
@@ -189,7 +198,7 @@ mod tests {
     #[test]
     fn record_is_compact() {
         // The ring preallocates capacity × this size; keep it cache-friendly.
-        // Five words plus kind and node: 6 bytes of padding stay free.
+        // Five words, the client, kind and node: 2 bytes of padding remain.
         assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
     }
 }

@@ -140,6 +140,7 @@ mod tests {
             c: 0,
             kind: TraceEventKind::WriteIssue,
             node: 0,
+            client: 0,
         }
     }
 

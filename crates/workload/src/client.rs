@@ -36,8 +36,6 @@ pub struct Client {
     home_node: u8,
     think_time: Duration,
     rng: SimRng,
-    completed: u64,
-    deferred: u64,
 }
 
 impl Client {
@@ -65,31 +63,6 @@ impl Client {
             return Duration::ZERO;
         }
         Duration::from_nanos(self.rng.range_inclusive(0, 2 * self.think_time.as_nanos()))
-    }
-
-    /// Marks one request completed; returns the new total.
-    pub fn complete_one(&mut self) -> u64 {
-        self.completed += 1;
-        self.completed
-    }
-
-    /// Requests completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Notes one issue attempt deferred because the client's home node was
-    /// unreachable (crashed); returns the new total.
-    pub fn note_deferred(&mut self) -> u64 {
-        self.deferred += 1;
-        self.deferred
-    }
-
-    /// Issue attempts deferred by an unreachable home node so far.
-    #[must_use]
-    pub fn deferred(&self) -> u64 {
-        self.deferred
     }
 
     /// Transaction groups this client's stream rejected-and-re-homed
@@ -151,8 +124,6 @@ impl ClientPool {
                 home_node: (i % u32::from(nodes)) as u8,
                 think_time,
                 rng: root.fork(0x5EED_0000 + u64::from(i)),
-                completed: 0,
-                deferred: 0,
             })
             .collect();
         ClientPool { clients }
@@ -188,12 +159,6 @@ impl ClientPool {
     /// Mutable access to one client.
     pub fn client_mut(&mut self, id: ClientId) -> &mut Client {
         &mut self.clients[id.index()]
-    }
-
-    /// Total requests completed across all clients.
-    #[must_use]
-    pub fn total_completed(&self) -> u64 {
-        self.clients.iter().map(Client::completed).sum()
     }
 
     /// Total cross-shard transaction groups rejected-and-re-homed across
@@ -289,16 +254,6 @@ mod tests {
         let router = ShardRouter::new(Placement::Hash, 4, zipf.key_space);
         let sharded = zipf.with_shard(ShardSlice::new(router, 2).with_group(5));
         assert!(assert_pool_matches_solo_streams(&sharded) > 0);
-    }
-
-    #[test]
-    fn completion_counting() {
-        let mut pool = ClientPool::new(&WorkloadSpec::ycsb_a(), 3, 1, 2);
-        pool.client_mut(ClientId(0)).complete_one();
-        pool.client_mut(ClientId(0)).complete_one();
-        pool.client_mut(ClientId(2)).complete_one();
-        assert_eq!(pool.total_completed(), 3);
-        assert_eq!(pool.client_mut(ClientId(0)).completed(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use ddp_core::{
     crash_snapshot, estimate_recovery, recover, ClusterConfig, Consistency, DdpModel,
-    HistoryChecker, Persistency, RecoveryPolicy, Simulation,
+    HistoryChecker, Persistency, RecoveryPolicy, Simulation, TraceConfig,
 };
 use ddp_mem::MemoryParams;
 use ddp_net::NetworkParams;
@@ -30,7 +30,8 @@ fn main() {
         DdpModel::new(Consistency::Eventual, Persistency::Eventual),
     ];
     for model in models {
-        let mut cfg = ClusterConfig::micro21(model).with_observations();
+        // The checker reads the client history from the event trace.
+        let mut cfg = ClusterConfig::micro21(model).with_trace(TraceConfig::enabled());
         cfg.warmup_requests = 0;
         cfg.measured_requests = 5_000;
         let mut sim = Simulation::new(cfg);
@@ -46,7 +47,8 @@ fn main() {
         };
         let recovered = recover(&snapshot, policy);
 
-        let checker = HistoryChecker::new(sim.cluster().observations().clone());
+        let trace = sim.take_trace().expect("event tracing is on");
+        let checker = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
         let non_stale = checker.non_stale_after_recovery(&recovered);
         let est = estimate_recovery(
             &snapshot,

@@ -11,11 +11,14 @@
 //! comment-thread-like workload and verifies the session guarantees with
 //! the history checker.
 
-use ddp_core::{ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation};
+use ddp_core::{
+    ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation, TraceConfig,
+};
 use ddp_workload::WorkloadSpec;
 
 fn run(model: DdpModel) -> (f64, bool, f64) {
-    let mut cfg = ClusterConfig::micro21(model).with_observations();
+    // The checker reads the client history from the event trace.
+    let mut cfg = ClusterConfig::micro21(model).with_trace(TraceConfig::enabled());
     // A busy comment thread: small hot key set, read-mostly.
     cfg.workload = WorkloadSpec {
         name: "timeline",
@@ -29,7 +32,8 @@ fn run(model: DdpModel) -> (f64, bool, f64) {
     cfg.measured_requests = 10_000;
     let mut sim = Simulation::new(cfg);
     let report = sim.run();
-    let checker = HistoryChecker::new(sim.cluster().observations().clone());
+    let trace = sim.take_trace().expect("event tracing is on");
+    let checker = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
     (
         report.summary.throughput,
         checker.monotonic_reads().holds,

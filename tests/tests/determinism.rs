@@ -1,6 +1,8 @@
 //! Determinism and cross-cutting property tests over the full stack.
 
-use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency, Simulation};
+use ddp_core::{
+    ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation, TraceConfig,
+};
 use proptest::prelude::*;
 
 fn model_from(c_idx: usize, p_idx: usize) -> DdpModel {
@@ -105,46 +107,50 @@ proptest! {
             Persistency::Eventual,
         ))
         .with_seed(seed)
-        .with_observations();
+        .with_trace(TraceConfig::enabled());
         cfg.warmup_requests = 0;
         cfg.measured_requests = 400;
-        let mut sim = Simulation::new(cfg);
-        sim.run();
-        let log = sim.cluster().observations();
-        let max_written = log.writes.iter().map(|w| w.version).max().unwrap_or(0);
-        for r in &log.reads {
-            // A read may see a version the log hasn't recorded yet (its
+        let trace = Simulation::new(cfg).finish().trace.expect("event tracing is on");
+        let history = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
+        // Completion records carry the version read or written in `b`.
+        let max_written = history.writes().iter().map(|w| w.b).max().unwrap_or(0);
+        for r in history.reads() {
+            // A read may see a version the history hasn't recorded yet (its
             // write is still unacknowledged), so bound loosely by the
             // total writes issued plus in-flight margin.
-            prop_assert!(r.version <= max_written + 10_000);
+            prop_assert!(r.b <= max_written + 10_000);
         }
     }
 }
 
 #[test]
-fn observation_log_is_ordered_by_completion() {
-    let mut cfg = ClusterConfig::micro21(DdpModel::baseline()).with_observations();
+fn traced_completions_are_ordered_by_completion() {
+    let mut cfg = ClusterConfig::micro21(DdpModel::baseline()).with_trace(TraceConfig::enabled());
     cfg.warmup_requests = 0;
     cfg.measured_requests = 1_000;
-    let mut sim = Simulation::new(cfg);
-    sim.run();
-    let log = sim.cluster().observations();
-    assert!(!log.reads.is_empty() && !log.writes.is_empty());
-    // Entries are appended when the protocol settles an operation, which may
-    // be a few hundred nanoseconds before the response timestamp; ordering
-    // therefore holds up to that small slack.
+    let trace = Simulation::new(cfg)
+        .finish()
+        .trace
+        .expect("event tracing is on");
+    let history = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
+    assert!(!history.reads().is_empty() && !history.writes().is_empty());
+    // Completions are traced when the protocol settles an operation, which
+    // may be a few hundred nanoseconds before the response timestamp;
+    // ordering therefore holds up to that small slack.
     const SLACK_NS: u64 = 2_000;
     assert!(
-        log.reads
+        history
+            .reads()
             .windows(2)
-            .all(|w| { w[1].completed_at.as_nanos() + SLACK_NS >= w[0].completed_at.as_nanos() }),
-        "reads logged far out of completion order"
+            .all(|w| w[1].at_ns + SLACK_NS >= w[0].at_ns),
+        "reads traced far out of completion order"
     );
     assert!(
-        log.writes
+        history
+            .writes()
             .windows(2)
-            .all(|w| { w[1].completed_at.as_nanos() + SLACK_NS >= w[0].completed_at.as_nanos() }),
-        "writes logged far out of completion order"
+            .all(|w| w[1].at_ns + SLACK_NS >= w[0].at_ns),
+        "writes traced far out of completion order"
     );
 }
 

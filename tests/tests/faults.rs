@@ -113,14 +113,15 @@ fn retransmissions_recover_lost_acks() {
 fn monotonic_reads_hold_under_loss_and_crash_for_linearizable() {
     let model = DdpModel::baseline();
     let (at, down_for) = scaled_crash(model);
-    let mut sim = Simulation::new(
+    let run = Simulation::new(
         tiny(model)
-            .with_observations()
+            .with_trace(TraceConfig::enabled())
             .with_loss(0.01)
             .with_crash(2, at, down_for),
-    );
-    sim.run();
-    let checker = HistoryChecker::new(sim.cluster().observations().clone());
+    )
+    .finish();
+    let trace = run.trace.expect("event tracing is on");
+    let checker = HistoryChecker::new(&trace).expect("the trace ring held the whole run");
     let out = checker.monotonic_reads();
     assert!(out.holds, "monotonic reads violated: {:?}", out.violations);
 }
