@@ -5,38 +5,44 @@
 //! stack is self-contained and its behaviour is deterministic across
 //! platforms.
 //!
-//! The probed array is an index of 16-byte slots (a key, the position of
-//! its entry, its probe length) over a dense vector of `(key, value)`
-//! entries. Probes, Robin Hood displacement, growth and backward-shift
-//! deletion move slots only, four to a cache line; a value is written once
+//! The probed array is an index of 8-byte slots over `(key, value)`
+//! entries. A slot holds the key's 32-bit fingerprint, the top half of its
+//! Fibonacci product, which also gives the slot's home and probe length,
+//! and the 32-bit position of its entry; a fingerprint match is confirmed
+//! against the entry's key. Probes, Robin Hood displacement, growth and
+//! backward-shift deletion move slots only, eight to a cache line.
+//!
+//! Entries sit in fixed-size chunks, allocated one at a time, that never
+//! move: an index doubling rehashes the slots alone, and entry storage
+//! never exceeds the live entries plus one chunk. A value is written once
 //! and moves only when a removal swaps the last entry into its hole.
+
+use std::ops::{Index, IndexMut};
 
 use crate::traits::{Key, KvStore};
 
-/// Multiplicative hash (Fibonacci hashing) — good avalanche for sequential
-/// and Zipfian key patterns alike.
-fn hash(key: Key, shift: u32) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+/// The top half of the key's multiplicative (Fibonacci) hash, which has
+/// good avalanche for sequential and Zipfian key patterns alike. Its top
+/// `log2(capacity)` bits are the key's home slot.
+fn fingerprint(key: Key) -> u32 {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
 /// One index slot.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    key: Key,
-    /// Position of the key's entry in the dense vector; [`FREE`] marks an
-    /// empty slot.
+    /// The key's [`fingerprint`].
+    fingerprint: u32,
+    /// Position of the key's entry; [`FREE`] marks an empty slot.
     entry: u32,
-    /// Distance from the slot the key hashes to (for Robin Hood balancing).
-    probe_len: u32,
 }
 
 /// The `entry` of an empty slot.
 const FREE: u32 = u32::MAX;
 
 const EMPTY: Slot = Slot {
-    key: 0,
+    fingerprint: 0,
     entry: FREE,
-    probe_len: 0,
 };
 
 impl Slot {
@@ -51,7 +57,89 @@ enum Probe {
     Found(usize),
     /// The key is absent. Inserting it starts at `slot`, where it has
     /// travelled `dist` from home: every slot before it keeps its occupant.
-    Vacant { slot: usize, dist: u32 },
+    Vacant { slot: usize, dist: usize },
+}
+
+/// Entries per chunk of the entry store: 36 KiB of replica-store entries.
+/// With glibc on x86-64 Linux, chunks of 64 to 256 such entries fragmented
+/// the heap from one benchmark pass to the next, so `reads-uniform-b`'s
+/// peak memory grew by 2–4 MiB over 40 passes; chunks of 32, 512 and 1,024
+/// entries held it flat.
+const CHUNK: usize = 1 << 9;
+
+/// The `(key, value)` entries, `CHUNK` to a chunk, indexed by position.
+///
+/// Chunks are allocated one at a time and never move, so growing the store
+/// copies nothing and reserves at most one chunk beyond the live entries.
+#[derive(Debug)]
+struct Entries<V> {
+    chunks: Vec<Vec<(Key, V)>>,
+    len: usize,
+}
+
+impl<V> Entries<V> {
+    /// Appends an entry and returns its position.
+    fn push(&mut self, key: Key, value: V) -> usize {
+        if self.len / CHUNK == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[self.len / CHUNK].push((key, value));
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// Removes the entry at `position` and moves the last entry into its
+    /// place. A chunk left empty is freed once the chunk before it has room
+    /// too, so alternating inserts and removes at a chunk boundary do not
+    /// allocate each time.
+    fn swap_remove(&mut self, position: usize) -> (Key, V) {
+        self.len -= 1;
+        let last = self.chunks[self.len / CHUNK]
+            .pop()
+            .expect("the last chunk holds the last entry");
+        if self.chunks.len() * CHUNK > self.len + CHUNK {
+            self.chunks.pop();
+        }
+        if position == self.len {
+            last
+        } else {
+            std::mem::replace(&mut self[position], last)
+        }
+    }
+}
+
+impl<V> Index<usize> for Entries<V> {
+    type Output = (Key, V);
+
+    fn index(&self, position: usize) -> &(Key, V) {
+        &self.chunks[position / CHUNK][position % CHUNK]
+    }
+}
+
+impl<V> IndexMut<usize> for Entries<V> {
+    fn index_mut(&mut self, position: usize) -> &mut (Key, V) {
+        &mut self.chunks[position / CHUNK][position % CHUNK]
+    }
+}
+
+/// A derived clone would size each chunk to its length, so the next push
+/// into the last chunk would reallocate it and move its entries.
+impl<V: Clone> Clone for Entries<V> {
+    fn clone(&self) -> Self {
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|chunk| {
+                let mut copy = Vec::with_capacity(CHUNK);
+                copy.extend_from_slice(chunk);
+                copy
+            })
+            .collect();
+        Entries {
+            chunks,
+            len: self.len,
+        }
+    }
 }
 
 /// An open-addressing hash table with Robin Hood displacement and
@@ -74,9 +162,10 @@ enum Probe {
 #[derive(Clone, Debug)]
 pub struct HashTable<V> {
     slots: Vec<Slot>,
-    /// Entries in no particular order; `len` is their count.
-    entries: Vec<(Key, V)>,
-    /// `64 - log2(capacity)`, the shift used by the multiplicative hash.
+    /// Entries in no particular order.
+    entries: Entries<V>,
+    /// `32 - log2(capacity)`: a fingerprint shifted right by it is the
+    /// key's home slot.
     shift: u32,
 }
 
@@ -89,24 +178,13 @@ impl<V> HashTable<V> {
     /// Creates an empty table.
     #[must_use]
     pub fn new() -> Self {
-        HashTable::with_slots(INITIAL_CAPACITY)
-    }
-
-    /// Creates an empty table sized for at least `capacity` entries without
-    /// rehashing.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = (capacity * LOAD_DEN / LOAD_NUM + 1)
-            .next_power_of_two()
-            .max(INITIAL_CAPACITY);
-        HashTable::with_slots(cap)
-    }
-
-    fn with_slots(cap: usize) -> Self {
         HashTable {
-            slots: vec![EMPTY; cap],
-            entries: Vec::with_capacity(limit(cap)),
-            shift: 64 - cap.trailing_zeros(),
+            slots: vec![EMPTY; INITIAL_CAPACITY],
+            entries: Entries {
+                chunks: Vec::new(),
+                len: 0,
+            },
+            shift: 32 - INITIAL_CAPACITY.trailing_zeros(),
         }
     }
 
@@ -118,27 +196,51 @@ impl<V> HashTable<V> {
         self.capacity() - 1
     }
 
+    fn home(&self, fingerprint: u32) -> usize {
+        (fingerprint >> self.shift) as usize
+    }
+
+    /// The distance of the occupant of slot `idx` from its home slot (its
+    /// Robin Hood probe length).
+    fn probe_len(&self, idx: usize, slot: Slot) -> usize {
+        idx.wrapping_sub(self.home(slot.fingerprint)) & self.mask()
+    }
+
+    // `probe` and `find` are inlined into each lookup. Left out of line,
+    // the replica store's `get` called `find` on every lookup, about 7 %
+    // of `stores/replica_state_hash_uniform_100k`.
+    #[inline]
     fn probe(&self, key: Key) -> Probe {
+        let fingerprint = fingerprint(key);
         let mask = self.mask();
-        let mut idx = hash(key, self.shift) & mask;
-        let mut dist = 0u32;
+        let mut idx = self.home(fingerprint);
+        let mut dist = 0;
+        // Robin Hood invariant: if an occupant is closer to home than our
+        // probe distance, the key cannot be further along. An occupant
+        // `dist` slots past our home is closer to its own exactly when its
+        // home is one of those `dist` slots, that is, when its fingerprint
+        // is one of the `span = dist << shift` that follow our home's: one
+        // subtraction and compare per slot.
+        let per_slot = 1u32 << self.shift;
+        let after_home = (fingerprint | (per_slot - 1)).wrapping_add(1);
+        let mut span = 0u32;
         loop {
-            let slot = &self.slots[idx];
-            // Robin Hood invariant: if an occupant is closer to home than
-            // our probe distance, the key cannot be further along.
-            if slot.is_empty() || slot.probe_len < dist {
+            let slot = self.slots[idx];
+            if slot.is_empty() || slot.fingerprint.wrapping_sub(after_home) < span {
                 return Probe::Vacant { slot: idx, dist };
             }
-            if slot.key == key {
+            if slot.fingerprint == fingerprint && self.entries[slot.entry as usize].0 == key {
                 return Probe::Found(idx);
             }
             idx = (idx + 1) & mask;
             dist += 1;
+            span += per_slot;
         }
     }
 
     /// The position of `key`'s entry, which stays put until the next
     /// removal.
+    #[inline(always)]
     pub(crate) fn find(&self, key: Key) -> Option<usize> {
         match self.probe(key) {
             Probe::Found(idx) => Some(self.slots[idx].entry as usize),
@@ -146,21 +248,25 @@ impl<V> HashTable<V> {
         }
     }
 
-    /// Puts `incoming` at `idx`, displacing richer occupants onward: the
-    /// poorer slot (longer probe) keeps its place, the richer one moves on.
-    fn place(&mut self, mut idx: usize, mut incoming: Slot) {
+    /// Puts `incoming`, `dist` from its home, at `idx`, displacing richer
+    /// occupants onward: the poorer slot (longer probe) keeps its place,
+    /// the richer one moves on.
+    fn place(&mut self, mut idx: usize, mut incoming: Slot, mut dist: usize) {
         let mask = self.mask();
         loop {
-            let slot = &mut self.slots[idx];
-            if slot.is_empty() {
-                *slot = incoming;
+            let held = self.slots[idx];
+            if held.is_empty() {
+                self.slots[idx] = incoming;
                 return;
             }
-            if slot.probe_len < incoming.probe_len {
-                std::mem::swap(slot, &mut incoming);
+            let held_dist = self.probe_len(idx, held);
+            if held_dist < dist {
+                self.slots[idx] = incoming;
+                incoming = held;
+                dist = held_dist;
             }
             idx = (idx + 1) & mask;
-            incoming.probe_len += 1;
+            dist += 1;
         }
     }
 
@@ -169,40 +275,32 @@ impl<V> HashTable<V> {
         (self.len() + 1) * LOAD_DEN > self.capacity() * LOAD_NUM
     }
 
+    /// Doubles the index. The fingerprints give every slot's new home, so
+    /// no entry is read or moved.
     fn grow(&mut self) {
         let new_cap = self.capacity() * 2;
+        self.shift = self
+            .shift
+            .checked_sub(1)
+            .expect("a 32-bit fingerprint homes at most 2^32 slots");
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
-        self.shift = 64 - new_cap.trailing_zeros();
-        let mask = self.mask();
         for slot in old.into_iter().filter(|s| !s.is_empty()) {
-            let home = hash(slot.key, self.shift) & mask;
-            self.place(
-                home,
-                Slot {
-                    probe_len: 0,
-                    ..slot
-                },
-            );
+            self.place(self.home(slot.fingerprint), slot, 0);
         }
-        // The entries grow with the index, so they carry no more slack
-        // than its load limit.
-        self.entries
-            .reserve_exact(limit(new_cap).saturating_sub(self.len()));
     }
 
     /// Appends an entry for an absent `key` and indexes it from the probe's
     /// stopping point; returns the entry's position.
-    fn insert_at(&mut self, slot: usize, dist: u32, key: Key, value: V) -> usize {
-        let entry = self.entries.len();
+    fn insert_at(&mut self, slot: usize, dist: usize, key: Key, value: V) -> usize {
+        let entry = self.entries.push(key, value);
         assert!(entry < FREE as usize, "entry index overflows 32 bits");
-        self.entries.push((key, value));
         self.place(
             slot,
             Slot {
-                key,
+                fingerprint: fingerprint(key),
                 entry: entry as u32,
-                probe_len: dist,
             },
+            dist,
         );
         entry
     }
@@ -231,27 +329,28 @@ impl<V> HashTable<V> {
         let Probe::Found(idx) = self.probe(key) else {
             return None;
         };
-        let entry = self.slots[idx].entry as usize;
+        let entry = self.slots[idx].entry;
         // Backward-shift deletion keeps probe sequences tombstone-free.
         let mask = self.mask();
         let mut hole = idx;
         let mut next = (idx + 1) & mask;
-        while !self.slots[next].is_empty() && self.slots[next].probe_len > 0 {
+        while !self.slots[next].is_empty() && self.probe_len(next, self.slots[next]) > 0 {
             self.slots[hole] = self.slots[next];
-            self.slots[hole].probe_len -= 1;
             hole = next;
             next = (next + 1) & mask;
         }
         self.slots[hole] = EMPTY;
-        let (_, value) = self.entries.swap_remove(entry);
-        // The last entry moved into the hole: repoint its slot.
-        if let Some(&(moved, _)) = self.entries.get(entry) {
+        // The last entry moves into the hole: repoint its slot first,
+        // while the probe can still read its key at the old position.
+        let last = self.len() - 1;
+        if entry as usize != last {
+            let moved = self.entries[last].0;
             let Probe::Found(at) = self.probe(moved) else {
                 unreachable!("moved entry {moved} is indexed");
             };
-            self.slots[at].entry = entry as u32;
+            self.slots[at].entry = entry;
         }
-        Some(value)
+        Some(self.entries.swap_remove(entry as usize).1)
     }
 
     /// The value of `key`, inserting `fill()` first if the key is absent:
@@ -265,11 +364,6 @@ impl<V> HashTable<V> {
         };
         &mut self.entries[entry].1
     }
-}
-
-/// Entries a table of `cap` slots holds before it grows.
-fn limit(cap: usize) -> usize {
-    cap * LOAD_NUM / LOAD_DEN
 }
 
 impl<V> Default for HashTable<V> {
@@ -307,12 +401,13 @@ impl<V> KvStore<V> for HashTable<V> {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len
     }
 
     fn for_each<'a>(&'a self, f: &mut dyn FnMut(Key, &'a V)) {
         for slot in self.slots.iter().filter(|s| !s.is_empty()) {
-            f(slot.key, &self.entries[slot.entry as usize].1);
+            let (key, value) = &self.entries[slot.entry as usize];
+            f(*key, value);
         }
     }
 }
@@ -343,16 +438,6 @@ mod tests {
         for k in 0..10_000u64 {
             assert_eq!(t.get(k), Some(&k), "key {k} lost during growth");
         }
-    }
-
-    #[test]
-    fn with_capacity_avoids_rehash_for_that_many() {
-        let mut t = HashTable::with_capacity(1000);
-        let cap_before = t.capacity();
-        for k in 0..1000u64 {
-            t.put(k, ());
-        }
-        assert_eq!(t.capacity(), cap_before);
     }
 
     #[test]
@@ -404,13 +489,65 @@ mod tests {
     }
 
     #[test]
-    fn index_slots_are_16_bytes_and_entries_track_the_load_limit() {
-        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    fn index_slots_are_8_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+    }
+
+    #[test]
+    fn growth_moves_no_entry() {
         let mut t = HashTable::new();
         for k in 0..1_000u64 {
             t.put(k, k);
-            assert!(t.entries.capacity() <= limit(t.capacity()), "key {k}");
         }
+        let cap = t.capacity();
+        let before: Vec<*const u64> = (0..1_000u64)
+            .map(|k| t.get(k).unwrap() as *const _)
+            .collect();
+        let mut k = 1_000u64;
+        while t.capacity() < 4 * cap {
+            t.put(k, k);
+            k += 1;
+        }
+        for (k, &at) in (0..1_000u64).zip(&before) {
+            assert_eq!(t.get(k).unwrap() as *const u64, at, "key {k} moved");
+        }
+    }
+
+    /// Entry slots allocated across the table's chunks.
+    fn allocated(t: &HashTable<u64>) -> usize {
+        t.entries.chunks.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn entry_storage_stays_within_one_chunk_of_the_live_entries() {
+        let mut t = HashTable::new();
+        for k in 0..5_000u64 {
+            t.put(k, k);
+            assert!(allocated(&t) <= t.len() + CHUNK, "after inserting {k}");
+        }
+        assert!(t.capacity() >= 8_192, "the inserts crossed nine doublings");
+        assert_eq!(
+            allocated(&t.clone()),
+            allocated(&t),
+            "a clone keeps whole chunks"
+        );
+        // Removes in a scattered order shrink the store chunk by chunk;
+        // every survivor keeps its value.
+        let order = (0..5_000u64).map(|i| i.wrapping_mul(2_897) % 5_000);
+        for (n, k) in order.enumerate() {
+            assert_eq!(t.remove(k), Some(k));
+            assert!(allocated(&t) <= t.len() + CHUNK, "after removing {k}");
+            if n % 500 == 0 {
+                t.for_each(&mut |key, &value| assert_eq!(key, value));
+            }
+        }
+        assert_eq!(t.len(), 0);
+    }
+
+    /// The old table's home-slot hash: the top `64 - shift` bits of the
+    /// key's Fibonacci product.
+    fn hash(key: Key, shift: u32) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
     }
 
     /// The table as it was before the index: values inline in the probed

@@ -11,8 +11,9 @@
 //! operation deletes a key or scans a range; [`HashTable::remove`] serves
 //! the slab cache's eviction and `ddp-core`'s transaction registry:
 //!
-//! * [`HashTable`] — a Robin Hood index of 16-byte slots over dense
-//!   entries;
+//! * [`HashTable`] — a Robin Hood index of 8-byte slots (a key
+//!   fingerprint and an entry position) over entries in fixed-size chunks
+//!   that never move;
 //! * [`AvlMap`] — balanced ordered map (the `std::map` role);
 //! * [`BTree`] — B-tree with values in every node (the cpp-btree role);
 //! * [`BPlusTree`] — B+tree with linked leaves (the TLX role);
@@ -22,10 +23,10 @@
 //! A sixth, beyond-the-paper shape opens the amortized-persistence
 //! scenario:
 //!
-//! * [`LsmStore`] — Spine-style log-structured store (sorted memtable,
-//!   immutable sealed batches, leveled merge-compaction; runs carry keys,
-//!   values live once in an index) that reports its background work as
-//!   [`LsmWork`] for the simulator to cost.
+//! * [`LsmStore`] — Spine-style log-structured store (a memtable sorted
+//!   when it seals, immutable sealed batches, leveled merge-compaction;
+//!   runs carry keys, values live once in an index) that reports its
+//!   background work as [`LsmWork`] for the simulator to cost.
 //!
 //! All stores are deterministic: no hashing randomness, no allocation-order
 //! dependence, which the simulator's reproducibility requires.

@@ -1,7 +1,8 @@
 //! A Spine-style log-structured merge (LSM) store.
 //!
-//! Writes land in a sorted mutable **memtable**. When the memtable reaches
-//! its seal threshold it becomes an immutable sorted **batch** at level 0;
+//! Writes append their keys to a mutable **memtable**. When the memtable
+//! reaches its seal threshold its keys are sorted, once, into an immutable
+//! **batch** at level 0;
 //! when a level accumulates `fanout` batches they merge into one batch at
 //! the next level, the sorted union of their keys — the shape mirrors the
 //! DBSP Spine trace (SNIPPETS.md).
@@ -72,9 +73,10 @@ impl LsmWork {
     }
 }
 
-/// One sorted run of keys. The memtable is the one mutable run; sealed
-/// batches never change. Runs carry no values: the newest value of every
-/// key is held once, in the store's index.
+/// One run of keys. The memtable is the one mutable run, its keys in
+/// arrival order until the seal sorts them; sealed batches are sorted and
+/// never change. Runs carry no values: the newest value of every key is
+/// held once, in the store's index.
 type Run = Vec<Key>;
 
 /// A value, stamped with the memtable generation (the seal count) at
@@ -105,25 +107,27 @@ impl Runs {
     /// if the memtable is full. Returns the memtable generation that now
     /// holds the key.
     fn enter(&mut self, key: Key) -> u64 {
-        let Err(i) = self.memtable.binary_search(&key) else {
-            unreachable!("key {key} is in the memtable, so its stamp is current");
-        };
+        debug_assert!(
+            !self.memtable.contains(&key),
+            "key {key} is in the memtable, so its stamp is current"
+        );
         if self.memtable.len() >= self.memtable_cap {
             self.seal();
-            self.memtable.push(key);
-        } else {
-            self.memtable.insert(i, key);
         }
+        self.memtable.push(key);
         self.seals
     }
 
-    /// Seals the memtable into a level-0 batch and cascades any merges it
+    /// Sorts the memtable into a level-0 batch and cascades any merges it
     /// triggers. A no-op on an empty memtable.
     fn seal(&mut self) {
         if self.memtable.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.memtable);
+        let mut batch = std::mem::take(&mut self.memtable);
+        // The generation stamps keep each key out of a memtable that holds
+        // it, so the keys are distinct and an unstable sort is exact.
+        batch.sort_unstable();
         let n = batch.len() as u64;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
@@ -158,8 +162,8 @@ impl Runs {
     }
 }
 
-/// The log-structured store: a sorted mutable memtable over leveled
-/// immutable batches of keys, and an index holding each key's newest
+/// The log-structured store: a mutable memtable over leveled immutable
+/// sorted batches of keys, and an index holding each key's newest
 /// value. See the module docs for the lifecycle.
 #[derive(Clone, Debug)]
 pub struct LsmStore<V> {
